@@ -19,6 +19,7 @@ from .errors import (
     AmbientError,
     GraphError,
     HypothesisNotMet,
+    InvariantViolation,
     ParseError,
     PathcentersError,
     ResourceCapExceeded,
@@ -54,6 +55,7 @@ from .graph import (
 from .graph_algebra import (
     COHN,
     LEAVITT,
+    PATH,
     GAElement,
     GMonomial,
     SpecialEdgeChoice,
@@ -66,7 +68,6 @@ from .graph_algebra import (
 from .oracle import (
     CentralSubspace,
     OracleWindow,
-    PATH,
     central_subspace,
     check_central,
     centrality_witness,

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import GraphError, HypothesisNotMet
+from .errors import GraphError, HypothesisNotMet, InvariantViolation
 from .graph import (
     Cycle,
     Graph,
@@ -33,7 +33,9 @@ from .graph import (
 from .graph_algebra import (
     COHN,
     LEAVITT,
+    PATH,
     GAElement,
+    GMonomial,
     default_special,
     normal_form,
 )
@@ -46,7 +48,6 @@ from .oracle import (
     graded_center_component,
     structural_truncation,
 )
-from .path_algebra import KEElement
 from .scalars import QQ
 
 ZERO = "zero"
@@ -102,7 +103,7 @@ def _component_cycle(g: Graph, comp):
     return Cycle.from_edges(g, edges)
 
 
-def cycle_rotation_sum(g: Graph, cyc: Cycle, power: int = 1, field=QQ) -> KEElement:
+def cycle_rotation_sum(g: Graph, cyc: Cycle, power: int = 1, field=QQ) -> GAElement:
     """Sum over the cycle's vertices of the k-th power of the rotation based
     there; power 1 gives the generator of Z(KE) for a cycle graph."""
     coeffs = {}
@@ -111,8 +112,9 @@ def cycle_rotation_sum(g: Graph, cyc: Cycle, power: int = 1, field=QQ) -> KEElem
         p = Path.vertex(g, v)
         for _ in range(power):
             p = p.concat(rot)
-        coeffs[p] = field.add(coeffs.get(p, field.zero), field.one)
-    return KEElement(g, field, coeffs)
+        m = GMonomial(p, Path.vertex(g, v))
+        coeffs[m] = field.add(coeffs.get(m, field.zero), field.one)
+    return GAElement(PATH, g, None, field, coeffs)
 
 
 def center_structure_KE(g: Graph, field=QQ) -> CenterStructure:
@@ -121,8 +123,9 @@ def center_structure_KE(g: Graph, field=QQ) -> CenterStructure:
     the sum of its based rotations."""
     pieces = []
     for comp in connected_components(g):
-        one_comp = KEElement(
-            g, field, {Path.vertex(g, v): field.one for v in sorted(comp)}
+        one_comp = GAElement(
+            PATH, g, None, field,
+            {GMonomial.at_vertex(g, v): field.one for v in sorted(comp)},
         )
         cyc = _component_cycle(g, comp)
         if cyc is None:
@@ -135,7 +138,7 @@ def center_structure_KE(g: Graph, field=QQ) -> CenterStructure:
     return CenterStructure(SUM, (), tuple(pieces))
 
 
-def cycle_center_evaluate(g: Graph, poly_coeffs, field=QQ) -> KEElement:
+def cycle_center_evaluate(g: Graph, poly_coeffs, field=QQ) -> GAElement:
     """Evaluate sum_i p(c_i) on a cycle graph; p is a dense coefficient list,
     low degree first.  The map p -> sum_i p(c_i) is onto the center."""
     comps = connected_components(g)
@@ -144,13 +147,13 @@ def cycle_center_evaluate(g: Graph, poly_coeffs, field=QQ) -> KEElement:
     cyc = _component_cycle(g, comps[0])
     if cyc is None:
         raise GraphError("not a cycle graph")
-    out = KEElement.zero(g, field)
+    out = GAElement.zero(g, PATH, field=field)
     for k, a in enumerate(poly_coeffs):
         a = field.coerce(a)
         if a == field.zero:
             continue
         if k == 0:
-            out = out + KEElement.one(g, field).scale(a)
+            out = out + GAElement.one(g, PATH, field=field).scale(a)
         else:
             out = out + cycle_rotation_sum(g, cyc, k, field).scale(a)
     return out
@@ -193,8 +196,8 @@ def classify_prime_leavitt(g: Graph) -> PrimeLeavittClassification:
     if not exit_free:
         return PrimeLeavittClassification(scalar=True, reason="condition_L")
     if len(exit_free) > 1:
-        raise RuntimeError("prime graph with two exit-free cycles; "
-                           "orthogonality theorem violated")
+        raise InvariantViolation("prime graph with two exit-free cycles; "
+                                 "orthogonality theorem violated")
     c = exit_free[0]
     n = count_paths_ending_at_cycle(g, c)
     base = count_paths_ending_at_base(g, c)
@@ -228,16 +231,16 @@ def laurent_generator(g: Graph, c: Cycle, *, field=QQ, special=None) -> GAElemen
     comp = graded_center_component(g, LEAVITT, c.length, max_len,
                                    field=field, special=special)
     if comp.dim != 1:
-        raise RuntimeError(
+        raise InvariantViolation(
             f"degree-{c.length} central component has dimension {comp.dim}, "
             "expected 1"
         )
     z = _normalize_leading(comp.basis[0])
     one = GAElement.one(g, LEAVITT, special=special, field=field)
     if not check_central(z):
-        raise RuntimeError("constructed generator is not central")
+        raise InvariantViolation("constructed generator is not central")
     if z * z.involution() != one or z.involution() * z != one:
-        raise RuntimeError("constructed generator is not unitary")
+        raise InvariantViolation("constructed generator is not unitary")
     return z
 
 
@@ -348,8 +351,8 @@ def graded_prime_ideals(g: Graph, max_vertices: int = 16):
             records.append(GradedPrimeRecord(h, q, "I", "condition_L"))
             continue
         if len(exit_free) > 1:
-            raise RuntimeError("downward-directed quotient with two exit-free "
-                               "cycles; orthogonality theorem violated")
+            raise InvariantViolation("downward-directed quotient with two exit-free "
+                                     "cycles; orthogonality theorem violated")
         c = exit_free[0]
         n = count_paths_ending_at_cycle(q, c)
         if n == math.inf:
@@ -438,7 +441,7 @@ def _component_center_pieces(g, comp, special, field):
     feeding = cycle_feeding_paths(sub, cls.cycle)
     z = _corner_laurent_generator(g, cls.cycle, feeding, special, field)
     if not check_central(z):
-        raise RuntimeError("corner Laurent generator failed the centrality check")
+        raise InvariantViolation("corner Laurent generator failed the centrality check")
     return [PieceContribution(
         "laurent", f"prime component, exit-free cycle fed by {len(feeding)} paths", z)]
 
@@ -475,7 +478,7 @@ def _ideal_center_pieces(g, h, special, field):
             else:
                 z = _corner_laurent_generator(g, c, feeding, special, field)
                 if not check_central(z):
-                    raise RuntimeError(
+                    raise InvariantViolation(
                         "corner Laurent generator failed the centrality check")
                 pieces.append(PieceContribution(
                     "laurent", f"matrix corner over {len(feeding)} paths", z))
@@ -488,7 +491,7 @@ def _ideal_center_pieces(g, h, special, field):
             else:
                 unit = _corner_unit(g, feeding, special, field)
                 if not check_central(unit):
-                    raise RuntimeError("corner unit failed the centrality check")
+                    raise InvariantViolation("corner unit failed the centrality check")
                 pieces.append(PieceContribution(
                     "scalar", f"matrix corner over K on {len(feeding)} paths", unit))
         else:

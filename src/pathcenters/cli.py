@@ -1,7 +1,9 @@
 """Command-line surface: analyze, center, gprimes, oracle.
 
 Exit codes: 0 success, 1 usage or parse error, 2 a requested theorem's
-hypotheses fail (still reported structurally), 3 resource cap exceeded.
+hypotheses fail (still reported structurally), 3 resource cap exceeded,
+4 an internal invariant failed (a bug: a theorem, a constructed generator or
+the oracle disagreed with a consistency check).
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from . import report as rpt
 from .errors import (
     GraphError,
     HypothesisNotMet,
+    InvariantViolation,
     ParseError,
     PathcentersError,
     ResourceCapExceeded,
@@ -28,6 +31,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_HYPOTHESIS = 2
 EXIT_RESOURCE = 3
+EXIT_INVARIANT = 4
 
 
 class _Parser(argparse.ArgumentParser):
@@ -60,39 +64,41 @@ def cmd_analyze(args):
     return report, EXIT_OK
 
 
+def _prime_claim(g, algebra, field):
+    """The structural center claim when the algebra is prime, else None.
+
+    KE always has one; Cohn and Leavitt algebras only when prime."""
+    if algebra == "path":
+        return ct.center_structure_KE(g, field)
+    if algebra == "cohn":
+        return ct.center_prime_cohn(g, field) if ct.is_prime_cohn(g) else None
+    return ct.center_prime_leavitt(g, field) if ct.is_prime_leavitt(g) else None
+
+
 def cmd_center(args):
     g = _load_graph(args.file)
     field = field_from_characteristic(args.char)
     report = rpt.new_report("center", g, args.file)
     code = EXIT_OK
-    if args.algebra == "path":
-        cs = ct.center_structure_KE(g, field)
-        report["sections"]["center-structure"] = {
-            "algebra": "path", **rpt.structure_block(cs)}
-    elif args.algebra == "cohn":
-        if ct.is_prime_cohn(g):
-            cs = ct.center_prime_cohn(g, field)
-            report["sections"]["center-structure"] = {
-                "algebra": "cohn", **rpt.structure_block(cs)}
-        else:
-            rpt.add_notice(report, "Cohn path algebra is not prime "
-                                   "(|E^0| != 1); no structure theorem applies")
-            code = EXIT_HYPOTHESIS
-    else:
-        if ct.is_prime_leavitt(g):
-            cs = ct.center_prime_leavitt(g, field)
-            block = {"algebra": "leavitt", **rpt.structure_block(cs)}
+    claim = _prime_claim(g, args.algebra, field)
+    if claim is not None:
+        block = {"algebra": args.algebra, **rpt.structure_block(claim)}
+        if args.algebra == "leavitt":
             block["exit_free_cycle_counts"] = rpt.cycle_counts_block(g)
-            report["sections"]["center-structure"] = block
-        else:
-            rpt.add_notice(report, "Leavitt path algebra is not prime "
-                                   "(not downward directed); reporting the "
-                                   "center bounds instead")
-            bounds = ct.center_bounds(g, field=field)
-            report["sections"]["graded-primes"] = rpt.graded_primes_section(
-                bounds.records)
-            report["sections"]["bounds"] = rpt.bounds_section(bounds)
-            code = EXIT_HYPOTHESIS
+        report["sections"]["center-structure"] = block
+    elif args.algebra == "cohn":
+        rpt.add_notice(report, "Cohn path algebra is not prime "
+                               "(|E^0| != 1); no structure theorem applies")
+        code = EXIT_HYPOTHESIS
+    else:
+        rpt.add_notice(report, "Leavitt path algebra is not prime "
+                               "(not downward directed); reporting the "
+                               "center bounds instead")
+        bounds = ct.center_bounds(g, field=field)
+        report["sections"]["graded-primes"] = rpt.graded_primes_section(
+            bounds.records)
+        report["sections"]["bounds"] = rpt.bounds_section(bounds)
+        code = EXIT_HYPOTHESIS
     return report, code
 
 
@@ -124,27 +130,17 @@ def cmd_oracle(args):
     subspace = central_subspace(g, window, field=field)
     section = rpt.oracle_section(subspace)
     if args.verify:
-        if args.algebra == "path":
-            claim = ct.center_structure_KE(g, field)
+        claim = _prime_claim(g, args.algebra, field)
+        if claim is not None:
             section["verification"] = rpt.verification_block(
                 verify_structure(claim, g, window, field=field))
         elif args.algebra == "cohn":
-            if ct.is_prime_cohn(g):
-                claim = ct.center_prime_cohn(g, field)
-                section["verification"] = rpt.verification_block(
-                    verify_structure(claim, g, window, field=field))
-            else:
-                rpt.add_notice(report, "no structural claim to verify: "
-                                       "Cohn path algebra is not prime")
-                code = EXIT_HYPOTHESIS
+            rpt.add_notice(report, "no structural claim to verify: "
+                                   "Cohn path algebra is not prime")
+            code = EXIT_HYPOTHESIS
         else:
-            if ct.is_prime_leavitt(g):
-                claim = ct.center_prime_leavitt(g, field)
-                section["verification"] = rpt.verification_block(
-                    verify_structure(claim, g, window, field=field))
-            else:
-                section["verification"] = rpt.bounds_verification_block(
-                    ct.verify_bounds(g, window=window, field=field))
+            section["verification"] = rpt.bounds_verification_block(
+                ct.verify_bounds(g, window=window, field=field))
     report["sections"]["oracle-verification"] = section
     return report, code
 
@@ -205,6 +201,9 @@ def main(argv=None) -> int:
     except HypothesisNotMet as exc:
         print(f"pathcenters: hypothesis not met: {exc}", file=sys.stderr)
         return EXIT_HYPOTHESIS
+    except InvariantViolation as exc:
+        print(f"pathcenters: internal invariant violated: {exc}", file=sys.stderr)
+        return EXIT_INVARIANT
     except (ParseError, GraphError, WordError, ValueError) as exc:
         print(f"pathcenters: error: {exc}", file=sys.stderr)
         return EXIT_USAGE

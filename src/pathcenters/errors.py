@@ -31,8 +31,14 @@ class HypothesisNotMet(PathcentersError):
     """A structure theorem was invoked outside its hypotheses."""
 
 
+class InvariantViolation(PathcentersError):
+    """An internal consistency check failed: a theorem, a constructed
+    generator or a rewrite disagreed with what the mathematics guarantees."""
+
+
 class ResourceCapExceeded(PathcentersError):
-    """A configured resource cap (candidate monomials, vertex count) was hit."""
+    """A configured resource cap (candidate monomials, vertex count, rewrite
+    steps) was hit."""
 
     def __init__(self, message, needed=None, cap=None):
         self.needed = needed

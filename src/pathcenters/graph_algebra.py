@@ -1,9 +1,11 @@
-"""Exact arithmetic in Cohn and Leavitt path algebras.
+"""Exact arithmetic in path, Cohn and Leavitt path algebras.
 
 Raw words over the extended graph are rewritten into the canonical basis of
-monomials (real path)·(ghost path)*.  Two rules do all the work:
+monomials (real path)·(ghost path)*.  The path algebra KE is the span of the
+monomials with a trivial ghost part, closed under the same product, so one
+engine serves all three kinds.  Two rules do all the work:
 
-  CK1   e* e'          ->  delta_{e,e'} r(e)                  (both kinds)
+  CK1   e* e'          ->  delta_{e,e'} r(e)                  (Cohn and Leavitt)
   CK2-  e_v e_v*       ->  v - sum of f f* over other f at v  (Leavitt only)
 
 where e_v is the designated special edge at the regular vertex v.  CK2 is
@@ -17,13 +19,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import AmbientError, GraphError, WordError
+from .errors import (
+    AmbientError,
+    GraphError,
+    InvariantViolation,
+    ResourceCapExceeded,
+    WordError,
+)
 from .graph import Graph, Path, all_paths_up_to
 from .linalg import sparse_nullspace
 from .scalars import QQ
 
+PATH = "path"
 COHN = "cohn"
 LEAVITT = "leavitt"
+ALGEBRA_KINDS = (PATH, COHN, LEAVITT)
 
 _MAX_REWRITE_STEPS = 200_000
 
@@ -38,6 +48,12 @@ class GMonomial:
     def __post_init__(self):
         if self.real.target != self.ghost.target:
             raise GraphError("real and ghost parts must share their range")
+
+    def __hash__(self):
+        # a path is fixed by its source and edges; hashing those directly
+        # skips two Path.__hash__ calls on every dict access
+        return hash((self.real.source, self.real.edges,
+                     self.ghost.source, self.ghost.edges))
 
     @classmethod
     def at_vertex(cls, g: Graph, v) -> "GMonomial":
@@ -111,14 +127,16 @@ class SpecialEdgeChoice:
 
 
 def default_special(g: Graph, kind, special=None):
-    if kind == COHN:
-        return None
-    if kind != LEAVITT:
+    if kind not in ALGEBRA_KINDS:
         raise AmbientError(f"unknown algebra kind {kind!r}")
+    if kind != LEAVITT:
+        return None
     return special if special is not None else SpecialEdgeChoice.lex_default(g)
 
 
 def is_normal_monomial(g: Graph, kind, special, m: GMonomial) -> bool:
+    if kind == PATH:
+        return m.ghost.is_trivial
     if kind == COHN:
         return True
     if m.real.is_trivial or m.ghost.is_trivial:
@@ -160,25 +178,30 @@ def _straighten(g, kind, special, field, real, ghost, coeff, out):
 
 
 def _accumulate(out, m, coeff, field):
-    c = field.add(out.get(m, field.zero), coeff)
-    if c == field.zero:
+    old = out.get(m)
+    if old is not None:
+        coeff = field.add(old, coeff)
+    if coeff == field.zero:
         out.pop(m, None)
     else:
-        out[m] = c
+        out[m] = coeff
 
 
-def mul_monomials(g, kind, special, field, m1: GMonomial, m2: GMonomial):
-    """Product of two normal monomials as a dict of normal monomials."""
+def mul_monomials(g, kind, special, field, m1: GMonomial, m2: GMonomial,
+                  coeff=None):
+    """coeff·m1·m2 for normal monomials, as a dict of normal monomials;
+    coeff defaults to 1."""
+    coeff = field.one if coeff is None else coeff
     out = {}
-    mu1, lam2 = m1.ghost, m2.real
+    real1, mu1, lam2, ghost2 = m1.real, m1.ghost, m2.real, m2.ghost
     if lam2.starts_with(mu1):
-        mid = lam2.strip_prefix(mu1)
-        _straighten(g, kind, special, field,
-                    m1.real.concat(mid), m2.ghost, field.one, out)
+        real = Path(real1.source, lam2.target,
+                    real1.edges + lam2.edges[len(mu1.edges):])
+        _straighten(g, kind, special, field, real, ghost2, coeff, out)
     elif mu1.starts_with(lam2):
-        rest = mu1.strip_prefix(lam2)
-        _straighten(g, kind, special, field,
-                    m1.real, m2.ghost.concat(rest), field.one, out)
+        ghost = Path(ghost2.source, mu1.target,
+                     ghost2.edges + mu1.edges[len(lam2.edges):])
+        _straighten(g, kind, special, field, real1, ghost, coeff, out)
     return out
 
 
@@ -270,13 +293,13 @@ def _finish_word(g, word) -> GMonomial:
     for tag, x in word:
         if tag == _E:
             if ghosts:
-                raise RuntimeError("unreduced word: real edge after ghost")
+                raise InvariantViolation("unreduced word: real edge after ghost")
             reals.append(x)
         elif tag == _G:
             ghosts.append(x)
         else:
             if len(word) != 1:
-                raise RuntimeError("unreduced word: vertex not absorbed")
+                raise InvariantViolation("unreduced word: vertex not absorbed")
             p = Path.vertex(g, x)
             return GMonomial(p, p)
     real = Path.from_edges(g, reals) if reals else None
@@ -313,12 +336,16 @@ def reduce_word(g, kind, special, field, word, coeff=None, rng=None):
         work.extend(_apply_redex(g, field, w, redex, c))
         steps += 1
         if steps > _MAX_REWRITE_STEPS:
-            raise RuntimeError("rewriting exceeded the step budget")
+            raise ResourceCapExceeded(
+                f"rewriting exceeded the step budget of {_MAX_REWRITE_STEPS}",
+                needed=steps, cap=_MAX_REWRITE_STEPS,
+            )
     return out
 
 
 class GAElement:
-    """An element of a Cohn or Leavitt path algebra in the normal-form basis.
+    """An element of a path, Cohn or Leavitt path algebra in the normal-form
+    basis.
 
     Every element records the algebra kind, the ambient graph and (for
     Leavitt) the special-edge choice its basis was built with, so arithmetic
@@ -354,14 +381,11 @@ class GAElement:
 
     @classmethod
     def edge(cls, graph, kind, e, special=None, field=QQ):
-        graph.check_edge(e)
-        p = Path.from_edges(graph, (e,))
-        m = GMonomial(p, Path.vertex(graph, graph.rng[e]))
-        return cls.from_monomial(graph, kind, m, special=special, field=field)
+        return path_element(graph, kind, Path.from_edges(graph, (e,)),
+                            special=special, field=field)
 
     @classmethod
     def ghost_edge(cls, graph, kind, e, special=None, field=QQ):
-        graph.check_edge(e)
         p = Path.from_edges(graph, (e,))
         m = GMonomial(Path.vertex(graph, graph.rng[e]), p)
         return cls.from_monomial(graph, kind, m, special=special, field=field)
@@ -416,10 +440,9 @@ class GAElement:
         for m1, a in self.coeffs.items():
             for m2, b in other.coeffs.items():
                 prod = mul_monomials(self.graph, self.kind, self.special,
-                                     self.field, m1, m2)
-                ab = self.field.mul(a, b)
+                                     self.field, m1, m2, self.field.mul(a, b))
                 for m, c in prod.items():
-                    _accumulate(out, m, self.field.mul(ab, c), self.field)
+                    _accumulate(out, m, c, self.field)
         return self._make(out)
 
     def __eq__(self, other):
@@ -444,6 +467,8 @@ class GAElement:
 
     def involution(self):
         """(real·ghost*)* = ghost·real*, extended linearly over the scalars."""
+        if self.kind == PATH:
+            raise AmbientError("the path algebra has no involution")
         out = {}
         for m, c in self.coeffs.items():
             _accumulate(out, m.star(), c, self.field)
@@ -479,6 +504,8 @@ def normal_form(graph, kind, terms, *, special=None, field=QQ, rng=None) -> GAEl
     out = {}
     for coeff, word in terms:
         parsed = parse_word(graph, word)
+        if kind == PATH and any(tag == _G for tag, _ in parsed):
+            raise WordError("path algebra elements have no ghost part")
         reduced = reduce_word(graph, kind, special, field, parsed,
                               field.coerce(coeff), rng=rng)
         for m, c in reduced.items():
@@ -506,7 +533,8 @@ def enumerate_ga_monomials(graph, kind, max_len, *, degrees=None,
     """Normal-form monomials with both parts of length <= max_len, sorted.
 
     `degrees` restricts the degree to an inclusive window (a, b); `source`
-    pins both the real and the ghost part to start at one vertex.
+    pins both the real and the ghost part to start at one vertex.  For the
+    path algebra the only ghost is the trivial path at the target.
     """
     special = default_special(graph, kind, special)
     by_target = {}
@@ -515,10 +543,11 @@ def enumerate_ga_monomials(graph, kind, max_len, *, degrees=None,
     out = []
     for target in sorted(by_target):
         group = by_target[target]
+        ghosts = [Path.vertex(graph, target)] if kind == PATH else group
         for real in group:
             if source is not None and real.source != source:
                 continue
-            for ghost in group:
+            for ghost in ghosts:
                 if source is not None and ghost.source != source:
                     continue
                 if degrees is not None:

@@ -14,23 +14,18 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 
-from .errors import AmbientError, ResourceCapExceeded
-from .graph import Graph, Path, all_paths_up_to
+from .errors import AmbientError, InvariantViolation, ResourceCapExceeded
+from .graph import Graph
 from .graph_algebra import (
-    COHN,
-    LEAVITT,
+    ALGEBRA_KINDS,
+    PATH,
     GAElement,
-    GMonomial,
     default_special,
     enumerate_ga_monomials,
     mul_monomials,
 )
 from .linalg import LinearSpan, sparse_nullspace
-from .path_algebra import KEElement
 from .scalars import QQ
-
-PATH = "path"
-ALGEBRA_KINDS = (PATH, COHN, LEAVITT)
 
 DEFAULT_MONOMIAL_CAP = 20_000
 MONOMIAL_CAP_ENV = "PATHCENTERS_MAX_MONOMIALS"
@@ -79,7 +74,6 @@ class CentralSubspace:
     basis: tuple
     window: OracleWindow
     candidate_count: int = 0
-    complete_within_window: bool = True
 
     @property
     def dim(self):
@@ -92,23 +86,17 @@ class CentralSubspace:
 def algebra_generators(g: Graph, kind, *, special=None, field=QQ):
     """Labelled generating set: vertices, edges, plus ghost edges when the
     algebra has them.  Sound and complete for centrality checks."""
-    gens = []
-    if kind == PATH:
-        for v in g.vertices:
-            gens.append((f"@{v}", KEElement.vertex(g, v, field=field)))
-        for e in g.edges:
-            gens.append((e, KEElement.from_path(g, Path.from_edges(g, (e,)),
-                                                field=field)))
-        return gens
     special = default_special(g, kind, special)
+    gens = []
     for v in g.vertices:
         gens.append((f"@{v}", GAElement.vertex(g, kind, v, special=special,
                                                field=field)))
     for e in g.edges:
         gens.append((e, GAElement.edge(g, kind, e, special=special, field=field)))
-    for e in g.edges:
-        gens.append((f"{e}*", GAElement.ghost_edge(g, kind, e, special=special,
-                                                   field=field)))
+    if kind != PATH:
+        for e in g.edges:
+            gens.append((f"{e}*", GAElement.ghost_edge(g, kind, e, special=special,
+                                                       field=field)))
     return gens
 
 
@@ -118,41 +106,19 @@ def check_central(a) -> bool:
 
 def centrality_witness(a):
     """The first generator that fails to commute with `a`, or None."""
-    if isinstance(a, KEElement):
-        gens = algebra_generators(a.graph, PATH, field=a.field)
-    else:
-        gens = algebra_generators(a.graph, a.kind, special=a.special,
-                                  field=a.field)
+    gens = algebra_generators(a.graph, a.kind, special=a.special, field=a.field)
     for label, gel in gens:
         if a * gel != gel * a:
             return label, gel
     return None
 
 
-def _path_candidates(g, window):
-    return [p for p in all_paths_up_to(g, window.max_len)
-            if window.admits_degree(p.length)]
-
-
-def _ga_candidates(g, window, special):
-    return enumerate_ga_monomials(g, window.kind, window.max_len,
-                                  degrees=window.degrees, special=special)
-
-
-def _path_product(g, field, p, q):
-    if p.target != q.source:
-        return {}
-    return {Path(p.source, q.target, p.edges + q.edges): field.one}
-
-
 def enumerate_candidates(g: Graph, window: OracleWindow, *, special=None,
                          cap=None):
     """Window candidates, checked against the configured resource cap."""
     cap = monomial_cap(cap)
-    if window.kind == PATH:
-        cands = _path_candidates(g, window)
-    else:
-        cands = _ga_candidates(g, window, special)
+    cands = enumerate_ga_monomials(g, window.kind, window.max_len,
+                                   degrees=window.degrees, special=special)
     if len(cands) > cap:
         raise ResourceCapExceeded(
             f"window holds {len(cands)} candidate monomials; cap is {cap}",
@@ -166,35 +132,25 @@ def central_subspace(g: Graph, window: OracleWindow, *, field=QQ, special=None,
                      cap=None) -> CentralSubspace:
     """Exact basis of all window elements commuting with every generator."""
     kind = window.kind
-    if kind != PATH:
-        special = default_special(g, kind, special)
+    special = default_special(g, kind, special)
     candidates = enumerate_candidates(g, window, special=special, cap=cap)
-
-    if kind == PATH:
-        gen_monomials = [Path.vertex(g, v) for v in g.vertices]
-        gen_monomials += [Path.from_edges(g, (e,)) for e in g.edges]
-        product = lambda m, q: _path_product(g, field, m, q)
-    else:
-        gen_monomials = [GMonomial.at_vertex(g, v) for v in g.vertices]
-        for e in g.edges:
-            p = Path.from_edges(g, (e,))
-            t = Path.vertex(g, g.rng[e])
-            gen_monomials.append(GMonomial(p, t))
-        for e in g.edges:
-            p = Path.from_edges(g, (e,))
-            t = Path.vertex(g, g.rng[e])
-            gen_monomials.append(GMonomial(t, p))
-        product = lambda m, q: mul_monomials(g, kind, special, field, m, q)
+    # every generator is a single monomial with coefficient 1
+    gen_monomials = [
+        next(iter(gel.coeffs))
+        for _, gel in algebra_generators(g, kind, special=special, field=field)
+    ]
 
     rows = {}
     for gi, gmon in enumerate(gen_monomials):
         for j, m in enumerate(candidates):
-            for rm, c in product(m, gmon).items():
+            for rm, c in mul_monomials(g, kind, special, field, m, gmon).items():
                 row = rows.setdefault((gi, rm), {})
-                row[j] = field.add(row.get(j, field.zero), c)
-            for rm, c in product(gmon, m).items():
+                old = row.get(j)
+                row[j] = c if old is None else field.add(old, c)
+            for rm, c in mul_monomials(g, kind, special, field, gmon, m).items():
                 row = rows.setdefault((gi, rm), {})
-                row[j] = field.sub(row.get(j, field.zero), c)
+                old = row.get(j)
+                row[j] = field.neg(c) if old is None else field.sub(old, c)
     cleaned = (
         {j: c for j, c in row.items() if c != field.zero} for row in rows.values()
     )
@@ -203,16 +159,12 @@ def central_subspace(g: Graph, window: OracleWindow, *, field=QQ, special=None,
     basis = []
     for vec in vectors:
         coeffs = {candidates[j]: c for j, c in vec.items()}
-        if kind == PATH:
-            el = KEElement(g, field, coeffs)
-        else:
-            el = GAElement(kind, g, special, field, coeffs)
-        basis.append(el)
+        basis.append(GAElement(kind, g, special, field, coeffs))
 
     for el in basis:  # soundness re-check, post-solve
         witness = centrality_witness(el)
         if witness is not None:
-            raise RuntimeError(
+            raise InvariantViolation(
                 f"oracle solver produced a non-central vector (witness {witness[0]})"
             )
     return CentralSubspace(tuple(basis), window, len(candidates))
@@ -233,8 +185,6 @@ def element_vector(el):
 
 
 def _monomial_fits(window, m):
-    if isinstance(m, Path):
-        return m.length <= window.max_len and window.admits_degree(m.length)
     return (
         m.real.length <= window.max_len
         and m.ghost.length <= window.max_len

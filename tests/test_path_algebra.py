@@ -1,22 +1,30 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pathcenters import (
     AmbientError,
+    GAElement,
+    Graph,
     GraphError,
     KEElement,
+    PATH,
     Path,
+    T_operator,
+    WordError,
     center_structure_KE,
     cycle_center_evaluate,
     cycle_graph,
     disjoint_union,
     left_annihilator_test,
     line_graph,
+    normal_form,
     rose_graph,
 )
 from pathcenters.center_theory import POLY, SCALAR, SUM, cycle_rotation_sum
 from pathcenters.graph import all_paths_up_to, find_cycles
+from pathcenters.graph_algebra import COHN, enumerate_ga_monomials
 
 
 def ke_path(g, *edges):
@@ -173,3 +181,80 @@ def test_rotation_sum_powers_match_evaluate():
     g = cycle_graph(4)
     cyc = find_cycles(g)[0]
     assert cycle_rotation_sum(g, cyc, 2) == cycle_center_evaluate(g, [0, 0, 1])
+
+
+# --- the shared engine against plain path concatenation ------------------------
+
+
+def concat_product(a, b):
+    """Reference product of KE: bilinear path concatenation, zero on a
+    range/source mismatch (the product of the former KE-only ring)."""
+    out = {}
+    for p, x in a.items():
+        for q, y in b.items():
+            if p.target != q.source:
+                continue
+            r = Path(p.source, q.target, p.edges + q.edges)
+            out[r] = out.get(r, 0) + x * y
+    return {r: c for r, c in out.items() if c}
+
+
+@st.composite
+def graph_and_two_combinations(draw):
+    n = draw(st.integers(min_value=1, max_value=4))
+    vs = [f"v{i}" for i in range(n)]
+    m = draw(st.integers(min_value=0, max_value=6))
+    es = [(f"e{j}", draw(st.sampled_from(vs)), draw(st.sampled_from(vs)))
+          for j in range(m)]
+    g = Graph.build(vs, es)
+    paths = all_paths_up_to(g, 3)
+
+    def combination():
+        out = {}
+        terms = draw(st.lists(st.tuples(st.sampled_from(paths),
+                                        st.integers(min_value=-3, max_value=3)),
+                              max_size=4))
+        for p, c in terms:
+            out[p] = out.get(p, 0) + c
+        return out
+
+    return g, combination(), combination()
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=graph_and_two_combinations())
+def test_shared_engine_product_matches_path_concatenation(data):
+    g, a, b = data
+
+    def element(combo):
+        out = KEElement.zero(g)
+        for p, c in combo.items():
+            out = out + KEElement.from_path(g, p, c)
+        return out
+
+    prod = element(a) * element(b)
+    assert prod.kind == PATH
+    assert all(m.ghost.is_trivial for m in prod.coeffs)
+    assert {m.real: c for m, c in prod.coeffs.items()} == concat_product(a, b)
+
+
+def test_path_kind_has_no_ghosts_and_no_involution():
+    g = rose_graph(1)
+    with pytest.raises(WordError):
+        normal_form(g, PATH, [(1, ["f1*"])])
+    with pytest.raises(WordError):
+        normal_form(g, PATH, [(1, ["f1*", "f1"])])  # CK1 would erase the ghost
+    with pytest.raises(GraphError):
+        GAElement.ghost_edge(g, PATH, "f1")
+    with pytest.raises(AmbientError):
+        ke_path(g, "f1").involution()
+    with pytest.raises(AmbientError):
+        T_operator(ke_path(g, "f1"), ke_vertex(g, "v"))
+
+
+def test_path_monomials_are_the_ghost_free_cohn_monomials():
+    for g in (rose_graph(2), cycle_graph(3), line_graph(3)):
+        for kwargs in ({}, {"degrees": (1, 2)}, {"source": g.vertices[0]}):
+            cohn = enumerate_ga_monomials(g, COHN, 3, **kwargs)
+            assert enumerate_ga_monomials(g, PATH, 3, **kwargs) == [
+                m for m in cohn if m.ghost.is_trivial]

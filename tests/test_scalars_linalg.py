@@ -78,3 +78,20 @@ def test_linear_span_membership():
     assert span.dim == 2
     assert span.contains({0: Fraction(5)})
     assert not span.contains({2: QQ.one})
+
+
+def test_prime_field_decides_primality_by_miller_rabin():
+    from pathcenters.scalars import _is_prime
+
+    PrimeField(2**61 - 1)  # trial division up to sqrt(p) takes minutes
+    # two strong pseudoprimes (to bases 2..7 and 2..23) and a multiple of 3
+    for n in (3215031751, 3825123056546413051, 2**61 + 1):
+        with pytest.raises(ValueError):
+            PrimeField(n)
+    with pytest.raises(ValueError):
+        PrimeField(318665857834031151167461)  # strong pseudoprime to all twelve bases
+    composite = set()
+    for d in range(2, 71):
+        composite.update(range(d * d, 5000, d))
+    assert [n for n in range(2, 5000) if _is_prime(n)] == [
+        n for n in range(2, 5000) if n not in composite]
