@@ -42,10 +42,10 @@ from .graph_algebra import (
 from .linalg import LinearSpan
 from .oracle import (
     OracleWindow,
-    central_subspace,
     check_central,
     element_vector,
     graded_center_component,
+    solved_subspace,
     structural_truncation,
 )
 from .scalars import QQ
@@ -567,17 +567,20 @@ def project_to_quotient(el: GAElement, h, qgraph: Graph, *, special=None):
 
 def verify_bounds(g: Graph, bounds: CenterBounds = None,
                   window: OracleWindow = None, *, field=QQ,
-                  special=None) -> BoundsVerification:
+                  special=None, subspace=None) -> BoundsVerification:
     """Window-exact consistency of the bounds against the oracle: the bounded
     center basis must project into each quotient's structural truncation
     (upper containment) and must span every decidable lower generator's
-    truncated powers (lower containment)."""
+    truncated powers (lower containment).
+
+    `subspace`, when given, is the `CentralSubspace` already solved for
+    `window`; it is used instead of solving the window again."""
     special = default_special(g, LEAVITT, special)
     if bounds is None:
         bounds = center_bounds(g, field=field, special=special)
     if window is None:
         window = OracleWindow(LEAVITT, 4, (-4, 4))
-    sub = central_subspace(g, window, field=field, special=special)
+    sub = solved_subspace(g, window, subspace, field=field, special=special)
     notes = []
 
     upper_ok = True

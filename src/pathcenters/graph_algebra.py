@@ -181,7 +181,7 @@ def _accumulate(out, m, coeff, field):
     old = out.get(m)
     if old is not None:
         coeff = field.add(old, coeff)
-    if coeff == field.zero:
+    if not coeff:
         out.pop(m, None)
     else:
         out[m] = coeff
@@ -359,7 +359,7 @@ class GAElement:
         self.graph = graph
         self.special = special
         self.field = field
-        self.coeffs = {m: c for m, c in coeffs.items() if c != field.zero}
+        self.coeffs = {m: c for m, c in coeffs.items() if c}
 
     # -- constructors ----------------------------------------------------
 

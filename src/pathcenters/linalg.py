@@ -20,7 +20,7 @@ def _reduce_against(row, pivots, field):
             if c == j:
                 continue
             nv = field.sub(row.get(c, field.zero), field.mul(k, v))
-            if nv == field.zero:
+            if not nv:
                 row.pop(c, None)
             else:
                 row[c] = nv
@@ -88,7 +88,7 @@ def sparse_nullspace(rows, ncols, field):
                 if cc == c:
                     continue
                 nv = field.sub(row.get(cc, field.zero), field.mul(k, vv))
-                if nv == field.zero:
+                if not nv:
                     row.pop(cc, None)
                 else:
                     row[cc] = nv

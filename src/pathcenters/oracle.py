@@ -32,10 +32,22 @@ MONOMIAL_CAP_ENV = "PATHCENTERS_MAX_MONOMIALS"
 
 
 def monomial_cap(explicit=None):
+    """The candidate cap: `explicit`, else the environment, else the default.
+
+    A set environment value must be a non-negative integer (ValueError)."""
     if explicit is not None:
         return explicit
     env = os.environ.get(MONOMIAL_CAP_ENV)
-    return int(env) if env else DEFAULT_MONOMIAL_CAP
+    if not env:
+        return DEFAULT_MONOMIAL_CAP
+    message = f"{MONOMIAL_CAP_ENV} must be a non-negative integer, got {env!r}"
+    try:
+        cap = int(env)
+    except ValueError:
+        raise ValueError(message) from None
+    if cap < 0:
+        raise ValueError(message)
+    return cap
 
 
 @dataclass(frozen=True)
@@ -152,7 +164,7 @@ def central_subspace(g: Graph, window: OracleWindow, *, field=QQ, special=None,
                 old = row.get(j)
                 row[j] = field.neg(c) if old is None else field.sub(old, c)
     cleaned = (
-        {j: c for j, c in row.items() if c != field.zero} for row in rows.values()
+        {j: c for j, c in row.items() if c} for row in rows.values()
     )
     vectors = sparse_nullspace((r for r in cleaned if r), len(candidates), field)
 
@@ -245,13 +257,27 @@ class VerificationReport:
     notes: tuple = ()
 
 
+def solved_subspace(g: Graph, window: OracleWindow, subspace=None, *,
+                    field=QQ, special=None, cap=None) -> CentralSubspace:
+    """`subspace` when the caller already solved `window`, else a fresh solve."""
+    if subspace is None:
+        return central_subspace(g, window, field=field, special=special, cap=cap)
+    if subspace.window != window:
+        raise InvariantViolation(
+            f"subspace was solved for {subspace.window}, not for {window}")
+    return subspace
+
+
 def verify_structure(claim, g: Graph, window: OracleWindow, *, field=QQ,
-                     special=None, cap=None) -> VerificationReport:
+                     special=None, cap=None, subspace=None) -> VerificationReport:
     """Cross-check a structural center claim against the oracle.
 
     (a) every claimed generator must commute with every algebra generator;
     (b) the oracle's window basis must lie in the span of the claim's
         truncated powers; mismatches are reported with the offending data.
+
+    `subspace`, when given, is the `CentralSubspace` already solved for
+    `window`; it is used instead of solving the window again.
     """
     failures = []
     for piece in _claim_structures(claim):
@@ -260,7 +286,8 @@ def verify_structure(claim, g: Graph, window: OracleWindow, *, field=QQ,
             if witness is not None:
                 failures.append((repr(gen), witness[0]))
 
-    subspace = central_subspace(g, window, field=field, special=special, cap=cap)
+    subspace = solved_subspace(g, window, subspace, field=field,
+                               special=special, cap=cap)
     span = LinearSpan(field)
     for el in structural_truncation(claim, window):
         span.add(element_vector(el))

@@ -4,6 +4,8 @@ All equalities between scalars are decidable and exact; nothing in this
 package ever touches floating point.  A field object bundles the operations;
 the scalar values themselves are plain hashable Python objects (Fraction for
 the rationals, small ints for F_p) so they can live in coefficient dicts.
+Either way a scalar is zero exactly when it is falsy, and the hot loops test
+it that way.
 """
 
 from __future__ import annotations

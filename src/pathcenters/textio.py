@@ -1,7 +1,8 @@
 """Graph file format and the shared element text syntax.
 
-Graph files:  `#` comments, one `vertices:` line, then edge lines of the
-form `edge <id>: <src> -> <rng>`.  Ids are alphanumeric/underscore.
+Graph files:  `#` comments, one `vertices:` line naming at least one
+vertex, then edge lines of the form `edge <id>: <src> -> <rng>`.  Ids are
+alphanumeric/underscore.
 
 Elements: terms joined by ` + `, each `scalar monomial`; a monomial is
 `real|ghost` with `.`-separated edge ids, a bare vertex written `@v`, and
@@ -38,6 +39,8 @@ def parse_graph(text: str) -> Graph:
             for v in ids:
                 if not _ID_RE.match(v):
                     raise ParseError(f"bad vertex id {v!r}", lineno)
+            if not ids:
+                raise ParseError("a graph needs at least one vertex", lineno)
             if len(ids) != len(set(ids)):
                 raise ParseError("duplicate vertex id", lineno)
             vertices = ids

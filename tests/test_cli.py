@@ -292,3 +292,62 @@ def test_rewrite_step_budget_is_a_resource_cap(monkeypatch):
     g = rose_graph(2)
     with pytest.raises(ResourceCapExceeded):
         normal_form(g, LEAVITT, [(1, ["f1", "f1", "f1*", "f1*"])])
+
+
+def test_empty_graph_is_a_parse_error(tmp_path):
+    with pytest.raises(ParseError, match="at least one vertex") as exc:
+        parse_graph("# nothing\nvertices:\n")
+    assert exc.value.line == 2
+    empty = tmp_path / "empty.graph"
+    empty.write_text("vertices:\n")
+    for argv in (("analyze",), ("center", "--algebra", "leavitt"),
+                 ("center", "--algebra", "path")):
+        code, out, err = run_cli(argv[0], str(empty), *argv[1:])
+        assert code == 1 and out == "" and "at least one vertex" in err
+
+
+@pytest.mark.parametrize("value", ["-5", "abc"])
+def test_invalid_monomial_cap_is_a_usage_error(monkeypatch, value):
+    from pathcenters.oracle import monomial_cap
+
+    monkeypatch.setenv("PATHCENTERS_MAX_MONOMIALS", value)
+    with pytest.raises(ValueError, match="PATHCENTERS_MAX_MONOMIALS"):
+        monomial_cap()
+    code, out, err = run_cli("oracle", str(fixture_path("rose_1")),
+                             "--algebra", "leavitt", "--max-len", "2")
+    assert code == 1 and out == ""
+    assert "PATHCENTERS_MAX_MONOMIALS" in err and repr(value) in err
+
+
+@pytest.mark.parametrize("fixture, algebra, max_len, degrees", [
+    ("rose_2", "leavitt", 3, None),          # scalar claim
+    ("cycle_3", "path", 3, None),            # K[x] claim
+    ("two_loops", "leavitt", 2, (-2, 2)),    # not prime: the bounds check
+    ("rose_1", "leavitt", 3, (-3, 3)),       # Laurent claim, own solve
+])
+def test_oracle_verify_solves_the_requested_window_once(monkeypatch, fixture,
+                                                        algebra, max_len,
+                                                        degrees):
+    import collections
+    import importlib
+
+    from pathcenters import OracleWindow, oracle
+
+    solves = collections.Counter()
+    solve = oracle.central_subspace
+
+    def counted(g, window, **kwargs):
+        solves[window] += 1
+        return solve(g, window, **kwargs)
+
+    for name in ("oracle", "cli", "center_theory"):
+        module = importlib.import_module(f"pathcenters.{name}")
+        if getattr(module, "central_subspace", None) is solve:
+            monkeypatch.setattr(module, "central_subspace", counted)
+    argv = ["oracle", str(fixture_path(fixture)), "--algebra", algebra,
+            "--max-len", str(max_len), "--verify"]
+    if degrees is not None:
+        argv += ["--deg-window", *map(str, degrees)]
+    code, out, _ = run_cli(*argv)
+    assert code == 0 and "ok: True" in out
+    assert solves[OracleWindow(algebra, max_len, degrees)] == 1

@@ -280,3 +280,24 @@ def test_verify_ke_sum_claim_on_disconnected():
     rep = verify_structure(claim, g, OracleWindow(PATH, 4, (0, 4)))
     assert rep.ok
     assert rep.oracle_dim == 4  # 1, x, x^2 on the cycle block plus K on v
+
+
+def test_verify_reuses_a_given_subspace_and_guards_its_window():
+    from pathcenters import InvariantViolation, verify_bounds
+
+    g = rose_graph(1)
+    window = OracleWindow(LEAVITT, 3, (-3, 3))
+    other = OracleWindow(LEAVITT, 2, (-2, 2))
+    claim = center_prime_leavitt(g)
+    sub = central_subspace(g, window)
+    assert (verify_structure(claim, g, window, subspace=sub)
+            == verify_structure(claim, g, window))
+    with pytest.raises(InvariantViolation):
+        verify_structure(claim, g, other, subspace=sub)
+
+    g = two_loops()
+    sub = central_subspace(g, window)
+    assert (verify_bounds(g, window=window, subspace=sub)
+            == verify_bounds(g, window=window))
+    with pytest.raises(InvariantViolation):
+        verify_bounds(g, window=other, subspace=sub)
