@@ -9,6 +9,7 @@ the oracle disagreed with a consistency check).
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from . import center_theory as ct
@@ -147,7 +148,10 @@ def cmd_oracle(args):
     return report, code
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process: parsing a command line
+    keeps no state in it, so every call to `main` can reuse it."""
     parser = _Parser(prog="pathcenters",
                      description="Exact centers of path, Cohn and Leavitt "
                                  "path algebras of finite graphs")

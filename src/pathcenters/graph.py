@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from itertools import combinations
 
 from .errors import GraphError, ResourceCapExceeded
 
@@ -284,17 +283,24 @@ def find_cycles(g: Graph):
     """
     order = {v: i for i, v in enumerate(g.vertices)}
     found = []
-
-    def extend(root, current, visited, acc):
-        for e in g.out_edges(current):
-            w = g.rng[e]
-            if w == root:
-                found.append(acc + [e])
-            elif w not in visited and order[w] > order[root]:
-                extend(root, w, visited | {w}, acc + [e])
-
     for root in g.vertices:
-        extend(root, root, {root}, [])
+        # iterative depth-first walk: one out-edge iterator per open vertex
+        acc, visited = [], {root}
+        stack = [iter(g._out[root])]
+        while stack:
+            for e in stack[-1]:
+                w = g.rng[e]
+                if w == root:
+                    found.append(acc + [e])
+                elif w not in visited and order[w] > order[root]:
+                    visited.add(w)
+                    acc.append(e)
+                    stack.append(iter(g._out[w]))
+                    break
+            else:
+                stack.pop()
+                if acc:
+                    visited.discard(g.rng[acc.pop()])
     cycles = [Cycle.from_edges(g, edges) for edges in found]
     return sorted(cycles, key=lambda c: c.edges)
 
@@ -339,13 +345,66 @@ def reachable_from(g: Graph, v) -> frozenset:
     return frozenset(seen)
 
 
+def strongly_connected_components(g: Graph):
+    """The strongly connected components, each a frozenset, by an iterative
+    Tarjan walk.  A generator: each component is yielded once it is
+    complete, so the first one is terminal (no edge leaves it), and all of
+    them cost O(V + E)."""
+    index, low = {}, {}
+    on_stack, stack = set(), []
+    for root in g.vertices:
+        if root in index:
+            continue
+        index[root] = low[root] = len(index)
+        stack.append(root)
+        on_stack.add(root)
+        work = [(root, iter(g._out[root]))]
+        while work:
+            v, edges = work[-1]
+            for e in edges:
+                w = g.rng[e]
+                if w not in index:
+                    index[w] = low[w] = len(index)
+                    stack.append(w)
+                    on_stack.add(w)
+                    work.append((w, iter(g._out[w])))
+                    break
+                if w in on_stack:
+                    low[v] = min(low[v], index[w])
+            else:
+                work.pop()
+                if work:
+                    u = work[-1][0]
+                    low[u] = min(low[u], low[v])
+                if low[v] == index[v]:
+                    comp = set()
+                    while True:
+                        w = stack.pop()
+                        on_stack.discard(w)
+                        comp.add(w)
+                        if w == v:
+                            break
+                    yield frozenset(comp)
+
+
 def is_downward_directed(g: Graph) -> bool:
-    """Every pair of vertices flows to a common vertex via directed paths."""
-    reach = {v: reachable_from(g, v) for v in g.vertices}
-    for u, v in combinations(g.vertices, 2):
-        if not (reach[u] & reach[v]):
-            return False
-    return True
+    """Every pair of vertices flows to a common vertex via directed paths.
+
+    In a finite graph every vertex reaches a terminal strongly connected
+    component, so this holds exactly when there is only one: when every
+    vertex reaches the first terminal component found."""
+    if not g.vertices:
+        return True
+    w = next(iter(next(strongly_connected_components(g))))
+    seen = {w}
+    work = [w]
+    while work:
+        for e in g._in[work.pop()]:
+            s = g.src[e]
+            if s not in seen:
+                seen.add(s)
+                work.append(s)
+    return len(seen) == len(g.vertices)
 
 
 def is_hereditary(g: Graph, s) -> bool:
@@ -366,28 +425,44 @@ def hereditary_saturated_closure(g: Graph, seed) -> frozenset:
     seed = set(seed)
     for v in seed:
         g.check_vertex(v)
-    h = set(seed)
-    changed = True
-    while changed:
-        changed = False
-        for e in g.edges:
-            if g.src[e] in h and g.rng[e] not in h:
-                h.add(g.rng[e])
-                changed = True
-        for v in g.vertices:
-            if v in h or not g.is_regular(v):
-                continue
-            if all(g.rng[e] in h for e in g.out_edges(v)):
-                h.add(v)
-                changed = True
+    return _grow_closed(g, frozenset(), seed)
+
+
+def _grow_closed(g: Graph, closed: frozenset, seed) -> frozenset:
+    """Least hereditary saturated superset of `closed | seed`, where
+    `closed` is already hereditary and saturated.
+
+    Worklist: each vertex that joins pulls in the ranges of its out-edges
+    (hereditary) and re-checks the sources of its in-edges, which join once
+    all their out-edges land inside (saturated).  Only the new vertices are
+    ever visited."""
+    h = set(closed)
+    work = [v for v in seed if v not in h]
+    h.update(work)
+    while work:
+        x = work.pop()
+        for e in g._out[x]:
+            w = g.rng[e]
+            if w not in h:
+                h.add(w)
+                work.append(w)
+        for e in g._in[x]:
+            s = g.src[e]
+            if s not in h and all(g.rng[f] in h for f in g._out[s]):
+                h.add(s)
+                work.append(s)
     return frozenset(h)
 
 
 def enumerate_hereditary_saturated(g: Graph, max_vertices: int = DEFAULT_VERTEX_CAP):
-    """All hereditary saturated subsets, by closing every vertex subset.
+    """All hereditary saturated subsets, sorted by size then members.
 
-    Exponential in the vertex count; guarded by a hard cap (default 16)
-    because the toolkit targets desk-scale graphs.
+    Breadth-first search from closure(empty set) over the one-vertex steps
+    H -> closure(H | {v}).  Every hereditary saturated H is the end of such
+    a chain inside it, so the search reaches each one, and its cost grows
+    with the number of sets found rather than with 2^n.  The vertex cap
+    (default 16) still guards it, because that number can itself be 2^n
+    (n disjoint loops).
     """
     n = len(g.vertices)
     if n > max_vertices:
@@ -397,14 +472,18 @@ def enumerate_hereditary_saturated(g: Graph, max_vertices: int = DEFAULT_VERTEX_
             needed=n,
             cap=max_vertices,
         )
-    memo = {}
-    out = set()
-    for mask in range(1 << n):
-        subset = frozenset(v for i, v in enumerate(g.vertices) if mask >> i & 1)
-        if subset not in memo:
-            memo[subset] = hereditary_saturated_closure(g, subset)
-        out.add(memo[subset])
-    return sorted(out, key=lambda s: (len(s), sorted(s)))
+    start = hereditary_saturated_closure(g, ())
+    seen = {start}
+    queue = deque([start])
+    while queue:
+        h = queue.popleft()
+        for v in g.vertices:
+            if v not in h:
+                nxt = _grow_closed(g, h, (v,))
+                if nxt not in seen:
+                    seen.add(nxt)
+                    queue.append(nxt)
+    return sorted(seen, key=lambda s: (len(s), sorted(s)))
 
 
 def quotient_graph(g: Graph, h) -> Graph:
@@ -453,29 +532,28 @@ def paths_into(g: Graph, targets: frozenset):
     for v in targets:
         g.check_vertex(v)
     results = [Path.vertex(g, v) for v in sorted(targets)]
-
-    def backward(x, tail, on_stack):
-        # tail is a path from x into targets touching them only at its end
-        for e in g.in_edges(x):
-            s = g.src[e]
-            if s in targets:
-                continue
-            if s in on_stack:
-                raise _InfinitelyMany()
-            p = Path.from_edges(g, (e,) + tail)
-            results.append(p)
-            backward(s, p.edges, on_stack | {s})
-
-    try:
-        for v in sorted(targets):
-            backward(v, (), frozenset())
-    except _InfinitelyMany:
-        return None
+    for v in sorted(targets):
+        # iterative backward walk; a frame is (vertex x, its in-edge
+        # iterator, the path from x into targets touching them only at v)
+        on_stack = set()
+        stack = [(v, iter(g.in_edges(v)), ())]
+        while stack:
+            x, edges, tail = stack[-1]
+            for e in edges:
+                s = g.src[e]
+                if s in targets:
+                    continue
+                if s in on_stack:
+                    return None
+                p = Path(s, v, (e,) + tail)
+                results.append(p)
+                on_stack.add(s)
+                stack.append((s, iter(g.in_edges(s)), p.edges))
+                break
+            else:
+                stack.pop()
+                on_stack.discard(x)
     return sorted(results, key=Path.sort_key)
-
-
-class _InfinitelyMany(Exception):
-    pass
 
 
 def cycle_feeding_paths(g: Graph, c: Cycle):

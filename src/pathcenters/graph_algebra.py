@@ -18,6 +18,7 @@ end with the same special edge.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .errors import (
     AmbientError,
@@ -528,36 +529,80 @@ def T_operator(a: GAElement, x: GAElement) -> GAElement:
     return a.involution() * x * a
 
 
+def _window_lengths(max_len, degrees):
+    """Degree bounds (lo, hi) of a window; no filter admits every degree."""
+    return (-max_len, max_len) if degrees is None else degrees
+
+
 def enumerate_ga_monomials(graph, kind, max_len, *, degrees=None,
                            special=None, source=None):
     """Normal-form monomials with both parts of length <= max_len, sorted.
 
     `degrees` restricts the degree to an inclusive window (a, b); `source`
     pins both the real and the ghost part to start at one vertex.  For the
-    path algebra the only ghost is the trivial path at the target.
+    path algebra the only ghost is the trivial path at the target.  Paths
+    are bucketed by (target, length), so a real part of length a is paired
+    only with ghost lengths b that put a - b inside the window.
     """
     special = default_special(graph, kind, special)
-    by_target = {}
+    lo, hi = _window_lengths(max_len, degrees)
+    buckets = {}
     for p in all_paths_up_to(graph, max_len):
-        by_target.setdefault(p.target, []).append(p)
+        if source is None or p.source == source:
+            buckets.setdefault((p.target, p.length), []).append(p)
+    longest_ghost = 0 if kind == PATH else max_len
     out = []
-    for target in sorted(by_target):
-        group = by_target[target]
-        ghosts = [Path.vertex(graph, target)] if kind == PATH else group
-        for real in group:
-            if source is not None and real.source != source:
-                continue
-            for ghost in ghosts:
-                if source is not None and ghost.source != source:
-                    continue
-                if degrees is not None:
-                    d = real.length - ghost.length
-                    if not degrees[0] <= d <= degrees[1]:
-                        continue
-                m = GMonomial(real, ghost)
-                if is_normal_monomial(graph, kind, special, m):
-                    out.append(m)
+    for (target, a), reals in buckets.items():
+        for b in range(max(0, a - hi), min(longest_ghost, a - lo) + 1):
+            for ghost in buckets.get((target, b), ()):
+                for real in reals:
+                    m = GMonomial(real, ghost)
+                    if is_normal_monomial(graph, kind, special, m):
+                        out.append(m)
     return sorted(out, key=GMonomial.sort_key)
+
+
+def count_ga_monomials(graph, kind, max_len, *, degrees=None, special=None):
+    """len(enumerate_ga_monomials(...)), computed without building a monomial.
+
+    counts[v][L], the number of paths of length L ending at v, comes from a
+    dynamic program over the edges.  A Cohn monomial is a pair of paths
+    ending at one vertex, a path-algebra monomial such a pair with a
+    trivial ghost part; a Leavitt monomial is such a pair unless both
+    parts end in the same special edge, and those pairs are prefixes ending
+    at the edge's source, one step shorter.  Prefix sums over the ghost
+    length make the count O(E·L + V·L).
+    """
+    special = default_special(graph, kind, special)
+    lo, hi = _window_lengths(max_len, degrees)
+    counts = {v: [1] for v in graph.vertices}
+    arrows = [(counts[graph.src[e]], graph.rng[e]) for e in graph.edges]
+    for _ in range(max_len):
+        step = dict.fromkeys(graph.vertices, 0)
+        for into_src, r in arrows:
+            step[r] += into_src[-1]
+        for v, n in counts.items():
+            n.append(step[v])
+
+    def pairs(n, longest, longest_ghost):
+        # pairs of a real length a <= longest and a ghost length
+        # b <= longest_ghost with lo <= a - b <= hi, weighted n[a]·n[b]
+        prefix = [0, *accumulate(n[:longest_ghost + 1])]
+        total = 0
+        for a, x in enumerate(n[:longest + 1]):
+            if x:
+                b0, b1 = max(0, a - hi), min(longest_ghost, a - lo)
+                if b0 <= b1:
+                    total += x * (prefix[b1 + 1] - prefix[b0])
+        return total
+
+    longest_ghost = 0 if kind == PATH else max_len
+    total = sum(pairs(n, max_len, longest_ghost) for n in counts.values())
+    if kind == LEAVITT:
+        # both parts end in the special edge at v: drop that last edge
+        total -= sum(pairs(counts[v], max_len - 1, max_len - 1)
+                     for v, _ in special.pairs)
+    return total
 
 
 def fixed_point_subspace(graph, kind, c: Path, max_len, *, special=None, field=QQ):

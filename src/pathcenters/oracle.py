@@ -20,6 +20,7 @@ from .graph_algebra import (
     ALGEBRA_KINDS,
     PATH,
     GAElement,
+    count_ga_monomials,
     default_special,
     enumerate_ga_monomials,
     mul_monomials,
@@ -127,17 +128,20 @@ def centrality_witness(a):
 
 def enumerate_candidates(g: Graph, window: OracleWindow, *, special=None,
                          cap=None):
-    """Window candidates, checked against the configured resource cap."""
+    """Window candidates, checked against the configured resource cap.
+
+    The cap is checked on the exact count before any monomial is built."""
     cap = monomial_cap(cap)
-    cands = enumerate_ga_monomials(g, window.kind, window.max_len,
-                                   degrees=window.degrees, special=special)
-    if len(cands) > cap:
+    needed = count_ga_monomials(g, window.kind, window.max_len,
+                                degrees=window.degrees, special=special)
+    if needed > cap:
         raise ResourceCapExceeded(
-            f"window holds {len(cands)} candidate monomials; cap is {cap}",
-            needed=len(cands),
+            f"window holds {needed} candidate monomials; cap is {cap}",
+            needed=needed,
             cap=cap,
         )
-    return cands
+    return enumerate_ga_monomials(g, window.kind, window.max_len,
+                                  degrees=window.degrees, special=special)
 
 
 def central_subspace(g: Graph, window: OracleWindow, *, field=QQ, special=None,

@@ -9,6 +9,7 @@ import pytest
 from pathcenters import (
     COHN,
     GAElement,
+    Graph,
     LEAVITT,
     ParseError,
     element_to_text,
@@ -351,3 +352,74 @@ def test_oracle_verify_solves_the_requested_window_once(monkeypatch, fixture,
     code, out, _ = run_cli(*argv)
     assert code == 0 and "ok: True" in out
     assert solves[OracleWindow(algebra, max_len, degrees)] == 1
+
+
+def _write_graph(path, vertices, edges):
+    path.write_text(emit_graph(Graph.build(vertices, edges)))
+    return str(path)
+
+
+def test_long_graphs_end_in_a_resource_cap_without_traceback(tmp_path):
+    n = 1200
+    vs = [f"u{i}" for i in range(1, n + 1)]
+    line = [(f"f{i}", f"u{i}", f"u{i + 1}") for i in range(1, n)]
+    cycle = _write_graph(tmp_path / "cycle.graph", vs,
+                         line + [(f"f{n}", f"u{n}", "u1")])
+    line_loop = _write_graph(tmp_path / "line_loop.graph", vs,
+                             line + [("c", f"u{n}", f"u{n}")])
+    for argv, needle in (
+        (("analyze", cycle), "cap is 16 vertices"),
+        (("analyze", line_loop), "cap is 16 vertices"),
+        (("center", line_loop, "--algebra", "leavitt"), "cap is 20000"),
+    ):
+        code, out, err = run_cli(*argv)
+        assert code == 3 and out == ""
+        assert needle in err and "Traceback" not in err
+
+
+def test_parser_is_built_once_and_keeps_no_state_between_calls():
+    from pathcenters import cli
+
+    assert cli.build_parser() is cli.build_parser()
+    rose, cycle = str(fixture_path("rose_1")), str(fixture_path("cycle_3"))
+    runs = [
+        ("oracle", rose, "--algebra", "leavitt", "--max-len", "2", "--deg", "1"),
+        ("oracle", rose, "--algebra", "leavitt", "--max-len", "2"),
+        ("center", cycle, "--algebra", "path", "--char", "65521"),
+        ("center", cycle, "--algebra", "path"),
+        ("gprimes", rose, "--format", "json"),
+        ("gprimes", rose),
+    ]
+    first = {}
+    for argv in runs:
+        cli.build_parser.cache_clear()
+        first[argv] = run_cli(*argv)
+    for argv in runs + runs[::-1]:
+        assert run_cli(*argv) == first[argv]
+
+
+def test_ladder_window_is_refused_on_its_count_before_any_monomial(
+        tmp_path, monkeypatch):
+    import importlib
+    import pkgutil
+
+    import pathcenters
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("window monomials built")
+
+    for info in pkgutil.iter_modules(pathcenters.__path__):
+        module = importlib.import_module(f"pathcenters.{info.name}")
+        if hasattr(module, "enumerate_ga_monomials"):
+            monkeypatch.setattr(module, "enumerate_ga_monomials", refuse)
+    rungs = 8
+    vs = [f"x{i}" for i in range(rungs + 1)]
+    es = [(f"{a}{i}", f"x{i}", f"x{i + 1}")
+          for i in range(rungs) for a in "ab"]
+    ladder = _write_graph(tmp_path / "ladder.graph", vs,
+                          es + [("c", f"x{rungs}", f"x{rungs}")])
+    for argv in (("center", ladder, "--algebra", "leavitt"),
+                 ("gprimes", ladder)):
+        code, out, err = run_cli(*argv)
+        assert code == 3 and out == ""
+        assert "261121" in err and "20000" in err

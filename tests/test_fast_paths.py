@@ -1,0 +1,179 @@
+"""The fast graph and window routines against the brute-force versions they
+replaced.  Those versions follow the definitions directly and are kept here
+only as test oracles."""
+
+from itertools import combinations
+
+from hypothesis import given, settings, strategies as st
+
+from pathcenters import Graph
+from pathcenters.graph import (
+    Path,
+    all_paths_up_to,
+    enumerate_hereditary_saturated,
+    hereditary_saturated_closure,
+    is_downward_directed,
+    paths_into,
+    reachable_from,
+    strongly_connected_components,
+)
+from pathcenters.graph_algebra import (
+    ALGEBRA_KINDS,
+    PATH,
+    GMonomial,
+    count_ga_monomials,
+    default_special,
+    enumerate_ga_monomials,
+    is_normal_monomial,
+)
+
+
+def closure_by_fixed_point(g, seed):
+    """Add edge ranges and saturated vertices until nothing changes."""
+    h = set(seed)
+    changed = True
+    while changed:
+        changed = False
+        for e in g.edges:
+            if g.src[e] in h and g.rng[e] not in h:
+                h.add(g.rng[e])
+                changed = True
+        for v in g.vertices:
+            if v in h or not g.is_regular(v):
+                continue
+            if all(g.rng[e] in h for e in g.out_edges(v)):
+                h.add(v)
+                changed = True
+    return frozenset(h)
+
+
+def hereditary_saturated_by_subsets(g):
+    """Close every one of the 2^n vertex subsets and keep the distinct results."""
+    vs = list(g.vertices)
+    out = set()
+    for mask in range(1 << len(vs)):
+        subset = frozenset(v for i, v in enumerate(vs) if mask >> i & 1)
+        out.add(closure_by_fixed_point(g, subset))
+    return sorted(out, key=lambda s: (len(s), sorted(s)))
+
+
+def downward_directed_by_pairs(g):
+    """Every pair of vertices has a common vertex in their reachable sets."""
+    reach = {v: reachable_from(g, v) for v in g.vertices}
+    return all(reach[u] & reach[v] for u, v in combinations(g.vertices, 2))
+
+
+def paths_into_by_length(g, targets):
+    """Paths touching `targets` only at their range, from all short paths.
+
+    Such a path of length L passes L vertices outside `targets` (its edge
+    sources); once L exceeds their number one repeats, so there are
+    infinitely many exactly when one that long exists (None)."""
+    outside = len(g.vertices) - len(targets)
+    found = [p for p in all_paths_up_to(g, outside + 1)
+             if p.target in targets
+             and not any(g.src[e] in targets for e in p.edges)]
+    if any(p.length > outside for p in found):
+        return None
+    return found
+
+
+def monomials_by_all_pairs(g, kind, max_len, *, degrees=None, source=None):
+    """Pair every real part with every ghost part at a target, then filter."""
+    special = default_special(g, kind)
+    by_target = {}
+    for p in all_paths_up_to(g, max_len):
+        by_target.setdefault(p.target, []).append(p)
+    out = []
+    for target, group in by_target.items():
+        ghosts = [Path.vertex(g, target)] if kind == PATH else group
+        for real in group:
+            for ghost in ghosts:
+                if source is not None and (real.source,
+                                           ghost.source) != (source, source):
+                    continue
+                d = real.length - ghost.length
+                if degrees is not None and not degrees[0] <= d <= degrees[1]:
+                    continue
+                m = GMonomial(real, ghost)
+                if is_normal_monomial(g, kind, special, m):
+                    out.append(m)
+    return sorted(out, key=GMonomial.sort_key)
+
+
+@st.composite
+def graphs(draw, max_vertices=6, max_edges=10):
+    # random endpoints give sinks, sources, parallel edges and loops
+    n = draw(st.integers(min_value=1, max_value=max_vertices))
+    vs = [f"v{i}" for i in range(n)]
+    m = draw(st.integers(min_value=0, max_value=max_edges))
+    es = [(f"e{j}", draw(st.sampled_from(vs)), draw(st.sampled_from(vs)))
+          for j in range(m)]
+    return Graph.build(vs, es)
+
+
+@st.composite
+def windows(draw, max_len):
+    """None, or a degree window (a, b) inside [-max_len, max_len]."""
+    if draw(st.booleans()):
+        return None
+    a, b = sorted(draw(st.integers(-max_len, max_len)) for _ in range(2))
+    return a, b
+
+
+@settings(max_examples=200, deadline=None)
+@given(g=graphs())
+def test_hereditary_saturated_search_matches_subset_sweep(g):
+    assert enumerate_hereditary_saturated(g) == hereditary_saturated_by_subsets(g)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), g=graphs())
+def test_worklist_closure_matches_fixed_point(data, g):
+    seed = data.draw(st.sets(st.sampled_from(g.vertices)))
+    assert hereditary_saturated_closure(g, seed) == \
+        closure_by_fixed_point(g, seed)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), g=graphs())
+def test_iterative_paths_into_matches_short_paths(data, g):
+    targets = frozenset(data.draw(st.sets(st.sampled_from(g.vertices),
+                                          min_size=1)))
+    assert paths_into(g, targets) == paths_into_by_length(g, targets)
+
+
+@settings(max_examples=200, deadline=None)
+@given(g=graphs())
+def test_downward_directed_matches_pairwise_reachability(g):
+    assert is_downward_directed(g) == downward_directed_by_pairs(g)
+    comps = list(strongly_connected_components(g))
+    assert sorted(v for c in comps for v in c) == sorted(g.vertices)
+    assert all(g.rng[e] in comps[0] for v in comps[0] for e in g.out_edges(v))
+    for c in comps:
+        for u in c:
+            reach = reachable_from(g, u)
+            assert {v for v in reach if u in reachable_from(g, v)} == c
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), g=graphs(max_vertices=4, max_edges=5))
+def test_windowed_enumeration_matches_all_pairs(data, g):
+    kind = data.draw(st.sampled_from(ALGEBRA_KINDS))
+    max_len = data.draw(st.integers(0, 3))
+    degrees = data.draw(windows(max_len))
+    source = data.draw(st.none() | st.sampled_from(g.vertices))
+    assert enumerate_ga_monomials(g, kind, max_len, degrees=degrees,
+                                  source=source) == \
+        monomials_by_all_pairs(g, kind, max_len, degrees=degrees,
+                               source=source)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), g=graphs(max_vertices=5, max_edges=7))
+def test_count_matches_enumeration(data, g):
+    kind = data.draw(st.sampled_from(ALGEBRA_KINDS))
+    max_len = data.draw(st.integers(0, 3))
+    degrees = data.draw(windows(max_len))
+    assert count_ga_monomials(g, kind, max_len, degrees=degrees) == \
+        len(enumerate_ga_monomials(g, kind, max_len, degrees=degrees))
