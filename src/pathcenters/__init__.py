@@ -56,6 +56,7 @@ from .graph_algebra import (
     COHN,
     LEAVITT,
     PATH,
+    Algebra,
     GAElement,
     GMonomial,
     SpecialEdgeChoice,

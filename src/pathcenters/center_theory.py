@@ -34,10 +34,9 @@ from .graph_algebra import (
     COHN,
     LEAVITT,
     PATH,
+    Algebra,
     GAElement,
     GMonomial,
-    default_special,
-    normal_form,
 )
 from .linalg import LinearSpan
 from .oracle import (
@@ -114,19 +113,18 @@ def cycle_rotation_sum(g: Graph, cyc: Cycle, power: int = 1, field=QQ) -> GAElem
             p = p.concat(rot)
         m = GMonomial(p, Path.vertex(g, v))
         coeffs[m] = field.add(coeffs.get(m, field.zero), field.one)
-    return GAElement(PATH, g, None, field, coeffs)
+    return GAElement(Algebra(PATH, g, field=field), coeffs)
 
 
 def center_structure_KE(g: Graph, field=QQ) -> CenterStructure:
     """Z(KE): the direct sum over connected components of K on the component
     identity, except that a cycle component contributes K[x] generated by
     the sum of its based rotations."""
+    alg = Algebra(PATH, g, field=field)
     pieces = []
     for comp in connected_components(g):
         one_comp = GAElement(
-            PATH, g, None, field,
-            {GMonomial.at_vertex(g, v): field.one for v in sorted(comp)},
-        )
+            alg, {GMonomial.at_vertex(g, v): field.one for v in sorted(comp)})
         cyc = _component_cycle(g, comp)
         if cyc is None:
             pieces.append(CenterStructure(SCALAR, (one_comp,)))
@@ -236,7 +234,7 @@ def laurent_generator(g: Graph, c: Cycle, *, field=QQ, special=None) -> GAElemen
             "expected 1"
         )
     z = _normalize_leading(comp.basis[0])
-    one = GAElement.one(g, LEAVITT, special=special, field=field)
+    one = z.algebra.one()
     if not check_central(z):
         raise InvariantViolation("constructed generator is not central")
     if z * z.involution() != one or z.involution() * z != one:
@@ -249,7 +247,6 @@ def center_prime_leavitt(g: Graph, field=QQ, special=None) -> CenterStructure:
     exit-free cycle; K[x,x^-1] for a finitely-fed exit-free cycle, with the
     degree-l(c) generator constructed explicitly."""
     cls = classify_prime_leavitt(g)
-    special = default_special(g, LEAVITT, special)
     one = GAElement.one(g, LEAVITT, special=special, field=field)
     if cls.scalar:
         return CenterStructure(SCALAR, (one,))
@@ -269,26 +266,15 @@ class ExitFreeUniquenessReport:
     cross_products_zero: object  # bool, or None when < 2 cycles
 
 
-def _ideal_monomials(g: Graph, vertex_set, max_len, special, field):
-    paths = [p for p in all_paths_up_to(g, max_len) if p.target in vertex_set]
-    by_target = {}
-    for p in paths:
-        by_target.setdefault(p.target, []).append(p)
-    out = []
-    for target in sorted(by_target):
-        group = by_target[target]
-        for a in group:
-            for b in group:
-                el = normal_form(
-                    g, LEAVITT,
-                    [(field.one,
-                      list(a.edges or [a.source])
-                      + [e + "*" for e in reversed(b.edges)])],
-                    special=special, field=field,
-                )
-                if el:
-                    out.append(el)
-    return out
+def _ideal_monomials(alg, vertex_set, max_len):
+    """The nonzero a·b* for paths a, b of bounded length ending together
+    in `vertex_set`: a spanning set of the bounded part of the ideal."""
+    paths = [p for p in all_paths_up_to(alg.graph, max_len)
+             if p.target in vertex_set]
+    one = alg.field.one
+    els = (alg.sum_of([(one, a, b)])
+           for a in paths for b in paths if a.target == b.target)
+    return [el for el in els if el]
 
 
 def uniqueness_check_exit_free(g: Graph, max_len: int = 3, *, field=QQ,
@@ -296,7 +282,7 @@ def uniqueness_check_exit_free(g: Graph, max_len: int = 3, *, field=QQ,
     """For prime graphs, confirm there is at most one exit-free cycle; for
     graphs with several, verify computationally that the bounded spanning
     monomials of their ideals annihilate each other."""
-    special = default_special(g, LEAVITT, special)
+    alg = Algebra(LEAVITT, g, special, field)
     exit_free = tuple(cycles_without_exits(g))
     prime = is_prime_leavitt(g)
     unique = (len(exit_free) <= 1) if prime else None
@@ -304,10 +290,8 @@ def uniqueness_check_exit_free(g: Graph, max_len: int = 3, *, field=QQ,
     cross_zero = None
     if len(exit_free) >= 2:
         cross_zero = True
-        spans = [
-            _ideal_monomials(g, c.vertex_set(g), max_len, special, field)
-            for c in exit_free
-        ]
+        spans = [_ideal_monomials(alg, c.vertex_set(g), max_len)
+                 for c in exit_free]
         for i, left in enumerate(spans):
             for j, right in enumerate(spans):
                 if i == j:
@@ -407,26 +391,18 @@ class CenterBounds:
         return " (+) ".join(parts) if parts else "0"
 
 
-def _corner_laurent_generator(g, c: Cycle, feeding, special, field):
-    """sum over feeding paths t of  t . (c rotated to enter at r(t)) . t*."""
-    terms = []
-    for t in feeding:
-        rot = c.rotation_based_at(g, t.target)
-        word = list(t.edges) + list(rot.edges) + [e + "*" for e in reversed(t.edges)]
-        terms.append((field.one, word))
-    return normal_form(g, LEAVITT, terms, special=special, field=field)
+def _corner_sum(alg, feeding, c: Cycle = None):
+    """The sum over feeding paths t of t·t* (the corner unit), or with a
+    cycle c of t·(c rotated to enter at r(t))·t* (the Laurent generator)."""
+    one = alg.field.one
+    return alg.sum_of(
+        (one, t if c is None else t.concat(c.rotation_based_at(alg.graph, t.target)), t)
+        for t in feeding)
 
 
-def _corner_unit(g, feeding, special, field):
-    terms = []
-    for t in feeding:
-        word = (list(t.edges) + [e + "*" for e in reversed(t.edges)]) or [t.source]
-        terms.append((field.one, word))
-    return normal_form(g, LEAVITT, terms, special=special, field=field)
-
-
-def _component_center_pieces(g, comp, special, field):
+def _component_center_pieces(alg, comp):
     """Decidable description of the center of the ideal on a full component."""
+    g = alg.graph
     sub = Graph.build(sorted(comp),
                       [(e, g.src[e], g.rng[e]) for e in g.edges
                        if g.src[e] in comp])
@@ -435,11 +411,11 @@ def _component_center_pieces(g, comp, special, field):
                                   "non-prime component; oracle-bounded evidence only")]
     cls = classify_prime_leavitt(sub)
     if cls.scalar:
-        gen = normal_form(g, LEAVITT, [(field.one, [v]) for v in sorted(comp)],
-                          special=special, field=field)
+        gen = GAElement(alg, {GMonomial.at_vertex(g, v): alg.field.one
+                              for v in sorted(comp)})
         return [PieceContribution("scalar", f"component identity ({cls.reason})", gen)]
     feeding = cycle_feeding_paths(sub, cls.cycle)
-    z = _corner_laurent_generator(g, cls.cycle, feeding, special, field)
+    z = _corner_sum(alg, feeding, cls.cycle)
     if not check_central(z):
         raise InvariantViolation("corner Laurent generator failed the centrality check")
     return [PieceContribution(
@@ -457,13 +433,14 @@ def _ideal_center_pieces(g, h, special, field):
     """
     if not h:
         return [PieceContribution("zero", "zero ideal")]
+    alg = Algebra(LEAVITT, g, special, field)
     pieces = []
     for comp in connected_components(g):
         part = h & comp
         if not part:
             continue
         if part == comp:
-            pieces.extend(_component_center_pieces(g, comp, special, field))
+            pieces.extend(_component_center_pieces(alg, comp))
             continue
         cycles = [c for c in cycles_without_exits(g)
                   if c.vertex_set(g) <= part]
@@ -476,7 +453,7 @@ def _ideal_center_pieces(g, h, special, field):
                 pieces.append(PieceContribution(
                     "zero", "matrix size infinite: a cycle feeds the corner"))
             else:
-                z = _corner_laurent_generator(g, c, feeding, special, field)
+                z = _corner_sum(alg, feeding, c)
                 if not check_central(z):
                     raise InvariantViolation(
                         "corner Laurent generator failed the centrality check")
@@ -489,7 +466,7 @@ def _ideal_center_pieces(g, h, special, field):
                 pieces.append(PieceContribution(
                     "zero", "matrix size infinite: a cycle feeds the sink"))
             else:
-                unit = _corner_unit(g, feeding, special, field)
+                unit = _corner_sum(alg, feeding)
                 if not check_central(unit):
                     raise InvariantViolation("corner unit failed the centrality check")
                 pieces.append(PieceContribution(
@@ -500,13 +477,14 @@ def _ideal_center_pieces(g, h, special, field):
     return pieces
 
 
-def _whole_center_pieces(g, special, field):
+def _whole_center_pieces(alg):
+    g = alg.graph
     if is_downward_directed(g):
         cls = classify_prime_leavitt(g)
-        one = GAElement.one(g, LEAVITT, special=special, field=field)
         if cls.scalar:
-            return [PieceContribution("scalar", f"whole center ({cls.reason})", one)]
-        z = laurent_generator(g, cls.cycle, field=field, special=special)
+            return [PieceContribution("scalar", f"whole center ({cls.reason})",
+                                      alg.one())]
+        z = laurent_generator(g, cls.cycle, field=alg.field, special=alg.special)
         return [PieceContribution("laurent", "whole center", z)]
     return [PieceContribution("unknown",
                               "whole non-prime algebra; oracle-bounded evidence only")]
@@ -519,7 +497,7 @@ def center_bounds(g: Graph, *, field=QQ, special=None,
     intersection of the other graded primes, described structurally in the
     decidable patterns.  A singleton family makes W_P improper, so its lower
     entry degenerates to the whole center and is flagged as such."""
-    special = default_special(g, LEAVITT, special)
+    alg = Algebra(LEAVITT, g, special, field)
     records = tuple(graded_prime_ideals(g, max_vertices))
     upper = tuple("K" if r.flavor == "I" else "K[x,x^-1]" for r in records)
     lower = []
@@ -529,11 +507,11 @@ def center_bounds(g: Graph, *, field=QQ, special=None,
         if not others:
             lower.append(LowerSummand(
                 i, everything, True,
-                tuple(_whole_center_pieces(g, special, field))))
+                tuple(_whole_center_pieces(alg))))
             continue
         hw = frozenset.intersection(*others)
         lower.append(LowerSummand(
-            i, hw, False, tuple(_ideal_center_pieces(g, hw, special, field))))
+            i, hw, False, tuple(_ideal_center_pieces(g, hw, alg.special, field))))
     radical = (frozenset.intersection(*(r.H for r in records))
                if records else everything)
     return CenterBounds(records, upper, tuple(lower), radical)
@@ -551,18 +529,10 @@ class BoundsVerification:
 
 def project_to_quotient(el: GAElement, h, qgraph: Graph, *, special=None):
     """Image of an element under L_K(E) -> L_K(E/H): monomials landing in H
-    die, the rest are renormalized in the quotient's basis."""
-    field = el.field
-    qspecial = default_special(qgraph, el.kind, special)
-    terms = []
-    for m, c in el.coeffs.items():
-        if m.real.target in h:
-            continue
-        word = list(m.real.edges) + [e + "*" for e in reversed(m.ghost.edges)]
-        terms.append((c, word or [m.real.source]))
-    if not terms:
-        return GAElement.zero(qgraph, el.kind, qspecial, field)
-    return normal_form(qgraph, el.kind, terms, special=qspecial, field=field)
+    die, the rest are renormalized in the quotient's basis.  A surviving
+    monomial's paths avoid H, so they are paths of the quotient too."""
+    return Algebra(el.kind, qgraph, special, el.field).sum_of(
+        (c, m.real, m.ghost) for m, c in el.coeffs.items() if m.real.target not in h)
 
 
 def verify_bounds(g: Graph, bounds: CenterBounds = None,
@@ -575,7 +545,6 @@ def verify_bounds(g: Graph, bounds: CenterBounds = None,
 
     `subspace`, when given, is the `CentralSubspace` already solved for
     `window`; it is used instead of solving the window again."""
-    special = default_special(g, LEAVITT, special)
     if bounds is None:
         bounds = center_bounds(g, field=field, special=special)
     if window is None:

@@ -139,10 +139,6 @@ class Path:
             and self.source == prefix.source
         )
 
-    def strip_prefix(self, prefix: "Path") -> "Path":
-        rest = self.edges[len(prefix.edges):]
-        return Path(prefix.target, self.target, rest)
-
     def sort_key(self):
         return (len(self.edges), self.source, self.edges)
 
@@ -204,7 +200,6 @@ class VertexClassification:
     sink: bool
     source: bool
     regular: bool
-    infinite_emitter: bool = False
 
 
 @dataclass(frozen=True)
@@ -586,18 +581,19 @@ def count_paths_ending_at_base(g: Graph, c: Cycle):
 
 
 def all_paths_up_to(g: Graph, max_len: int):
-    """Every path of length <= max_len, trivial paths included, sorted."""
+    """Every path of length <= max_len, trivial paths included, sorted.
+
+    Stops at the first length no path reaches."""
     if max_len < 0:
         raise GraphError("path length bound must be >= 0")
     frontier = [Path.vertex(g, v) for v in g.vertices]
     out = list(frontier)
     for _ in range(max_len):
-        nxt = []
-        for p in frontier:
-            for e in g.out_edges(p.target):
-                nxt.append(Path(p.source, g.rng[e], p.edges + (e,)))
-        out.extend(nxt)
-        frontier = nxt
+        frontier = [Path(p.source, g.rng[e], p.edges + (e,))
+                    for p in frontier for e in g.out_edges(p.target)]
+        if not frontier:
+            break
+        out.extend(frontier)
     return sorted(out, key=Path.sort_key)
 
 

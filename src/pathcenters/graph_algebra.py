@@ -1,5 +1,10 @@
 """Exact arithmetic in path, Cohn and Leavitt path algebras.
 
+An `Algebra` value names one algebra: its kind (path, Cohn or Leavitt), its
+graph, its scalar field and, for Leavitt, the special-edge choice that fixes
+the basis.  Every element holds one, and products, generators and
+straightening read everything they need from it.
+
 Raw words over the extended graph are rewritten into the canonical basis of
 monomials (real path)·(ghost path)*.  The path algebra KE is the span of the
 monomials with a trivial ghost part, closed under the same product, so one
@@ -18,6 +23,7 @@ end with the same special edge.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import accumulate
 
 from .errors import (
@@ -75,10 +81,6 @@ class GMonomial:
         return self.real.length - self.ghost.length
 
     @property
-    def real_degree(self):
-        return self.real.length
-
-    @property
     def is_vertex(self):
         return self.real.is_trivial and self.ghost.is_trivial
 
@@ -99,6 +101,9 @@ class SpecialEdgeChoice:
     """One chosen edge per regular vertex; fixes the Leavitt basis."""
 
     pairs: tuple
+
+    def __post_init__(self):
+        object.__setattr__(self, "_edge", dict(self.pairs))
 
     @classmethod
     def lex_default(cls, g: Graph) -> "SpecialEdgeChoice":
@@ -121,10 +126,7 @@ class SpecialEdgeChoice:
         return cls(tuple(pairs))
 
     def edge_at(self, v):
-        for u, e in self.pairs:
-            if u == v:
-                return e
-        return None
+        return self._edge.get(v)
 
 
 def default_special(g: Graph, kind, special=None):
@@ -148,24 +150,85 @@ def is_normal_monomial(g: Graph, kind, special, m: GMonomial) -> bool:
     return special.edge_at(g.src[e]) != e
 
 
+@dataclass(frozen=True)
+class Algebra:
+    """The path, Cohn or Leavitt path algebra of a graph over a field.
+
+    For Leavitt, `special` (default: the least edge at each regular vertex)
+    fixes the normal-form basis, so it is part of the value; for the other
+    kinds it is None.
+    """
+
+    kind: str
+    graph: Graph
+    special: SpecialEdgeChoice | None = None
+    field: object = QQ
+
+    def __post_init__(self):
+        object.__setattr__(self, "special",
+                           default_special(self.graph, self.kind, self.special))
+
+    def monomial(self, m: GMonomial, coeff=1) -> "GAElement":
+        if not is_normal_monomial(self.graph, self.kind, self.special, m):
+            raise GraphError(f"monomial {m!r} is not in normal form")
+        return GAElement(self, {m: self.field.coerce(coeff)})
+
+    def vertex(self, v) -> "GAElement":
+        return self.monomial(GMonomial.at_vertex(self.graph, v))
+
+    def edge(self, e, ghost=False) -> "GAElement":
+        """The generator e, or e* when `ghost` is set."""
+        p = Path.from_edges(self.graph, (e,))
+        r = Path.vertex(self.graph, p.target)
+        return self.monomial(GMonomial(r, p) if ghost else GMonomial(p, r))
+
+    def one(self) -> "GAElement":
+        return GAElement(self, {GMonomial.at_vertex(self.graph, v): self.field.one
+                                for v in self.graph.vertices})
+
+    def sum_of(self, terms) -> "GAElement":
+        """Σ coeff·real·ghost* over (coeff, real, ghost) triples of paths that
+        share their range, in normal form.  Only the junction real·ghost* can
+        leave the basis, so straightening it is all the rewriting needed."""
+        out = {}
+        for coeff, real, ghost in terms:
+            if self.kind == PATH and ghost.edges:
+                raise WordError("path algebra elements have no ghost part")
+            _straighten(self, real, ghost, coeff, out)
+        return GAElement(self, out)
+
+    @cached_property
+    def generators(self):
+        """Labelled generating set: vertices, edges, plus ghost edges when the
+        algebra has them.  Sound and complete for centrality checks."""
+        g = self.graph
+        gens = [(f"@{v}", self.vertex(v)) for v in g.vertices]
+        gens += [(e, self.edge(e)) for e in g.edges]
+        if self.kind != PATH:
+            gens += [(f"{e}*", self.edge(e, ghost=True)) for e in g.edges]
+        return tuple(gens)
+
+
 def _chop(g: Graph, p: Path) -> Path:
     last = p.edges[-1]
     return Path(p.source, g.src[last], p.edges[:-1])
 
 
-def _straighten(g, kind, special, field, real, ghost, coeff, out):
+def _straighten(alg, real, ghost, coeff, out):
     """Accumulate coeff * real·ghost* into `out` in normal form.
 
     Only the junction can be off-basis, and the CK2 elimination shortens it,
     so the recursion terminates after at most min(len, len) steps.
     """
-    if kind == LEAVITT and real.edges and ghost.edges:
+    special = alg.special  # None unless the algebra is Leavitt
+    if special is not None and real.edges and ghost.edges:
         e = real.edges[-1]
         if e == ghost.edges[-1]:
+            g = alg.graph
             v = g.src[e]
             if special.edge_at(v) == e:
                 lam, mu = _chop(g, real), _chop(g, ghost)
-                _straighten(g, kind, special, field, lam, mu, coeff, out)
+                _straighten(alg, lam, mu, coeff, out)
                 for f in g.out_edges(v):
                     if f == e:
                         continue
@@ -173,9 +236,9 @@ def _straighten(g, kind, special, field, real, ghost, coeff, out):
                         Path(lam.source, g.rng[f], lam.edges + (f,)),
                         Path(mu.source, g.rng[f], mu.edges + (f,)),
                     )
-                    _accumulate(out, m, field.neg(coeff), field)
+                    _accumulate(out, m, alg.field.neg(coeff), alg.field)
                 return
-    _accumulate(out, GMonomial(real, ghost), coeff, field)
+    _accumulate(out, GMonomial(real, ghost), coeff, alg.field)
 
 
 def _accumulate(out, m, coeff, field):
@@ -188,21 +251,18 @@ def _accumulate(out, m, coeff, field):
         out[m] = coeff
 
 
-def mul_monomials(g, kind, special, field, m1: GMonomial, m2: GMonomial,
-                  coeff=None):
-    """coeff·m1·m2 for normal monomials, as a dict of normal monomials;
-    coeff defaults to 1."""
-    coeff = field.one if coeff is None else coeff
+def mul_monomials(alg, m1: GMonomial, m2: GMonomial, coeff):
+    """coeff·m1·m2 for normal monomials, as a dict of normal monomials."""
     out = {}
     real1, mu1, lam2, ghost2 = m1.real, m1.ghost, m2.real, m2.ghost
     if lam2.starts_with(mu1):
         real = Path(real1.source, lam2.target,
                     real1.edges + lam2.edges[len(mu1.edges):])
-        _straighten(g, kind, special, field, real, ghost2, coeff, out)
+        _straighten(alg, real, ghost2, coeff, out)
     elif mu1.starts_with(lam2):
         ghost = Path(ghost2.source, mu1.target,
                      ghost2.edges + mu1.edges[len(lam2.edges):])
-        _straighten(g, kind, special, field, real1, ghost, coeff, out)
+        _straighten(alg, real1, ghost, coeff, out)
     return out
 
 
@@ -348,76 +408,66 @@ class GAElement:
     """An element of a path, Cohn or Leavitt path algebra in the normal-form
     basis.
 
-    Every element records the algebra kind, the ambient graph and (for
-    Leavitt) the special-edge choice its basis was built with, so arithmetic
-    across mismatched presentations is impossible.
+    Every element records the `Algebra` its basis was built in, so
+    arithmetic across mismatched presentations is impossible.
     """
 
-    __slots__ = ("kind", "graph", "special", "field", "coeffs")
+    __slots__ = ("algebra", "coeffs")
 
-    def __init__(self, kind, graph, special, field, coeffs):
-        self.kind = kind
-        self.graph = graph
-        self.special = special
-        self.field = field
+    def __init__(self, algebra, coeffs):
+        self.algebra = algebra
         self.coeffs = {m: c for m, c in coeffs.items() if c}
+
+    @property
+    def kind(self):
+        return self.algebra.kind
+
+    @property
+    def field(self):
+        return self.algebra.field
 
     # -- constructors ----------------------------------------------------
 
     @classmethod
     def zero(cls, graph, kind, special=None, field=QQ):
-        return cls(kind, graph, default_special(graph, kind, special), field, {})
+        return cls(Algebra(kind, graph, special, field), {})
 
     @classmethod
     def from_monomial(cls, graph, kind, m: GMonomial, coeff=1, special=None, field=QQ):
-        special = default_special(graph, kind, special)
-        if not is_normal_monomial(graph, kind, special, m):
-            raise GraphError(f"monomial {m!r} is not in normal form")
-        return cls(kind, graph, special, field, {m: field.coerce(coeff)})
+        return Algebra(kind, graph, special, field).monomial(m, coeff)
 
     @classmethod
     def vertex(cls, graph, kind, v, special=None, field=QQ):
-        return cls.from_monomial(graph, kind, GMonomial.at_vertex(graph, v),
-                                 special=special, field=field)
+        return Algebra(kind, graph, special, field).vertex(v)
 
     @classmethod
     def edge(cls, graph, kind, e, special=None, field=QQ):
-        return path_element(graph, kind, Path.from_edges(graph, (e,)),
-                            special=special, field=field)
+        return Algebra(kind, graph, special, field).edge(e)
 
     @classmethod
     def ghost_edge(cls, graph, kind, e, special=None, field=QQ):
-        p = Path.from_edges(graph, (e,))
-        m = GMonomial(Path.vertex(graph, graph.rng[e]), p)
-        return cls.from_monomial(graph, kind, m, special=special, field=field)
+        return Algebra(kind, graph, special, field).edge(e, ghost=True)
 
     @classmethod
     def one(cls, graph, kind, special=None, field=QQ):
-        special = default_special(graph, kind, special)
-        return cls(kind, graph, special, field, {
-            GMonomial.at_vertex(graph, v): field.one for v in graph.vertices
-        })
+        return Algebra(kind, graph, special, field).one()
 
     # -- ring structure ---------------------------------------------------
 
     def _check_ambient(self, other):
-        if self.kind != other.kind:
-            raise AmbientError("elements of different algebra kinds")
-        if self.graph != other.graph:
-            raise AmbientError("elements live over different graphs")
-        if self.special != other.special:
-            raise AmbientError("elements use different special-edge choices")
-        if self.field != other.field:
-            raise AmbientError("elements use different scalar fields")
+        if self.algebra is not other.algebra and self.algebra != other.algebra:
+            raise AmbientError("elements of different algebras: kind, graph, "
+                               "special edges or scalar field differ")
 
     def _make(self, coeffs):
-        return GAElement(self.kind, self.graph, self.special, self.field, coeffs)
+        return GAElement(self.algebra, coeffs)
 
     def __add__(self, other):
         self._check_ambient(other)
+        field = self.field
         out = dict(self.coeffs)
         for m, c in other.coeffs.items():
-            out[m] = self.field.add(out.get(m, self.field.zero), c)
+            out[m] = field.add(out.get(m, field.zero), c)
         return self._make(out)
 
     def __neg__(self):
@@ -437,22 +487,19 @@ class GAElement:
         if not isinstance(other, GAElement):
             return NotImplemented
         self._check_ambient(other)
+        alg = self.algebra
+        field = alg.field
         out = {}
         for m1, a in self.coeffs.items():
             for m2, b in other.coeffs.items():
-                prod = mul_monomials(self.graph, self.kind, self.special,
-                                     self.field, m1, m2, self.field.mul(a, b))
-                for m, c in prod.items():
-                    _accumulate(out, m, c, self.field)
+                for m, c in mul_monomials(alg, m1, m2, field.mul(a, b)).items():
+                    _accumulate(out, m, c, field)
         return self._make(out)
 
     def __eq__(self, other):
         return (
             isinstance(other, GAElement)
-            and self.kind == other.kind
-            and self.graph == other.graph
-            and self.special == other.special
-            and self.field == other.field
+            and (self.algebra is other.algebra or self.algebra == other.algebra)
             and self.coeffs == other.coeffs
         )
 
@@ -487,40 +534,35 @@ class GAElement:
 
     def real_degree(self):
         """Max real-part length over the support (0 for the zero element)."""
-        return max((m.real_degree for m in self.coeffs), default=0)
+        return max((m.real.length for m in self.coeffs), default=0)
 
     def is_symmetric(self):
         return all(m.real == m.ghost for m in self.coeffs)
 
     def peirce_component(self, u, v):
-        self.graph.check_vertex(u)
-        self.graph.check_vertex(v)
+        self.algebra.graph.check_vertex(u)
+        self.algebra.graph.check_vertex(v)
         return self._make({m: c for m, c in self.coeffs.items()
                            if m.source == u and m.target == v})
 
 
 def normal_form(graph, kind, terms, *, special=None, field=QQ, rng=None) -> GAElement:
     """Reduce scalar-weighted raw words over the extended graph to basis form."""
-    special = default_special(graph, kind, special)
+    alg = Algebra(kind, graph, special, field)
     out = {}
     for coeff, word in terms:
         parsed = parse_word(graph, word)
         if kind == PATH and any(tag == _G for tag, _ in parsed):
             raise WordError("path algebra elements have no ghost part")
-        reduced = reduce_word(graph, kind, special, field, parsed,
+        reduced = reduce_word(graph, kind, alg.special, field, parsed,
                               field.coerce(coeff), rng=rng)
         for m, c in reduced.items():
             _accumulate(out, m, c, field)
-    return GAElement(kind, graph, special, field, out)
+    return GAElement(alg, out)
 
 
 def word_element(graph, kind, word, coeff=1, *, special=None, field=QQ) -> GAElement:
     return normal_form(graph, kind, [(coeff, word)], special=special, field=field)
-
-
-def path_element(graph, kind, path: Path, *, special=None, field=QQ) -> GAElement:
-    m = GMonomial(path, Path.vertex(graph, path.target))
-    return GAElement.from_monomial(graph, kind, m, special=special, field=field)
 
 
 def T_operator(a: GAElement, x: GAElement) -> GAElement:
@@ -532,6 +574,12 @@ def T_operator(a: GAElement, x: GAElement) -> GAElement:
 def _window_lengths(max_len, degrees):
     """Degree bounds (lo, hi) of a window; no filter admits every degree."""
     return (-max_len, max_len) if degrees is None else degrees
+
+
+def _longest_real(kind, max_len, hi):
+    """The longest real part a window can use: a path-algebra monomial has
+    a trivial ghost part, so its real length is its degree, at most hi."""
+    return max(0, min(max_len, hi)) if kind == PATH else max_len
 
 
 def enumerate_ga_monomials(graph, kind, max_len, *, degrees=None,
@@ -546,11 +594,12 @@ def enumerate_ga_monomials(graph, kind, max_len, *, degrees=None,
     """
     special = default_special(graph, kind, special)
     lo, hi = _window_lengths(max_len, degrees)
+    paths = all_paths_up_to(graph, _longest_real(kind, max_len, hi))
     buckets = {}
-    for p in all_paths_up_to(graph, max_len):
+    for p in paths:
         if source is None or p.source == source:
             buckets.setdefault((p.target, p.length), []).append(p)
-    longest_ghost = 0 if kind == PATH else max_len
+    longest_ghost = 0 if kind == PATH else paths[-1].length  # sorted by length
     out = []
     for (target, a), reals in buckets.items():
         for b in range(max(0, a - hi), min(longest_ghost, a - lo) + 1):
@@ -571,16 +620,19 @@ def count_ga_monomials(graph, kind, max_len, *, degrees=None, special=None):
     trivial ghost part; a Leavitt monomial is such a pair unless both
     parts end in the same special edge, and those pairs are prefixes ending
     at the edge's source, one step shorter.  Prefix sums over the ghost
-    length make the count O(E·L + V·L).
+    length make the count O(E·L + V·L); the program stops at the first
+    length no path reaches.
     """
     special = default_special(graph, kind, special)
     lo, hi = _window_lengths(max_len, degrees)
     counts = {v: [1] for v in graph.vertices}
     arrows = [(counts[graph.src[e]], graph.rng[e]) for e in graph.edges]
-    for _ in range(max_len):
+    for _ in range(_longest_real(kind, max_len, hi)):
         step = dict.fromkeys(graph.vertices, 0)
         for into_src, r in arrows:
             step[r] += into_src[-1]
+        if not any(step.values()):
+            break
         for v, n in counts.items():
             n.append(step[v])
 
@@ -591,7 +643,7 @@ def count_ga_monomials(graph, kind, max_len, *, degrees=None, special=None):
         total = 0
         for a, x in enumerate(n[:longest + 1]):
             if x:
-                b0, b1 = max(0, a - hi), min(longest_ghost, a - lo)
+                b0, b1 = max(0, a - hi), min(len(prefix) - 2, a - lo)
                 if b0 <= b1:
                     total += x * (prefix[b1 + 1] - prefix[b0])
         return total
@@ -615,14 +667,14 @@ def fixed_point_subspace(graph, kind, c: Path, max_len, *, special=None, field=Q
     """
     if c.source != c.target:
         raise GraphError("T_c needs a closed path")
-    special = default_special(graph, kind, special)
+    alg = Algebra(kind, graph, special, field)
     u = c.source
     candidates = enumerate_ga_monomials(graph, kind, max_len, degrees=(0, 0),
-                                        special=special, source=u)
-    c_el = path_element(graph, kind, c, special=special, field=field)
+                                        special=alg.special, source=u)
+    c_el = alg.monomial(GMonomial(c, Path.vertex(graph, u)))
     rows = {}
     for j, m in enumerate(candidates):
-        m_el = GAElement.from_monomial(graph, kind, m, special=special, field=field)
+        m_el = alg.monomial(m)
         image = T_operator(c_el, m_el) - m_el
         for rm, coeff in image.coeffs.items():
             rows.setdefault(rm, {})[j] = coeff
@@ -630,7 +682,7 @@ def fixed_point_subspace(graph, kind, c: Path, max_len, *, special=None, field=Q
     out = []
     for vec in basis:
         coeffs = {candidates[j]: c for j, c in vec.items()}
-        out.append(GAElement(kind, graph, special, field, coeffs))
+        out.append(GAElement(alg, coeffs))
     return out
 
 

@@ -19,9 +19,9 @@ from .graph import Graph
 from .graph_algebra import (
     ALGEBRA_KINDS,
     PATH,
+    Algebra,
     GAElement,
     count_ga_monomials,
-    default_special,
     enumerate_ga_monomials,
     mul_monomials,
 )
@@ -93,24 +93,7 @@ class CentralSubspace:
         return len(self.basis)
 
 
-# --- generators and monomial-level products ---------------------------------
-
-
-def algebra_generators(g: Graph, kind, *, special=None, field=QQ):
-    """Labelled generating set: vertices, edges, plus ghost edges when the
-    algebra has them.  Sound and complete for centrality checks."""
-    special = default_special(g, kind, special)
-    gens = []
-    for v in g.vertices:
-        gens.append((f"@{v}", GAElement.vertex(g, kind, v, special=special,
-                                               field=field)))
-    for e in g.edges:
-        gens.append((e, GAElement.edge(g, kind, e, special=special, field=field)))
-    if kind != PATH:
-        for e in g.edges:
-            gens.append((f"{e}*", GAElement.ghost_edge(g, kind, e, special=special,
-                                                       field=field)))
-    return gens
+# --- centrality against the generators --------------------------------------
 
 
 def check_central(a) -> bool:
@@ -119,8 +102,7 @@ def check_central(a) -> bool:
 
 def centrality_witness(a):
     """The first generator that fails to commute with `a`, or None."""
-    gens = algebra_generators(a.graph, a.kind, special=a.special, field=a.field)
-    for label, gel in gens:
+    for label, gel in a.algebra.generators:
         if a * gel != gel * a:
             return label, gel
     return None
@@ -135,8 +117,12 @@ def enumerate_candidates(g: Graph, window: OracleWindow, *, special=None,
     needed = count_ga_monomials(g, window.kind, window.max_len,
                                 degrees=window.degrees, special=special)
     if needed > cap:
+        try:
+            text = str(needed)
+        except ValueError:  # more digits than int-to-text conversion allows
+            text = f"at least 2^{needed.bit_length() - 1}"
         raise ResourceCapExceeded(
-            f"window holds {needed} candidate monomials; cap is {cap}",
+            f"window holds {text} candidate monomials; cap is {cap}",
             needed=needed,
             cap=cap,
         )
@@ -147,23 +133,20 @@ def enumerate_candidates(g: Graph, window: OracleWindow, *, special=None,
 def central_subspace(g: Graph, window: OracleWindow, *, field=QQ, special=None,
                      cap=None) -> CentralSubspace:
     """Exact basis of all window elements commuting with every generator."""
-    kind = window.kind
-    special = default_special(g, kind, special)
-    candidates = enumerate_candidates(g, window, special=special, cap=cap)
+    alg = Algebra(window.kind, g, special, field)
+    candidates = enumerate_candidates(g, window, special=alg.special, cap=cap)
     # every generator is a single monomial with coefficient 1
-    gen_monomials = [
-        next(iter(gel.coeffs))
-        for _, gel in algebra_generators(g, kind, special=special, field=field)
-    ]
+    gen_monomials = [next(iter(gel.coeffs)) for _, gel in alg.generators]
 
     rows = {}
+    one = field.one
     for gi, gmon in enumerate(gen_monomials):
         for j, m in enumerate(candidates):
-            for rm, c in mul_monomials(g, kind, special, field, m, gmon).items():
+            for rm, c in mul_monomials(alg, m, gmon, one).items():
                 row = rows.setdefault((gi, rm), {})
                 old = row.get(j)
                 row[j] = c if old is None else field.add(old, c)
-            for rm, c in mul_monomials(g, kind, special, field, gmon, m).items():
+            for rm, c in mul_monomials(alg, gmon, m, one).items():
                 row = rows.setdefault((gi, rm), {})
                 old = row.get(j)
                 row[j] = field.neg(c) if old is None else field.sub(old, c)
@@ -175,7 +158,7 @@ def central_subspace(g: Graph, window: OracleWindow, *, field=QQ, special=None,
     basis = []
     for vec in vectors:
         coeffs = {candidates[j]: c for j, c in vec.items()}
-        basis.append(GAElement(kind, g, special, field, coeffs))
+        basis.append(GAElement(alg, coeffs))
 
     for el in basis:  # soundness re-check, post-solve
         witness = centrality_witness(el)

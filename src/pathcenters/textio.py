@@ -15,7 +15,7 @@ import re
 
 from .errors import GraphError, ParseError, WordError
 from .graph import Graph, Path
-from .graph_algebra import GAElement, default_special, normal_form
+from .graph_algebra import Algebra
 from .scalars import QQ
 
 _ID_RE = re.compile(r"[A-Za-z0-9_]+\Z")
@@ -110,11 +110,9 @@ def _parse_path_part(g: Graph, text: str) -> Path:
 def parse_element(text: str, g: Graph, kind: str, *, special=None, field=QQ):
     """Parse element text into a `GAElement` of the given algebra kind."""
     text = text.strip()
-    special = default_special(g, kind, special)
-    acc = GAElement.zero(g, kind, special, field)
-    if text == "0":
-        return acc
-    for term in text.split("+"):
+    alg = Algebra(kind, g, special, field)
+    terms = []
+    for term in [] if text == "0" else text.split("+"):
         term = term.strip()
         if not term:
             raise ParseError("empty term in element")
@@ -139,12 +137,8 @@ def parse_element(text: str, g: Graph, kind: str, *, special=None, field=QQ):
             raise ParseError(
                 f"monomial {mono!r}: real and ghost parts end at different vertices"
             )
-        word = list(real.edges) + [e + "*" for e in reversed(ghost.edges)]
-        if not word:
-            word = [real.source]
-        try:
-            acc = acc + normal_form(g, kind, [(coeff, word)],
-                                    special=special, field=field)
-        except WordError as exc:  # a ghost part in the path algebra
-            raise ParseError(str(exc)) from exc
-    return acc
+        terms.append((coeff, real, ghost))
+    try:
+        return alg.sum_of(terms)
+    except WordError as exc:  # a ghost part in the path algebra
+        raise ParseError(str(exc)) from exc

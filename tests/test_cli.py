@@ -423,3 +423,42 @@ def test_ladder_window_is_refused_on_its_count_before_any_monomial(
         code, out, err = run_cli(*argv)
         assert code == 3 and out == ""
         assert "261121" in err and "20000" in err
+
+
+def test_window_stops_at_the_longest_path_the_graph_has():
+    # line_2 has no path longer than 1: the bound must not cost 4M steps
+    import time
+
+    start = time.perf_counter()
+    code, out, _ = run_cli("oracle", str(fixture_path("line_2")),
+                           "--algebra", "cohn", "--max-len", "4000000")
+    assert code == 0 and "candidates: 5" in out
+    assert time.perf_counter() - start < 1.0
+
+
+def test_path_window_builds_no_path_longer_than_its_top_degree(monkeypatch):
+    # a path-algebra monomial's degree is its real length, so degree 0
+    # needs the trivial paths only, not the 2^15 - 1 paths of R_2 up to 14
+    from pathcenters import graph_algebra
+
+    built = []
+    paths_up_to = graph_algebra.all_paths_up_to
+
+    def counted(g, max_len):
+        paths = paths_up_to(g, max_len)
+        built.extend(paths)
+        return paths
+
+    monkeypatch.setattr(graph_algebra, "all_paths_up_to", counted)
+    code, out, _ = run_cli("oracle", str(fixture_path("rose_2")), "--algebra",
+                           "path", "--max-len", "14", "--deg", "0")
+    assert code == 0 and "candidates: 1" in out
+    assert len(built) == 1
+
+
+def test_window_count_too_long_to_print_is_refused_as_a_cap():
+    code, out, err = run_cli("oracle", str(fixture_path("rose_2")),
+                             "--algebra", "cohn", "--max-len", "20000")
+    assert code == 3 and out == ""
+    assert "at least 2^40001 candidate monomials; cap is 20000" in err
+    assert err.count("\n") == 1 and "Traceback" not in err

@@ -7,25 +7,34 @@ from itertools import combinations
 from hypothesis import given, settings, strategies as st
 
 from pathcenters import Graph
+from pathcenters.center_theory import _corner_sum, project_to_quotient
 from pathcenters.graph import (
     Path,
     all_paths_up_to,
+    cycle_feeding_paths,
+    cycles_without_exits,
     enumerate_hereditary_saturated,
     hereditary_saturated_closure,
     is_downward_directed,
     paths_into,
+    quotient_graph,
     reachable_from,
     strongly_connected_components,
 )
 from pathcenters.graph_algebra import (
     ALGEBRA_KINDS,
+    LEAVITT,
     PATH,
+    Algebra,
     GMonomial,
     count_ga_monomials,
     default_special,
     enumerate_ga_monomials,
     is_normal_monomial,
+    normal_form,
 )
+from pathcenters.scalars import QQ
+from pathcenters.textio import parse_element
 
 
 def closure_by_fixed_point(g, seed):
@@ -99,6 +108,11 @@ def monomials_by_all_pairs(g, kind, max_len, *, degrees=None, source=None):
                 if is_normal_monomial(g, kind, special, m):
                     out.append(m)
     return sorted(out, key=GMonomial.sort_key)
+
+
+def word_of(real, ghost):
+    """The raw word real·ghost* that the rewriter reads."""
+    return list(real.edges) + [e + "*" for e in reversed(ghost.edges)] or [real.source]
 
 
 @st.composite
@@ -177,3 +191,41 @@ def test_count_matches_enumeration(data, g):
     degrees = data.draw(windows(max_len))
     assert count_ga_monomials(g, kind, max_len, degrees=degrees) == \
         len(enumerate_ga_monomials(g, kind, max_len, degrees=degrees))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), g=graphs(max_vertices=4, max_edges=6))
+def test_direct_straightening_matches_the_word_rewriter(data, g):
+    """parse_element, project_to_quotient and the corner sums straighten
+    real·ghost* directly; rewriting the same words gives the same elements."""
+    kind = data.draw(st.sampled_from(ALGEBRA_KINDS))
+    paths = all_paths_up_to(g, 2)
+    pairs = [(a, Path.vertex(g, a.target)) if kind == PATH else (a, b)
+             for a in paths for b in paths if a.target == b.target]
+    terms = data.draw(st.lists(st.tuples(st.integers(-3, 3),
+                                         st.sampled_from(pairs)), max_size=5))
+    expected = normal_form(g, kind, [(c, word_of(a, b)) for c, (a, b) in terms])
+    alg = Algebra(kind, g)
+    assert alg.sum_of((QQ.coerce(c), a, b) for c, (a, b) in terms) == expected
+    text = " + ".join(f"{c} {a!r}|{b!r}" for c, (a, b) in terms) or "0"
+    assert parse_element(text, g, kind) == expected
+
+    h = data.draw(st.sampled_from(enumerate_hereditary_saturated(g)[:-1]))
+    q = quotient_graph(g, h)
+    kept = [(c, word_of(m.real, m.ghost)) for m, c in expected.coeffs.items()
+            if m.real.target not in h]
+    assert project_to_quotient(expected, h, q) == normal_form(q, kind, kept)
+
+    leavitt = Algebra(LEAVITT, g)
+    for c in cycles_without_exits(g):
+        feeding = cycle_feeding_paths(g, c)
+        if feeding is not None:
+            words = [(1, word_of(t.concat(c.rotation_based_at(g, t.target)), t))
+                     for t in feeding]
+            assert _corner_sum(leavitt, feeding, c) == \
+                normal_form(g, LEAVITT, words)
+    for v in g.vertices:
+        feeding = paths_into(g, frozenset({v})) if g.is_sink(v) else None
+        if feeding is not None:
+            assert _corner_sum(leavitt, feeding) == \
+                normal_form(g, LEAVITT, [(1, word_of(t, t)) for t in feeding])

@@ -1,8 +1,10 @@
+import operator
 import random
 
 import pytest
 
 from pathcenters import (
+    Algebra,
     AmbientError,
     COHN,
     GAElement,
@@ -11,6 +13,7 @@ from pathcenters import (
     Graph,
     LEAVITT,
     Path,
+    PrimeField,
     SpecialEdgeChoice,
     T_operator,
     WordError,
@@ -402,3 +405,38 @@ def test_reduce_word_respects_scalars():
     g = rose_graph(1)
     el = normal_form(g, LEAVITT, [(2, ["f1", "f1*"]), (-1, ["v"])])
     assert el == word_element(g, LEAVITT, ["v"])  # 2v - v
+
+
+# --- one algebra value per element ---------------------------------------------
+
+
+@pytest.mark.parametrize("other", [
+    lambda g: GAElement.one(g, COHN),
+    lambda g: GAElement.one(rose_graph(3), LEAVITT),
+    lambda g: GAElement.one(
+        g, LEAVITT, special=SpecialEdgeChoice.from_mapping(g, {"v": "f2"})),
+    lambda g: GAElement.one(g, LEAVITT, field=PrimeField(5)),
+], ids=["kind", "graph", "special", "field"])
+@pytest.mark.parametrize("op", [operator.mul, operator.add], ids=["mul", "add"])
+def test_elements_of_different_algebras_do_not_mix(other, op):
+    g = rose_graph(2)
+    a, b = GAElement.one(g, LEAVITT), other(g)
+    assert a.algebra != b.algebra and a != b
+    with pytest.raises(AmbientError):
+        op(a, b)
+    with pytest.raises(AmbientError):
+        op(b, a)
+
+
+def test_equal_algebras_built_apart_mix():
+    g = rose_graph(2)
+    alg = Algebra(LEAVITT, g)
+    assert alg == Algebra(LEAVITT, rose_graph(2),
+                          SpecialEdgeChoice.lex_default(g), QQ)
+    assert alg.special == SpecialEdgeChoice.lex_default(g)
+    assert Algebra(COHN, g).special is None
+    with pytest.raises(AmbientError):
+        Algebra("weird", g)
+    f1 = GAElement.edge(g, LEAVITT, "f1")
+    assert alg.one() * f1 == f1 == f1 + GAElement.zero(g, LEAVITT)
+    assert (f1.kind, f1.field) == (LEAVITT, QQ)

@@ -301,3 +301,25 @@ def test_verify_reuses_a_given_subspace_and_guards_its_window():
             == verify_bounds(g, window=window))
     with pytest.raises(InvariantViolation):
         verify_bounds(g, window=other, subspace=sub)
+
+
+def test_one_solve_and_its_recheck_build_the_generators_once(monkeypatch):
+    from functools import cached_property
+
+    from pathcenters.graph_algebra import Algebra
+
+    builds = []
+    build = Algebra.generators.func
+
+    def counted(alg):
+        builds.append(alg)
+        return build(alg)
+
+    prop = cached_property(counted)
+    prop.__set_name__(Algebra, "generators")
+    monkeypatch.setattr(Algebra, "generators", prop)
+    sub = central_subspace(rose_graph(1), OracleWindow(LEAVITT, 3))
+    assert sub.dim == 7  # f1^k for |k| <= 3, each rechecked after the solve
+    assert len(builds) == 1
+    assert all(check_central(z) for z in sub.basis)
+    assert len(builds) == 1

@@ -1,0 +1,39 @@
+"""The benchmark's tracer still reaches the package's hot paths.
+
+`perfbench/tracing.py` wraps module attributes from outside the package, so
+a refactor that stops looking a traced name up at call time would silently
+drop it from the per-layer metrics.  This test only reads `perfbench/`."""
+
+import contextlib
+import importlib.util
+import io
+import pathlib
+
+from pathcenters import cli
+
+from conftest import fixture_path
+
+TRACING = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+
+
+def test_tracer_installs_over_the_package_and_sees_an_oracle_request():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    argv = ["oracle", str(fixture_path("rose_2")), "--algebra", "leavitt",
+            "--max-len", "2", "--verify"]
+    tracer = tracing.Tracer()
+    uninstall = tracing.install(tracer)
+    try:
+        tracer.begin_request(argv)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli.main(argv)
+    finally:
+        uninstall()
+    assert code == 0 and "ok: True" in out.getvalue()
+    metrics = tracing.per_layer(tracer)
+    assert metrics["graph_algebra.mul_monomials.calls"]["value"] > 0
+    assert metrics["oracle.centrality_witness.calls"]["value"] > 0
+    assert tracer.calls["graph_algebra.GAElement.mul"] > 0
+    assert metrics["oracle.central_subspace.calls"]["value"] == 1
