@@ -4,8 +4,9 @@ Covers: the center of the path algebra KE (scalars except on cycle graphs,
 where it is a polynomial ring on the rotation sum), primeness and centers of
 prime Cohn and Leavitt path algebras, the enumeration of graded prime ideals
 with their I/J flavors, and the upper/lower center bounds for a general
-Leavitt path algebra.  Every structural answer can be cross-checked against
-the brute-force oracle.
+Leavitt path algebra.  Every generator is a closed form checked central by
+direct products, never solved for, so the oracle that cross-checks it stays
+independent.
 """
 
 from __future__ import annotations
@@ -20,8 +21,6 @@ from .graph import (
     Path,
     all_paths_up_to,
     connected_components,
-    count_paths_ending_at_base,
-    count_paths_ending_at_cycle,
     cycle_feeding_paths,
     cycles_without_exits,
     enumerate_hereditary_saturated,
@@ -42,8 +41,8 @@ from .linalg import LinearSpan
 from .oracle import (
     OracleWindow,
     check_central,
+    check_window_cap,
     element_vector,
-    graded_center_component,
     solved_subspace,
     structural_truncation,
 )
@@ -184,6 +183,7 @@ class PrimeLeavittClassification:
     cycle: Cycle | None = None
     path_count: object = None  # int, or math.inf
     base_count: object = None
+    feeding: tuple | None = None  # the paths feeding the cycle, if finitely many
 
 
 def classify_prime_leavitt(g: Graph) -> PrimeLeavittClassification:
@@ -197,61 +197,45 @@ def classify_prime_leavitt(g: Graph) -> PrimeLeavittClassification:
         raise InvariantViolation("prime graph with two exit-free cycles; "
                                  "orthogonality theorem violated")
     c = exit_free[0]
-    n = count_paths_ending_at_cycle(g, c)
-    base = count_paths_ending_at_base(g, c)
-    if n is math.inf or n == math.inf:
+    feeding = cycle_feeding_paths(g, c)
+    if feeding is None:
         return PrimeLeavittClassification(
             scalar=True, reason="infinite_feeding", cycle=c,
             path_count=math.inf, base_count=math.inf,
         )
+    # each feeding path ends l(c) paths on the cycle that do not traverse
+    # every cycle edge, one of them at the base
     return PrimeLeavittClassification(
         scalar=False, reason="finite_cycle", cycle=c,
-        path_count=n, base_count=base,
+        path_count=c.length * len(feeding), base_count=len(feeding),
+        feeding=tuple(feeding),
     )
 
 
-def _normalize_leading(el):
-    lead = min(el.coeffs, key=lambda m: m.sort_key())
-    k = el.coeffs[lead]
-    if k == el.field.one:
-        return el
-    return el.scale(el.field.inv(k))
+def laurent_generator(alg: Algebra, cls: PrimeLeavittClassification) -> GAElement:
+    """The degree-l(c) generator of a prime Laurent center: the sum over the
+    feeding paths t of t·c_t·t*, c_t the cycle rotated to enter at r(t)
+    (Aranda Pino-Crow, Rev. Mat. Iberoam. 27, 2011), verified central and
+    unitary.  ResourceCapExceeded when the degree-l(c) window of real length
+    l(c) + the longest feeding path, where `oracle --verify` would check the
+    generator, holds more candidate monomials than the cap."""
+    c = cls.cycle
+    max_len = c.length + max(t.length for t in cls.feeding)
+    check_window_cap(alg.graph, OracleWindow.single_degree(LEAVITT, max_len, c.length))
+    return _corner_generator(alg, cls.feeding, c)
 
 
-def laurent_generator(g: Graph, c: Cycle, *, field=QQ, special=None) -> GAElement:
-    """The homogeneous degree-l(c) central generator for the Laurent case,
-    obtained by exact linear solve in the window of real length at most
-    l(c) + the longest feeding path, then verified central and unitary."""
-    feeding = cycle_feeding_paths(g, c)
-    if feeding is None:
-        raise HypothesisNotMet("infinitely many paths feed the cycle")
-    max_len = c.length + max(p.length for p in feeding)
-    comp = graded_center_component(g, LEAVITT, c.length, max_len,
-                                   field=field, special=special)
-    if comp.dim != 1:
-        raise InvariantViolation(
-            f"degree-{c.length} central component has dimension {comp.dim}, "
-            "expected 1"
-        )
-    z = _normalize_leading(comp.basis[0])
-    one = z.algebra.one()
-    if not check_central(z):
-        raise InvariantViolation("constructed generator is not central")
-    if z * z.involution() != one or z.involution() * z != one:
-        raise InvariantViolation("constructed generator is not unitary")
-    return z
-
-
-def center_prime_leavitt(g: Graph, field=QQ, special=None) -> CenterStructure:
+def center_prime_leavitt(g: Graph, field=QQ, cls=None) -> CenterStructure:
     """Z(L_K(E)) for prime L_K(E): K under Condition (L) or an infinitely-fed
     exit-free cycle; K[x,x^-1] for a finitely-fed exit-free cycle, with the
-    degree-l(c) generator constructed explicitly."""
-    cls = classify_prime_leavitt(g)
-    one = GAElement.one(g, LEAVITT, special=special, field=field)
+    degree-l(c) generator constructed explicitly.  `cls` is the graph's
+    classification when the caller already has it."""
+    if cls is None:
+        cls = classify_prime_leavitt(g)
+    alg = Algebra(LEAVITT, g, field=field)
     if cls.scalar:
-        return CenterStructure(SCALAR, (one,))
-    z = laurent_generator(g, cls.cycle, field=field, special=special)
-    return CenterStructure(LAURENT, (one, z))
+        return CenterStructure(SCALAR, (alg.one(),))
+    return CenterStructure(LAURENT, (alg.one(), laurent_generator(alg, cls)))
 
 
 # --- orthogonality of exit-free cycles ---------------------------------------
@@ -277,12 +261,12 @@ def _ideal_monomials(alg, vertex_set, max_len):
     return [el for el in els if el]
 
 
-def uniqueness_check_exit_free(g: Graph, max_len: int = 3, *, field=QQ,
-                               special=None) -> ExitFreeUniquenessReport:
+def uniqueness_check_exit_free(g: Graph, max_len: int = 3, *,
+                               field=QQ) -> ExitFreeUniquenessReport:
     """For prime graphs, confirm there is at most one exit-free cycle; for
     graphs with several, verify computationally that the bounded spanning
     monomials of their ideals annihilate each other."""
-    alg = Algebra(LEAVITT, g, special, field)
+    alg = Algebra(LEAVITT, g, field=field)
     exit_free = tuple(cycles_without_exits(g))
     prime = is_prime_leavitt(g)
     unique = (len(exit_free) <= 1) if prime else None
@@ -319,32 +303,21 @@ class GradedPrimeRecord:
     path_count: object = None
 
 
-def graded_prime_ideals(g: Graph, max_vertices: int = 16):
+def graded_prime_ideals(g: Graph):
     """All proper hereditary saturated H with downward-directed quotient,
     classified into flavor I (a K factor) or J (a K[x,x^-1] factor)."""
     records = []
     everything = frozenset(g.vertices)
-    for h in enumerate_hereditary_saturated(g, max_vertices):
+    for h in enumerate_hereditary_saturated(g):
         if h == everything:
             continue
         q = quotient_graph(g, h)
-        if not is_downward_directed(q):
+        try:
+            cls = classify_prime_leavitt(q)
+        except HypothesisNotMet:  # the quotient is not downward directed
             continue
-        exit_free = cycles_without_exits(q)
-        if not exit_free:
-            records.append(GradedPrimeRecord(h, q, "I", "condition_L"))
-            continue
-        if len(exit_free) > 1:
-            raise InvariantViolation("downward-directed quotient with two exit-free "
-                                     "cycles; orthogonality theorem violated")
-        c = exit_free[0]
-        n = count_paths_ending_at_cycle(q, c)
-        if n == math.inf:
-            records.append(
-                GradedPrimeRecord(h, q, "I", "infinite_feeding", c, math.inf))
-        else:
-            records.append(
-                GradedPrimeRecord(h, q, "J", "finite_cycle", c, n))
+        records.append(GradedPrimeRecord(h, q, "I" if cls.scalar else "J",
+                                         cls.reason, cls.cycle, cls.path_count))
     return records
 
 
@@ -400,26 +373,37 @@ def _corner_sum(alg, feeding, c: Cycle = None):
         for t in feeding)
 
 
+def _corner_generator(alg, feeding, c: Cycle = None):
+    """`_corner_sum`, checked: it must be central, and z·z* = z*·z must be
+    the corner unit sum t·t* (1 on a whole prime graph)."""
+    z = _corner_sum(alg, feeding, c)
+    unit = z if c is None else _corner_sum(alg, feeding)
+    zi = z.involution()
+    if not check_central(z):
+        raise InvariantViolation("constructed generator is not central")
+    if z * zi != unit or zi * z != unit:
+        raise InvariantViolation("constructed generator is not unitary")
+    return z
+
+
 def _component_center_pieces(alg, comp):
     """Decidable description of the center of the ideal on a full component."""
     g = alg.graph
     sub = Graph.build(sorted(comp),
                       [(e, g.src[e], g.rng[e]) for e in g.edges
                        if g.src[e] in comp])
-    if not is_downward_directed(sub):
+    try:
+        cls = classify_prime_leavitt(sub)
+    except HypothesisNotMet:
         return [PieceContribution("unknown",
                                   "non-prime component; oracle-bounded evidence only")]
-    cls = classify_prime_leavitt(sub)
     if cls.scalar:
         gen = GAElement(alg, {GMonomial.at_vertex(g, v): alg.field.one
                               for v in sorted(comp)})
         return [PieceContribution("scalar", f"component identity ({cls.reason})", gen)]
-    feeding = cycle_feeding_paths(sub, cls.cycle)
-    z = _corner_sum(alg, feeding, cls.cycle)
-    if not check_central(z):
-        raise InvariantViolation("corner Laurent generator failed the centrality check")
+    z = _corner_generator(alg, cls.feeding, cls.cycle)
     return [PieceContribution(
-        "laurent", f"prime component, exit-free cycle fed by {len(feeding)} paths", z)]
+        "laurent", f"prime component, exit-free cycle fed by {len(cls.feeding)} paths", z)]
 
 
 def _ideal_center_pieces(g, h, special, field):
@@ -453,12 +437,9 @@ def _ideal_center_pieces(g, h, special, field):
                 pieces.append(PieceContribution(
                     "zero", "matrix size infinite: a cycle feeds the corner"))
             else:
-                z = _corner_sum(alg, feeding, c)
-                if not check_central(z):
-                    raise InvariantViolation(
-                        "corner Laurent generator failed the centrality check")
                 pieces.append(PieceContribution(
-                    "laurent", f"matrix corner over {len(feeding)} paths", z))
+                    "laurent", f"matrix corner over {len(feeding)} paths",
+                    _corner_generator(alg, feeding, c)))
         elif (len(sinks) == 1 and not cycles
                 and hereditary_saturated_closure(g, {sinks[0]}) == part):
             feeding = paths_into(g, frozenset(sinks))
@@ -466,11 +447,9 @@ def _ideal_center_pieces(g, h, special, field):
                 pieces.append(PieceContribution(
                     "zero", "matrix size infinite: a cycle feeds the sink"))
             else:
-                unit = _corner_sum(alg, feeding)
-                if not check_central(unit):
-                    raise InvariantViolation("corner unit failed the centrality check")
                 pieces.append(PieceContribution(
-                    "scalar", f"matrix corner over K on {len(feeding)} paths", unit))
+                    "scalar", f"matrix corner over K on {len(feeding)} paths",
+                    _corner_generator(alg, feeding)))
         else:
             pieces.append(PieceContribution(
                 "unknown", "no decidable pattern; oracle-bounded evidence only"))
@@ -478,27 +457,25 @@ def _ideal_center_pieces(g, h, special, field):
 
 
 def _whole_center_pieces(alg):
-    g = alg.graph
-    if is_downward_directed(g):
-        cls = classify_prime_leavitt(g)
-        if cls.scalar:
-            return [PieceContribution("scalar", f"whole center ({cls.reason})",
-                                      alg.one())]
-        z = laurent_generator(g, cls.cycle, field=alg.field, special=alg.special)
-        return [PieceContribution("laurent", "whole center", z)]
-    return [PieceContribution("unknown",
-                              "whole non-prime algebra; oracle-bounded evidence only")]
+    try:
+        cls = classify_prime_leavitt(alg.graph)
+    except HypothesisNotMet:
+        return [PieceContribution("unknown",
+                                  "whole non-prime algebra; oracle-bounded evidence only")]
+    if cls.scalar:
+        return [PieceContribution("scalar", f"whole center ({cls.reason})",
+                                  alg.one())]
+    return [PieceContribution("laurent", "whole center", laurent_generator(alg, cls))]
 
 
-def center_bounds(g: Graph, *, field=QQ, special=None,
-                  max_vertices: int = 16) -> CenterBounds:
+def center_bounds(g: Graph, *, field=QQ) -> CenterBounds:
     """Theorem-level bounds: the upper bound is one K per I-record and one
     K[x,x^-1] per J-record; the lower bound collects Z(W_P) for W_P the
     intersection of the other graded primes, described structurally in the
     decidable patterns.  A singleton family makes W_P improper, so its lower
     entry degenerates to the whole center and is flagged as such."""
-    alg = Algebra(LEAVITT, g, special, field)
-    records = tuple(graded_prime_ideals(g, max_vertices))
+    alg = Algebra(LEAVITT, g, field=field)
+    records = tuple(graded_prime_ideals(g))
     upper = tuple("K" if r.flavor == "I" else "K[x,x^-1]" for r in records)
     lower = []
     everything = frozenset(g.vertices)
@@ -527,17 +504,17 @@ class BoundsVerification:
     notes: tuple = ()
 
 
-def project_to_quotient(el: GAElement, h, qgraph: Graph, *, special=None):
+def project_to_quotient(el: GAElement, h, qgraph: Graph):
     """Image of an element under L_K(E) -> L_K(E/H): monomials landing in H
     die, the rest are renormalized in the quotient's basis.  A surviving
     monomial's paths avoid H, so they are paths of the quotient too."""
-    return Algebra(el.kind, qgraph, special, el.field).sum_of(
+    return Algebra(el.kind, qgraph, field=el.field).sum_of(
         (c, m.real, m.ghost) for m, c in el.coeffs.items() if m.real.target not in h)
 
 
 def verify_bounds(g: Graph, bounds: CenterBounds = None,
                   window: OracleWindow = None, *, field=QQ,
-                  special=None, subspace=None) -> BoundsVerification:
+                  subspace=None) -> BoundsVerification:
     """Window-exact consistency of the bounds against the oracle: the bounded
     center basis must project into each quotient's structural truncation
     (upper containment) and must span every decidable lower generator's
@@ -546,10 +523,10 @@ def verify_bounds(g: Graph, bounds: CenterBounds = None,
     `subspace`, when given, is the `CentralSubspace` already solved for
     `window`; it is used instead of solving the window again."""
     if bounds is None:
-        bounds = center_bounds(g, field=field, special=special)
+        bounds = center_bounds(g, field=field)
     if window is None:
         window = OracleWindow(LEAVITT, 4, (-4, 4))
-    sub = solved_subspace(g, window, subspace, field=field, special=special)
+    sub = solved_subspace(g, window, subspace, field=field)
     notes = []
 
     upper_ok = True

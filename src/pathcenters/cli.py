@@ -65,15 +65,22 @@ def cmd_analyze(args):
     return report, EXIT_OK
 
 
-def _prime_claim(g, algebra, field):
+def _leavitt_classification(g):
+    """The prime Leavitt classification of the graph, or None if not prime."""
+    return ct.classify_prime_leavitt(g) if ct.is_prime_leavitt(g) else None
+
+
+def _prime_claim(g, algebra, field, cls=None):
     """The structural center claim when the algebra is prime, else None.
 
-    KE always has one; Cohn and Leavitt algebras only when prime."""
+    KE always has one; Cohn and Leavitt algebras only when prime.  `cls` is
+    the Leavitt classification when the caller already has it."""
     if algebra == "path":
         return ct.center_structure_KE(g, field)
     if algebra == "cohn":
         return ct.center_prime_cohn(g, field) if ct.is_prime_cohn(g) else None
-    return ct.center_prime_leavitt(g, field) if ct.is_prime_leavitt(g) else None
+    cls = cls or _leavitt_classification(g)
+    return ct.center_prime_leavitt(g, field, cls) if cls else None
 
 
 def cmd_center(args):
@@ -81,11 +88,12 @@ def cmd_center(args):
     field = field_from_characteristic(args.char)
     report = rpt.new_report("center", g, args.file)
     code = EXIT_OK
-    claim = _prime_claim(g, args.algebra, field)
+    cls = _leavitt_classification(g) if args.algebra == "leavitt" else None
+    claim = _prime_claim(g, args.algebra, field, cls)
     if claim is not None:
         block = {"algebra": args.algebra, **rpt.structure_block(claim)}
-        if args.algebra == "leavitt":
-            block["exit_free_cycle_counts"] = rpt.cycle_counts_block(g)
+        if cls is not None:
+            block["exit_free_cycle_counts"] = rpt.cycle_counts_block(cls)
         report["sections"]["center-structure"] = block
     elif args.algebra == "cohn":
         rpt.add_notice(report, "Cohn path algebra is not prime "

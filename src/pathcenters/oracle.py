@@ -108,14 +108,12 @@ def centrality_witness(a):
     return None
 
 
-def enumerate_candidates(g: Graph, window: OracleWindow, *, special=None,
-                         cap=None):
-    """Window candidates, checked against the configured resource cap.
-
-    The cap is checked on the exact count before any monomial is built."""
+def check_window_cap(g: Graph, window: OracleWindow, cap=None):
+    """Raise ResourceCapExceeded when `window` holds more candidate monomials
+    than the configured cap, counted exactly without building a monomial."""
     cap = monomial_cap(cap)
     needed = count_ga_monomials(g, window.kind, window.max_len,
-                                degrees=window.degrees, special=special)
+                                degrees=window.degrees)
     if needed > cap:
         try:
             text = str(needed)
@@ -126,15 +124,22 @@ def enumerate_candidates(g: Graph, window: OracleWindow, *, special=None,
             needed=needed,
             cap=cap,
         )
+
+
+def enumerate_candidates(g: Graph, window: OracleWindow, *, cap=None):
+    """Window candidates, checked against the configured resource cap.
+
+    The cap is checked on the exact count before any monomial is built."""
+    check_window_cap(g, window, cap)
     return enumerate_ga_monomials(g, window.kind, window.max_len,
-                                  degrees=window.degrees, special=special)
+                                  degrees=window.degrees)
 
 
-def central_subspace(g: Graph, window: OracleWindow, *, field=QQ, special=None,
+def central_subspace(g: Graph, window: OracleWindow, *, field=QQ,
                      cap=None) -> CentralSubspace:
     """Exact basis of all window elements commuting with every generator."""
-    alg = Algebra(window.kind, g, special, field)
-    candidates = enumerate_candidates(g, window, special=alg.special, cap=cap)
+    alg = Algebra(window.kind, g, field=field)
+    candidates = enumerate_candidates(g, window, cap=cap)
     # every generator is a single monomial with coefficient 1
     gen_monomials = [next(iter(gel.coeffs)) for _, gel in alg.generators]
 
@@ -169,11 +174,11 @@ def central_subspace(g: Graph, window: OracleWindow, *, field=QQ, special=None,
     return CentralSubspace(tuple(basis), window, len(candidates))
 
 
-def graded_center_component(g: Graph, kind, n: int, max_len: int, *, field=QQ,
-                            special=None, cap=None) -> CentralSubspace:
+def graded_center_component(g: Graph, kind, n: int, max_len: int, *,
+                            field=QQ) -> CentralSubspace:
     """The bounded view of the degree-n homogeneous component of the center."""
     window = OracleWindow.single_degree(kind, max_len, n)
-    return central_subspace(g, window, field=field, special=special, cap=cap)
+    return central_subspace(g, window, field=field)
 
 
 # --- verification of structural claims --------------------------------------
@@ -245,10 +250,10 @@ class VerificationReport:
 
 
 def solved_subspace(g: Graph, window: OracleWindow, subspace=None, *,
-                    field=QQ, special=None, cap=None) -> CentralSubspace:
+                    field=QQ) -> CentralSubspace:
     """`subspace` when the caller already solved `window`, else a fresh solve."""
     if subspace is None:
-        return central_subspace(g, window, field=field, special=special, cap=cap)
+        return central_subspace(g, window, field=field)
     if subspace.window != window:
         raise InvariantViolation(
             f"subspace was solved for {subspace.window}, not for {window}")
@@ -256,7 +261,7 @@ def solved_subspace(g: Graph, window: OracleWindow, subspace=None, *,
 
 
 def verify_structure(claim, g: Graph, window: OracleWindow, *, field=QQ,
-                     special=None, cap=None, subspace=None) -> VerificationReport:
+                     subspace=None) -> VerificationReport:
     """Cross-check a structural center claim against the oracle.
 
     (a) every claimed generator must commute with every algebra generator;
@@ -273,8 +278,7 @@ def verify_structure(claim, g: Graph, window: OracleWindow, *, field=QQ,
             if witness is not None:
                 failures.append((repr(gen), witness[0]))
 
-    subspace = solved_subspace(g, window, subspace, field=field,
-                               special=special, cap=cap)
+    subspace = solved_subspace(g, window, subspace, field=field)
     span = LinearSpan(field)
     for el in structural_truncation(claim, window):
         span.add(element_vector(el))

@@ -14,14 +14,9 @@ from .center_theory import CenterBounds, CenterStructure, SUM
 from .graph import (
     Graph,
     classify_vertex,
-    condition_L,
     connected_components,
-    count_paths_ending_at_base,
-    count_paths_ending_at_cycle,
     cycle_has_exit,
-    cycles_without_exits,
     enumerate_hereditary_saturated,
-    exit_free_cycle_vertices,
     find_cycles,
     is_downward_directed,
 )
@@ -52,24 +47,25 @@ def new_report(command: str, g: Graph, source: str):
     }
 
 
-def predicates_section(g: Graph, max_vertices: int = 16):
+def predicates_section(g: Graph):
     cycles = find_cycles(g)
-    fc = cycles_without_exits(g)
+    exits = [cycle_has_exit(g, c) for c in cycles]
     return {
         "sinks": [v for v in g.vertices if classify_vertex(g, v).sink],
         "sources": [v for v in g.vertices if classify_vertex(g, v).source],
         "regular": [v for v in g.vertices if classify_vertex(g, v).regular],
         "connected_components": [sorted(b) for b in connected_components(g)],
         "cycles": [
-            {"edges": list(c.edges), "has_exit": cycle_has_exit(g, c)}
-            for c in cycles
+            {"edges": list(c.edges), "has_exit": x}
+            for c, x in zip(cycles, exits)
         ],
-        "condition_L": condition_L(g),
+        "condition_L": all(exits),
         "downward_directed": is_downward_directed(g),
         "hereditary_saturated": [
-            sorted(h) for h in enumerate_hereditary_saturated(g, max_vertices)
+            sorted(h) for h in enumerate_hereditary_saturated(g)
         ],
-        "exit_free_cycle_vertices": sorted(exit_free_cycle_vertices(g)),
+        "exit_free_cycle_vertices": sorted(frozenset().union(
+            *(c.vertex_set(g) for c, x in zip(cycles, exits) if not x))),
     }
 
 
@@ -91,16 +87,16 @@ def structure_block(cs: CenterStructure):
     return out
 
 
-def cycle_counts_block(g: Graph):
-    """Both path-count readings for every exit-free cycle, for the record."""
-    out = []
-    for c in cycles_without_exits(g):
-        out.append({
-            "cycle": list(c.edges),
-            "paths_ending_not_all_edges": _count(count_paths_ending_at_cycle(g, c)),
-            "paths_ending_at_base": _count(count_paths_ending_at_base(g, c)),
-        })
-    return out
+def cycle_counts_block(cls):
+    """Both path-count readings for the exit-free cycle of a prime graph's
+    classification, if it has one, for the record."""
+    if cls.cycle is None:
+        return []
+    return [{
+        "cycle": list(cls.cycle.edges),
+        "paths_ending_not_all_edges": _count(cls.path_count),
+        "paths_ending_at_base": _count(cls.base_count),
+    }]
 
 
 def graded_primes_section(records):

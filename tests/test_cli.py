@@ -324,7 +324,8 @@ def test_invalid_monomial_cap_is_a_usage_error(monkeypatch, value):
     ("rose_2", "leavitt", 3, None),          # scalar claim
     ("cycle_3", "path", 3, None),            # K[x] claim
     ("two_loops", "leavitt", 2, (-2, 2)),    # not prime: the bounds check
-    ("rose_1", "leavitt", 3, (-3, 3)),       # Laurent claim, own solve
+    ("rose_1", "leavitt", 3, (-3, 3)),       # Laurent claim
+    ("feeder_loop", "leavitt", 3, None),     # Laurent claim over two paths
 ])
 def test_oracle_verify_solves_the_requested_window_once(monkeypatch, fixture,
                                                         algebra, max_len,
@@ -351,12 +352,67 @@ def test_oracle_verify_solves_the_requested_window_once(monkeypatch, fixture,
         argv += ["--deg-window", *map(str, degrees)]
     code, out, _ = run_cli(*argv)
     assert code == 0 and "ok: True" in out
-    assert solves[OracleWindow(algebra, max_len, degrees)] == 1
+    assert solves == {OracleWindow(algebra, max_len, degrees): 1}
 
 
 def _write_graph(path, vertices, edges):
     path.write_text(emit_graph(Graph.build(vertices, edges)))
     return str(path)
+
+
+def _ladder(tmp_path, rungs):
+    """Double-edge ladder of `rungs` rungs into an exit-free loop."""
+    vs = [f"x{i}" for i in range(rungs + 1)]
+    es = [(f"{a}{i}", f"x{i}", f"x{i + 1}")
+          for i in range(rungs) for a in "ab"]
+    return _write_graph(tmp_path / f"ladder_{rungs}.graph", vs,
+                        es + [("c", f"x{rungs}", f"x{rungs}")])
+
+
+def test_theory_builds_its_answers_without_the_oracle_solver(tmp_path,
+                                                              monkeypatch):
+    import importlib
+    import pkgutil
+
+    import pathcenters
+    from pathcenters import oracle
+
+    runs = [("center", str(fixture_path(name)), "--algebra", "leavitt")
+            for name in ("feeder_loop", "cycle_3")]
+    runs += [("center", _ladder(tmp_path, 4), "--algebra", "leavitt"),
+             ("gprimes", str(fixture_path("feeder_loop"))),
+             ("gprimes", str(fixture_path("two_loops")))]
+    expected = {argv: run_cli(*argv) for argv in runs}
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the oracle solver was called")
+
+    solve = oracle.central_subspace
+    for info in pkgutil.iter_modules(pathcenters.__path__):
+        module = importlib.import_module(f"pathcenters.{info.name}")
+        if getattr(module, "central_subspace", None) is solve:
+            monkeypatch.setattr(module, "central_subspace", refuse)
+    for argv in runs:
+        got = run_cli(*argv)
+        assert got[0] == 0 and "K[x,x^-1]" in got[1], argv
+        assert got == expected[argv], argv
+
+
+def test_analyze_walks_the_cycles_once(monkeypatch):
+    from pathcenters import graph, report
+
+    calls = []
+    find_cycles = graph.find_cycles
+
+    def counted(g):
+        calls.append(g)
+        return find_cycles(g)
+
+    monkeypatch.setattr(report, "find_cycles", counted)
+    monkeypatch.setattr(graph, "find_cycles", counted)
+    code, out, _ = run_cli("analyze", str(fixture_path("toeplitz")))
+    assert code == 0 and "condition_L: True" in out
+    assert len(calls) == 1
 
 
 def test_long_graphs_end_in_a_resource_cap_without_traceback(tmp_path):
@@ -412,12 +468,7 @@ def test_ladder_window_is_refused_on_its_count_before_any_monomial(
         module = importlib.import_module(f"pathcenters.{info.name}")
         if hasattr(module, "enumerate_ga_monomials"):
             monkeypatch.setattr(module, "enumerate_ga_monomials", refuse)
-    rungs = 8
-    vs = [f"x{i}" for i in range(rungs + 1)]
-    es = [(f"{a}{i}", f"x{i}", f"x{i + 1}")
-          for i in range(rungs) for a in "ab"]
-    ladder = _write_graph(tmp_path / "ladder.graph", vs,
-                          es + [("c", f"x{rungs}", f"x{rungs}")])
+    ladder = _ladder(tmp_path, 8)
     for argv in (("center", ladder, "--algebra", "leavitt"),
                  ("gprimes", ladder)):
         code, out, err = run_cli(*argv)

@@ -4,10 +4,16 @@ only as test oracles."""
 
 from itertools import combinations
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from pathcenters import Graph
-from pathcenters.center_theory import _corner_sum, project_to_quotient
+from pathcenters.center_theory import (
+    _corner_sum,
+    classify_prime_leavitt,
+    laurent_generator,
+    project_to_quotient,
+)
 from pathcenters.graph import (
     Path,
     all_paths_up_to,
@@ -33,8 +39,13 @@ from pathcenters.graph_algebra import (
     is_normal_monomial,
     normal_form,
 )
-from pathcenters.scalars import QQ
-from pathcenters.textio import parse_element
+from pathcenters.oracle import graded_center_component
+from pathcenters.scalars import QQ, PrimeField
+from pathcenters.textio import parse_element, parse_graph
+
+from conftest import FIXTURES
+
+FIELDS = [QQ, PrimeField(65521)]
 
 
 def closure_by_fixed_point(g, seed):
@@ -110,6 +121,19 @@ def monomials_by_all_pairs(g, kind, max_len, *, degrees=None, source=None):
     return sorted(out, key=GMonomial.sort_key)
 
 
+def solved_laurent_generator(g, cls, field):
+    """The degree-l(c) central component solved in the window of real length
+    l(c) + the longest feeding path, its one basis vector scaled to leading
+    coefficient 1."""
+    c = cls.cycle
+    max_len = c.length + max(t.length for t in cls.feeding)
+    comp = graded_center_component(g, LEAVITT, c.length, max_len, field=field)
+    assert comp.dim == 1
+    z = comp.basis[0]
+    lead = min(z.coeffs, key=GMonomial.sort_key)
+    return z.scale(field.inv(z.coeffs[lead]))
+
+
 def word_of(real, ghost):
     """The raw word real·ghost* that the rewriter reads."""
     return list(real.edges) + [e + "*" for e in reversed(ghost.edges)] or [real.source]
@@ -124,6 +148,23 @@ def graphs(draw, max_vertices=6, max_edges=10):
     es = [(f"e{j}", draw(st.sampled_from(vs)), draw(st.sampled_from(vs)))
           for j in range(m)]
     return Graph.build(vs, es)
+
+
+@st.composite
+def fed_cycles(draw, max_feeders=4, max_cycle=3):
+    """Downward-directed graphs with an exit-free cycle fed finitely: an
+    acyclic set of feeders, each with edges (parallel ones too) only to
+    later feeders or onto the cycle, so every vertex reaches the cycle."""
+    k = draw(st.integers(1, max_cycle))
+    m = draw(st.integers(0, max_feeders))
+    cyc = [f"c{i}" for i in range(k)]
+    feeders = [f"u{i}" for i in range(m)]
+    es = [(f"z{i}", cyc[i], cyc[(i + 1) % k]) for i in range(k)]
+    for i, u in enumerate(feeders):
+        later = feeders[i + 1:] + cyc
+        for w in draw(st.lists(st.sampled_from(later), min_size=1, max_size=2)):
+            es.append((f"e{len(es)}", u, w))
+    return Graph.build(feeders + cyc, es)
 
 
 @st.composite
@@ -229,3 +270,31 @@ def test_direct_straightening_matches_the_word_rewriter(data, g):
         if feeding is not None:
             assert _corner_sum(leavitt, feeding) == \
                 normal_form(g, LEAVITT, [(1, word_of(t, t)) for t in feeding])
+
+
+def _laurent_fixtures():
+    for path in sorted(FIXTURES.glob("*.graph")):
+        g = parse_graph(path.read_text())
+        if is_downward_directed(g) and not classify_prime_leavitt(g).scalar:
+            yield path.stem, g
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=["QQ", "F65521"])
+def test_closed_form_laurent_generator_matches_the_solve_on_fixtures(field):
+    names = []
+    for name, g in _laurent_fixtures():
+        cls = classify_prime_leavitt(g)
+        assert laurent_generator(Algebra(LEAVITT, g, field=field), cls) == \
+            solved_laurent_generator(g, cls, field), name
+        names.append(name)
+    assert len(names) >= 5, names
+
+
+@settings(max_examples=100, deadline=None)
+@given(g=fed_cycles(), field=st.sampled_from(FIELDS))
+def test_closed_form_laurent_generator_matches_the_solve(g, field):
+    assert is_downward_directed(g)
+    cls = classify_prime_leavitt(g)
+    assert cls.reason == "finite_cycle"
+    assert laurent_generator(Algebra(LEAVITT, g, field=field), cls) == \
+        solved_laurent_generator(g, cls, field)
