@@ -144,13 +144,14 @@ def cycle_center_evaluate(g: Graph, poly_coeffs, field=QQ) -> GAElement:
     cyc = _component_cycle(g, comps[0])
     if cyc is None:
         raise GraphError("not a cycle graph")
-    out = GAElement.zero(g, PATH, field=field)
+    alg = Algebra(PATH, g, field=field)
+    out = alg.zero()
     for k, a in enumerate(poly_coeffs):
         a = field.coerce(a)
         if a == field.zero:
             continue
         if k == 0:
-            out = out + GAElement.one(g, PATH, field=field).scale(a)
+            out = out + alg.one().scale(a)
         else:
             out = out + cycle_rotation_sum(g, cyc, k, field).scale(a)
     return out
@@ -173,7 +174,7 @@ def center_prime_cohn(g: Graph, field=QQ) -> CenterStructure:
     """Z(C_K(E)) = K for a prime Cohn path algebra (the one-vertex rose)."""
     if not is_prime_cohn(g):
         raise HypothesisNotMet("Cohn path algebra is not prime: |E^0| != 1")
-    return CenterStructure(SCALAR, (GAElement.one(g, COHN, field=field),))
+    return CenterStructure(SCALAR, (Algebra(COHN, g, field=field).one(),))
 
 
 @dataclass(frozen=True)
@@ -212,17 +213,22 @@ def classify_prime_leavitt(g: Graph) -> PrimeLeavittClassification:
     )
 
 
-def laurent_generator(alg: Algebra, cls: PrimeLeavittClassification) -> GAElement:
-    """The degree-l(c) generator of a prime Laurent center: the sum over the
-    feeding paths t of t·c_t·t*, c_t the cycle rotated to enter at r(t)
-    (Aranda Pino-Crow, Rev. Mat. Iberoam. 27, 2011), verified central and
-    unitary.  ResourceCapExceeded when the degree-l(c) window of real length
-    l(c) + the longest feeding path, where `oracle --verify` would check the
-    generator, holds more candidate monomials than the cap."""
-    c = cls.cycle
-    max_len = c.length + max(t.length for t in cls.feeding)
-    check_window_cap(alg.graph, OracleWindow.single_degree(LEAVITT, max_len, c.length))
-    return _corner_generator(alg, cls.feeding, c)
+def laurent_generator(alg: Algebra, feeding, c: Cycle) -> GAElement:
+    """The degree-l(c) generator of a Laurent center on the exit-free cycle
+    c: the sum over the feeding paths t of t·c_t·t*, c_t the cycle rotated
+    to enter at r(t) (Aranda Pino-Crow, Rev. Mat. Iberoam. 27, 2011),
+    verified central and unitary.  ResourceCapExceeded when the degree-l(c)
+    window of real length l(c) + the longest feeding path holds more
+    candidate monomials than the cap on the vertices that reach c (on a
+    prime graph, all of them: the window `oracle --verify` checks it in)."""
+    g = alg.graph
+    near = {t.source for t in feeding}
+    fed = Graph.build([v for v in g.vertices if v in near],
+                      [(e, g.src[e], g.rng[e]) for e in g.edges
+                       if g.src[e] in near and g.rng[e] in near])
+    max_len = c.length + max(t.length for t in feeding)
+    check_window_cap(fed, OracleWindow.single_degree(LEAVITT, max_len, c.length))
+    return _corner_generator(alg, feeding, c)
 
 
 def center_prime_leavitt(g: Graph, field=QQ, cls=None) -> CenterStructure:
@@ -235,7 +241,8 @@ def center_prime_leavitt(g: Graph, field=QQ, cls=None) -> CenterStructure:
     alg = Algebra(LEAVITT, g, field=field)
     if cls.scalar:
         return CenterStructure(SCALAR, (alg.one(),))
-    return CenterStructure(LAURENT, (alg.one(), laurent_generator(alg, cls)))
+    return CenterStructure(LAURENT, (alg.one(),
+                                     laurent_generator(alg, cls.feeding, cls.cycle)))
 
 
 # --- orthogonality of exit-free cycles ---------------------------------------
@@ -293,14 +300,12 @@ def uniqueness_check_exit_free(g: Graph, max_len: int = 3, *,
 
 @dataclass(frozen=True)
 class GradedPrimeRecord:
-    """A graded prime ideal I(H) together with its classification data."""
+    """A graded prime ideal I(H) together with its quotient's classification."""
 
     H: frozenset
     quotient: Graph
     flavor: str  # "I" | "J"
-    witness: str  # "condition_L" | "infinite_feeding" | "finite_cycle"
-    cycle: Cycle | None = None  # exit-free cycle of the quotient, if any
-    path_count: object = None
+    cls: PrimeLeavittClassification
 
 
 def graded_prime_ideals(g: Graph):
@@ -316,8 +321,7 @@ def graded_prime_ideals(g: Graph):
             cls = classify_prime_leavitt(q)
         except HypothesisNotMet:  # the quotient is not downward directed
             continue
-        records.append(GradedPrimeRecord(h, q, "I" if cls.scalar else "J",
-                                         cls.reason, cls.cycle, cls.path_count))
+        records.append(GradedPrimeRecord(h, q, "I" if cls.scalar else "J", cls))
     return records
 
 
@@ -401,12 +405,12 @@ def _component_center_pieces(alg, comp):
         gen = GAElement(alg, {GMonomial.at_vertex(g, v): alg.field.one
                               for v in sorted(comp)})
         return [PieceContribution("scalar", f"component identity ({cls.reason})", gen)]
-    z = _corner_generator(alg, cls.feeding, cls.cycle)
+    z = laurent_generator(alg, cls.feeding, cls.cycle)
     return [PieceContribution(
         "laurent", f"prime component, exit-free cycle fed by {len(cls.feeding)} paths", z)]
 
 
-def _ideal_center_pieces(g, h, special, field):
+def _ideal_center_pieces(alg, h):
     """Structural center of I(H) in the decidable patterns, else `unknown`.
 
     Decidable: the zero ideal; whole components carrying a prime Leavitt
@@ -417,7 +421,7 @@ def _ideal_center_pieces(g, h, special, field):
     """
     if not h:
         return [PieceContribution("zero", "zero ideal")]
-    alg = Algebra(LEAVITT, g, special, field)
+    g = alg.graph
     pieces = []
     for comp in connected_components(g):
         part = h & comp
@@ -439,7 +443,7 @@ def _ideal_center_pieces(g, h, special, field):
             else:
                 pieces.append(PieceContribution(
                     "laurent", f"matrix corner over {len(feeding)} paths",
-                    _corner_generator(alg, feeding, c)))
+                    laurent_generator(alg, feeding, c)))
         elif (len(sinks) == 1 and not cycles
                 and hereditary_saturated_closure(g, {sinks[0]}) == part):
             feeding = paths_into(g, frozenset(sinks))
@@ -456,16 +460,19 @@ def _ideal_center_pieces(g, h, special, field):
     return pieces
 
 
-def _whole_center_pieces(alg):
-    try:
-        cls = classify_prime_leavitt(alg.graph)
-    except HypothesisNotMet:
+def _whole_center_pieces(alg, record):
+    """The whole center, given the only graded prime: the algebra is prime
+    exactly when that prime is the zero ideal, and then the record's
+    classification is the graph's own."""
+    if record.H:
         return [PieceContribution("unknown",
                                   "whole non-prime algebra; oracle-bounded evidence only")]
+    cls = record.cls
     if cls.scalar:
         return [PieceContribution("scalar", f"whole center ({cls.reason})",
                                   alg.one())]
-    return [PieceContribution("laurent", "whole center", laurent_generator(alg, cls))]
+    return [PieceContribution("laurent", "whole center",
+                              laurent_generator(alg, cls.feeding, cls.cycle))]
 
 
 def center_bounds(g: Graph, *, field=QQ) -> CenterBounds:
@@ -484,11 +491,11 @@ def center_bounds(g: Graph, *, field=QQ) -> CenterBounds:
         if not others:
             lower.append(LowerSummand(
                 i, everything, True,
-                tuple(_whole_center_pieces(alg))))
+                tuple(_whole_center_pieces(alg, records[i]))))
             continue
         hw = frozenset.intersection(*others)
         lower.append(LowerSummand(
-            i, hw, False, tuple(_ideal_center_pieces(g, hw, alg.special, field))))
+            i, hw, False, tuple(_ideal_center_pieces(alg, hw))))
     radical = (frozenset.intersection(*(r.H for r in records))
                if records else everything)
     return CenterBounds(records, upper, tuple(lower), radical)
@@ -531,7 +538,7 @@ def verify_bounds(g: Graph, bounds: CenterBounds = None,
 
     upper_ok = True
     for r in bounds.records:
-        claim_q = center_prime_leavitt(r.quotient, field=field)
+        claim_q = center_prime_leavitt(r.quotient, field=field, cls=r.cls)
         span = LinearSpan(field)
         for el in structural_truncation(claim_q, window):
             span.add(element_vector(el))

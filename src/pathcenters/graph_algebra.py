@@ -129,27 +129,6 @@ class SpecialEdgeChoice:
         return self._edge.get(v)
 
 
-def default_special(g: Graph, kind, special=None):
-    if kind not in ALGEBRA_KINDS:
-        raise AmbientError(f"unknown algebra kind {kind!r}")
-    if kind != LEAVITT:
-        return None
-    return special if special is not None else SpecialEdgeChoice.lex_default(g)
-
-
-def is_normal_monomial(g: Graph, kind, special, m: GMonomial) -> bool:
-    if kind == PATH:
-        return m.ghost.is_trivial
-    if kind == COHN:
-        return True
-    if m.real.is_trivial or m.ghost.is_trivial:
-        return True
-    e = m.real.edges[-1]
-    if e != m.ghost.edges[-1]:
-        return True
-    return special.edge_at(g.src[e]) != e
-
-
 @dataclass(frozen=True)
 class Algebra:
     """The path, Cohn or Leavitt path algebra of a graph over a field.
@@ -165,11 +144,28 @@ class Algebra:
     field: object = QQ
 
     def __post_init__(self):
-        object.__setattr__(self, "special",
-                           default_special(self.graph, self.kind, self.special))
+        if self.kind not in ALGEBRA_KINDS:
+            raise AmbientError(f"unknown algebra kind {self.kind!r}")
+        special = None
+        if self.kind == LEAVITT:
+            special = self.special or SpecialEdgeChoice.lex_default(self.graph)
+        object.__setattr__(self, "special", special)
+
+    def is_normal(self, m: GMonomial) -> bool:
+        """Whether m is a basis monomial of this algebra."""
+        if self.kind == PATH:
+            return m.ghost.is_trivial
+        if self.kind == COHN:
+            return True
+        if m.real.is_trivial or m.ghost.is_trivial:
+            return True
+        e = m.real.edges[-1]
+        if e != m.ghost.edges[-1]:
+            return True
+        return self.special.edge_at(self.graph.src[e]) != e
 
     def monomial(self, m: GMonomial, coeff=1) -> "GAElement":
-        if not is_normal_monomial(self.graph, self.kind, self.special, m):
+        if not self.is_normal(m):
             raise GraphError(f"monomial {m!r} is not in normal form")
         return GAElement(self, {m: self.field.coerce(coeff)})
 
@@ -181,6 +177,9 @@ class Algebra:
         p = Path.from_edges(self.graph, (e,))
         r = Path.vertex(self.graph, p.target)
         return self.monomial(GMonomial(r, p) if ghost else GMonomial(p, r))
+
+    def zero(self) -> "GAElement":
+        return GAElement(self, {})
 
     def one(self) -> "GAElement":
         return GAElement(self, {GMonomial.at_vertex(self.graph, v): self.field.one
@@ -305,7 +304,7 @@ def parse_word(g: Graph, word):
     return tuple(syms)
 
 
-def _find_redexes(g, kind, special, word):
+def _find_redexes(alg, word):
     redexes = []
     n = len(word)
     for i, sym in enumerate(word):
@@ -316,18 +315,19 @@ def _find_redexes(g, kind, special, word):
         if a[0] == _G and b[0] == _E:
             redexes.append(("ck1", i))
         elif (
-            kind == LEAVITT
+            alg.kind == LEAVITT
             and a[0] == _E
             and b[0] == _G
             and a[1] == b[1]
-            and special.edge_at(g.src[a[1]]) == a[1]
+            and alg.special.edge_at(alg.graph.src[a[1]]) == a[1]
         ):
             redexes.append(("ck2", i))
     return redexes
 
 
-def _apply_redex(g, field, word, redex, coeff):
+def _apply_redex(alg, word, redex, coeff):
     """Returns the list of (coeff, word) replacing the given redex."""
+    g = alg.graph
     rule, i = redex
     if rule == "absorb":
         return [(coeff, word[:i] + word[i + 1:])]
@@ -344,7 +344,7 @@ def _apply_redex(g, field, word, redex, coeff):
     for f in g.out_edges(v):
         if f == e:
             continue
-        out.append((field.neg(coeff),
+        out.append((alg.field.neg(coeff),
                     word[:i] + ((_E, f), (_G, f)) + word[i + 2:]))
     return out
 
@@ -372,29 +372,30 @@ def _finish_word(g, word) -> GMonomial:
     return GMonomial(real, ghost)
 
 
-def reduce_word(g, kind, special, field, word, coeff=None, rng=None):
+def reduce_word(alg, word, coeff=None, rng=None):
     """Rewrite one parsed word to a dict of normal monomials.
 
     The deterministic strategy runs absorb/CK1 to a fixpoint before each CK2
     step; with `rng` given, an applicable redex is picked at random instead,
     which is how the confluence tests drive the engine.
     """
+    field = alg.field
     coeff = field.one if coeff is None else coeff
     out = {}
     work = [(coeff, word)]
     steps = 0
     while work:
         c, w = work.pop()
-        redexes = _find_redexes(g, kind, special, w)
+        redexes = _find_redexes(alg, w)
         if not redexes:
-            _accumulate(out, _finish_word(g, w), c, field)
+            _accumulate(out, _finish_word(alg.graph, w), c, field)
             continue
         if rng is None:
             ck12 = [r for r in redexes if r[0] != "ck2"]
             redex = min(ck12 or redexes, key=lambda r: r[1])
         else:
             redex = redexes[rng.randrange(len(redexes))]
-        work.extend(_apply_redex(g, field, w, redex, c))
+        work.extend(_apply_redex(alg, w, redex, c))
         steps += 1
         if steps > _MAX_REWRITE_STEPS:
             raise ResourceCapExceeded(
@@ -425,32 +426,6 @@ class GAElement:
     @property
     def field(self):
         return self.algebra.field
-
-    # -- constructors ----------------------------------------------------
-
-    @classmethod
-    def zero(cls, graph, kind, special=None, field=QQ):
-        return cls(Algebra(kind, graph, special, field), {})
-
-    @classmethod
-    def from_monomial(cls, graph, kind, m: GMonomial, coeff=1, special=None, field=QQ):
-        return Algebra(kind, graph, special, field).monomial(m, coeff)
-
-    @classmethod
-    def vertex(cls, graph, kind, v, special=None, field=QQ):
-        return Algebra(kind, graph, special, field).vertex(v)
-
-    @classmethod
-    def edge(cls, graph, kind, e, special=None, field=QQ):
-        return Algebra(kind, graph, special, field).edge(e)
-
-    @classmethod
-    def ghost_edge(cls, graph, kind, e, special=None, field=QQ):
-        return Algebra(kind, graph, special, field).edge(e, ghost=True)
-
-    @classmethod
-    def one(cls, graph, kind, special=None, field=QQ):
-        return Algebra(kind, graph, special, field).one()
 
     # -- ring structure ---------------------------------------------------
 
@@ -554,8 +529,7 @@ def normal_form(graph, kind, terms, *, special=None, field=QQ, rng=None) -> GAEl
         parsed = parse_word(graph, word)
         if kind == PATH and any(tag == _G for tag, _ in parsed):
             raise WordError("path algebra elements have no ghost part")
-        reduced = reduce_word(graph, kind, alg.special, field, parsed,
-                              field.coerce(coeff), rng=rng)
+        reduced = reduce_word(alg, parsed, field.coerce(coeff), rng=rng)
         for m, c in reduced.items():
             _accumulate(out, m, c, field)
     return GAElement(alg, out)
@@ -592,7 +566,7 @@ def enumerate_ga_monomials(graph, kind, max_len, *, degrees=None,
     are bucketed by (target, length), so a real part of length a is paired
     only with ghost lengths b that put a - b inside the window.
     """
-    special = default_special(graph, kind, special)
+    alg = Algebra(kind, graph, special)
     lo, hi = _window_lengths(max_len, degrees)
     paths = all_paths_up_to(graph, _longest_real(kind, max_len, hi))
     buckets = {}
@@ -606,7 +580,7 @@ def enumerate_ga_monomials(graph, kind, max_len, *, degrees=None,
             for ghost in buckets.get((target, b), ()):
                 for real in reals:
                     m = GMonomial(real, ghost)
-                    if is_normal_monomial(graph, kind, special, m):
+                    if alg.is_normal(m):
                         out.append(m)
     return sorted(out, key=GMonomial.sort_key)
 
@@ -623,7 +597,7 @@ def count_ga_monomials(graph, kind, max_len, *, degrees=None, special=None):
     length make the count O(E·L + V·L); the program stops at the first
     length no path reaches.
     """
-    special = default_special(graph, kind, special)
+    special = Algebra(kind, graph, special).special
     lo, hi = _window_lengths(max_len, degrees)
     counts = {v: [1] for v in graph.vertices}
     arrows = [(counts[graph.src[e]], graph.rng[e]) for e in graph.edges]

@@ -222,20 +222,13 @@ def structural_truncation(claim, window):
             out.append(one)
         if piece.kind in ("poly", "laurent"):
             z = piece.generators[1]
-            acc = z
-            for _ in range(4 * window.max_len + 4):
-                if not element_fits_window(acc, window):
-                    break
-                out.append(acc)
-                acc = acc * z
-            if piece.kind == "laurent":
-                zi = z.involution()
-                acc = zi
+            for step in (z, z.involution()) if piece.kind == "laurent" else (z,):
+                acc = step
                 for _ in range(4 * window.max_len + 4):
                     if not element_fits_window(acc, window):
                         break
                     out.append(acc)
-                    acc = acc * zi
+                    acc = acc * step
     return out
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from .errors import GraphError
 from .graph import Graph, Path, all_paths_up_to
-from .graph_algebra import PATH, GAElement, GMonomial
+from .graph_algebra import PATH, Algebra, GAElement, GMonomial
 from .linalg import sparse_nullspace
 from .scalars import QQ
 
@@ -24,12 +24,12 @@ class KEElement:
 
     @staticmethod
     def zero(graph, field=QQ):
-        return GAElement.zero(graph, PATH, field=field)
+        return Algebra(PATH, graph, field=field).zero()
 
     @staticmethod
     def from_path(graph, path: Path, coeff=1, field=QQ):
         m = GMonomial(path, Path.vertex(graph, path.target))
-        return GAElement.from_monomial(graph, PATH, m, coeff, field=field)
+        return Algebra(PATH, graph, field=field).monomial(m, coeff)
 
     @staticmethod
     def vertex(graph, v, coeff=1, field=QQ):
@@ -37,7 +37,7 @@ class KEElement:
 
     @staticmethod
     def one(graph, field=QQ):
-        return GAElement.one(graph, PATH, field=field)
+        return Algebra(PATH, graph, field=field).one()
 
 
 def left_annihilator_test(g: Graph, mu: Path, v, w, max_len: int, field=QQ) -> bool:

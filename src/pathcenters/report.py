@@ -105,12 +105,12 @@ def graded_primes_section(records):
         entry = {
             "H": sorted(r.H),
             "flavor": r.flavor,
-            "witness": r.witness,
+            "witness": r.cls.reason,
             "quotient_vertices": list(r.quotient.vertices),
         }
-        if r.cycle is not None:
-            entry["cycle"] = list(r.cycle.edges)
-            entry["path_count"] = _count(r.path_count)
+        if r.cls.cycle is not None:
+            entry["cycle"] = list(r.cls.cycle.edges)
+            entry["path_count"] = _count(r.cls.path_count)
         out.append(entry)
     return out
 

@@ -10,9 +10,9 @@ import random
 import time
 
 from pathcenters import (
+    Algebra,
     COHN,
     CenterStructure,
-    GAElement,
     KEElement,
     LEAVITT,
     OracleWindow,
@@ -169,7 +169,7 @@ def test_criterion_05_degree_zero_facts():
         for z in comp.basis:
             if not z.is_symmetric():
                 problems.append(f"{name}: degree-zero vector not symmetric")
-            diag = GAElement.zero(g, kind)
+            diag = Algebra(kind, g).zero()
             for u in g.vertices:
                 diag = diag + z.peirce_component(u, u)
             if diag != z:
@@ -252,10 +252,10 @@ def test_criterion_09_rewriting_integrity():
                 break
         for e in g.edges:
             for f in g.edges:
-                rel = (GAElement.ghost_edge(g, LEAVITT, e)
-                       * GAElement.edge(g, LEAVITT, f))
+                rel = (Algebra(LEAVITT, g).edge(e, ghost=True)
+                       * Algebra(LEAVITT, g).edge(f))
                 expect = (word_element(g, LEAVITT, [g.rng[e]]) if e == f
-                          else GAElement.zero(g, LEAVITT))
+                          else Algebra(LEAVITT, g).zero())
                 if rel != expect:
                     problems.append(f"{name}: CK1 failed on {e}, {f}")
         for v in g.vertices:
@@ -274,10 +274,10 @@ def test_criterion_09_rewriting_integrity():
         monos = enumerate_ga_monomials(g, LEAVITT, 2)
 
         def rand_el():
-            out = GAElement.zero(g, LEAVITT)
+            out = Algebra(LEAVITT, g).zero()
             for _ in range(rng.randint(1, 2)):
-                out = out + GAElement.from_monomial(
-                    g, LEAVITT, rng.choice(monos), rng.choice([1, -1, 2]))
+                out = out + Algebra(LEAVITT, g).monomial(
+                    rng.choice(monos), rng.choice([1, -1, 2]))
             return out
 
         for _ in range(200):

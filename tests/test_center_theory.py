@@ -4,8 +4,8 @@ import random
 import pytest
 
 from pathcenters import (
+    Algebra,
     COHN,
-    GAElement,
     Graph,
     HypothesisNotMet,
     LEAVITT,
@@ -71,7 +71,7 @@ def test_prime_leavitt_examples():
 def test_center_prime_cohn():
     r0 = center_prime_cohn(rose_graph(0))
     assert r0.kind == SCALAR
-    assert r0.generators == (GAElement.one(rose_graph(0), COHN),)
+    assert r0.generators == (Algebra(COHN, rose_graph(0)).one(),)
     for m in (1, 2, 3, 5):
         cs = center_prime_cohn(rose_graph(m))
         assert cs.kind == SCALAR
@@ -88,7 +88,7 @@ def test_center_prime_leavitt_scalar_cases():
               line_graph(3), toeplitz_graph(), cycle_feeds_loop()):
         cs = center_prime_leavitt(g)
         assert cs.kind == SCALAR
-        assert cs.generators == (GAElement.one(g, LEAVITT),)
+        assert cs.generators == (Algebra(LEAVITT, g).one(),)
 
 
 def test_center_prime_leavitt_laurent_cases():
@@ -104,7 +104,7 @@ def test_center_prime_leavitt_laurent_cases():
     assert z == (word_element(fl, LEAVITT, ["c"])
                  + word_element(fl, LEAVITT, ["f", "c", "f*"]))
     assert check_central(z)
-    one = GAElement.one(fl, LEAVITT)
+    one = Algebra(LEAVITT, fl).one()
     assert z * z.involution() == one
     assert z.involution() * z == one
 
@@ -116,7 +116,7 @@ def test_center_prime_leavitt_multivertex_cycle():
     z = cs.generators[1]
     assert z.degree() == 2
     assert check_central(z)
-    assert z * z.involution() == GAElement.one(g, LEAVITT)
+    assert z * z.involution() == Algebra(LEAVITT, g).one()
 
 
 def test_classification_witnesses():
@@ -162,18 +162,18 @@ def test_cross_products_of_exit_free_ideals_vanish():
 
 def test_graded_primes_toeplitz():
     recs = graded_prime_ideals(toeplitz_graph())
-    assert [(sorted(r.H), r.flavor, r.witness) for r in recs] == [
+    assert [(sorted(r.H), r.flavor, r.cls.reason) for r in recs] == [
         ([], "I", "condition_L"),
         (["v"], "J", "finite_cycle"),
     ]
-    assert recs[1].path_count == 1
+    assert recs[1].cls.path_count == 1
     assert recs[1].quotient.edge_triples() == [("e", "u", "u")]
 
 
 def test_graded_primes_r1():
     recs = graded_prime_ideals(rose_graph(1))
     assert [(sorted(r.H), r.flavor) for r in recs] == [([], "J")]
-    assert recs[0].path_count == 1
+    assert recs[0].cls.path_count == 1
 
 
 def test_graded_primes_two_loops_excludes_empty_set():
@@ -194,7 +194,7 @@ def test_graded_prime_path_counts_recount_independently():
             c = cycles_without_exits(q)[0]
             feeding = paths_into(q, c.vertex_set(q))
             assert feeding is not None, name
-            assert r.path_count == c.length * len(feeding), name
+            assert r.cls.path_count == c.length * len(feeding), name
 
 
 def test_flavor_classification_is_relabeling_invariant():
@@ -302,7 +302,7 @@ def test_quotient_projection_is_a_homomorphism():
     h = frozenset({"v"})
     q = quotient_graph(g, h)
     monos = enumerate_ga_monomials(g, LEAVITT, 2)
-    els = [GAElement.from_monomial(g, LEAVITT, m) for m in monos]
+    els = [Algebra(LEAVITT, g).monomial(m) for m in monos]
     for x, y in itertools.islice(itertools.product(els, els), 0, None, 7):
         assert (project_to_quotient(x * y, h, q)
                 == project_to_quotient(x, h, q) * project_to_quotient(y, h, q))
@@ -320,8 +320,6 @@ def test_verify_bounds_on_disconnected_mixed_fixture():
 
 def test_undecidable_ideal_pattern_is_tagged_for_the_oracle():
     from pathcenters.center_theory import _ideal_center_pieces
-    from pathcenters.graph_algebra import default_special
-    from pathcenters.scalars import QQ
 
     # one vertex feeding an exit-free loop, a sink, and an exit-free loop d:
     # the set {v, w} is hereditary saturated but matches no decidable corner
@@ -334,6 +332,6 @@ def test_undecidable_ideal_pattern_is_tagged_for_the_oracle():
 
     part = frozenset({"v", "w"})
     assert is_hereditary(g, part) and is_saturated(g, part)
-    pieces = _ideal_center_pieces(g, part, default_special(g, LEAVITT), QQ)
+    pieces = _ideal_center_pieces(Algebra(LEAVITT, g), part)
     assert [p.kind for p in pieces] == ["unknown"]
     assert "oracle-bounded" in pieces[0].detail

@@ -1,4 +1,5 @@
 import json
+import os
 import random
 import subprocess
 import sys
@@ -7,8 +8,8 @@ import jsonschema
 import pytest
 
 from pathcenters import (
+    Algebra,
     COHN,
-    GAElement,
     Graph,
     LEAVITT,
     ParseError,
@@ -87,10 +88,10 @@ def test_element_text_round_trip_random():
     g = toeplitz_graph()
     monos = enumerate_ga_monomials(g, LEAVITT, 2)
     for _ in range(50):
-        el = GAElement.zero(g, LEAVITT)
+        el = Algebra(LEAVITT, g).zero()
         for _ in range(rng.randint(0, 4)):
-            el = el + GAElement.from_monomial(
-                g, LEAVITT, rng.choice(monos), rng.choice([1, -1, 3, -2]))
+            el = el + Algebra(LEAVITT, g).monomial(
+                rng.choice(monos), rng.choice([1, -1, 3, -2]))
         text = element_to_text(el)
         assert parse_element(text, g, LEAVITT) == el
         assert element_to_text(parse_element(text, g, LEAVITT)) == text
@@ -224,10 +225,12 @@ def test_reports_are_deterministic():
 
 
 def test_console_entry_point_runs():
+    # the child imports the package from wherever this process found it
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     proc = subprocess.run(
         [sys.executable, "-m", "pathcenters.cli", "center",
          str(fixture_path("rose_1")), "--algebra", "leavitt"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 0
     assert "K[x,x^-1]" in proc.stdout
@@ -360,13 +363,14 @@ def _write_graph(path, vertices, edges):
     return str(path)
 
 
-def _ladder(tmp_path, rungs):
-    """Double-edge ladder of `rungs` rungs into an exit-free loop."""
-    vs = [f"x{i}" for i in range(rungs + 1)]
+def _ladder(tmp_path, rungs, name=None, vertices=(), edges=()):
+    """Double-edge ladder of `rungs` rungs into an exit-free loop, plus the
+    given extra vertices and edges."""
+    vs = [f"x{i}" for i in range(rungs + 1)] + list(vertices)
     es = [(f"{a}{i}", f"x{i}", f"x{i + 1}")
           for i in range(rungs) for a in "ab"]
-    return _write_graph(tmp_path / f"ladder_{rungs}.graph", vs,
-                        es + [("c", f"x{rungs}", f"x{rungs}")])
+    return _write_graph(tmp_path / f"{name or f'ladder_{rungs}'}.graph", vs,
+                        es + [("c", f"x{rungs}", f"x{rungs}")] + list(edges))
 
 
 def test_theory_builds_its_answers_without_the_oracle_solver(tmp_path,
@@ -396,6 +400,29 @@ def test_theory_builds_its_answers_without_the_oracle_solver(tmp_path,
         got = run_cli(*argv)
         assert got[0] == 0 and "K[x,x^-1]" in got[1], argv
         assert got == expected[argv], argv
+
+
+def test_each_graph_is_classified_once_per_request(monkeypatch):
+    # graded primes carry their quotient's classification, so neither the
+    # bounds check nor the whole-center piece classifies a graph again
+    from pathcenters import center_theory
+
+    seen = []
+    classify = center_theory.classify_prime_leavitt
+
+    def counted(g):
+        seen.append(g)
+        return classify(g)
+
+    monkeypatch.setattr(center_theory, "classify_prime_leavitt", counted)
+    runs = [("oracle", str(fixture_path(name)), "--algebra", "leavitt",
+             "--max-len", "2", "--verify")
+            for name in ("toeplitz", "fork_sink_loop")]
+    runs.append(("gprimes", str(fixture_path("rose_1"))))
+    for argv in runs:
+        seen.clear()
+        assert run_cli(*argv)[0] == 0, argv
+        assert seen and all(seen.count(g) == 1 for g in seen), argv
 
 
 def test_analyze_walks_the_cycles_once(monkeypatch):
@@ -468,12 +495,27 @@ def test_ladder_window_is_refused_on_its_count_before_any_monomial(
         module = importlib.import_module(f"pathcenters.{info.name}")
         if hasattr(module, "enumerate_ga_monomials"):
             monkeypatch.setattr(module, "enumerate_ga_monomials", refuse)
+    # the prime ladder refuses its generator; with an isolated vertex the
+    # same generator is a component piece of the lower bound, and with the
+    # ladder fed from x0, which also feeds a sink, it is a matrix-corner piece
     ladder = _ladder(tmp_path, 8)
-    for argv in (("center", ladder, "--algebra", "leavitt"),
-                 ("gprimes", ladder)):
-        code, out, err = run_cli(*argv)
-        assert code == 3 and out == ""
-        assert "261121" in err and "20000" in err
+    apart = _ladder(tmp_path, 8, "ladder_8_y", ["y"])
+    corner = _ladder(tmp_path, 9, "corner_9", ["s"], [("d", "x0", "s")])
+    for graph, needed in ((ladder, "261121"), (apart, "261121"),
+                          (corner, "1046529")):
+        for argv in (("center", graph, "--algebra", "leavitt"),
+                     ("gprimes", graph)):
+            code, out, err = run_cli(*argv)
+            assert code == 3 and out == "", argv
+            assert needed in err and "20000" in err, argv
+    # only the vertices that reach the cycle count: a dense component
+    # beside a 4-rung ladder leaves its 31-term generator under the cap
+    dense = [(f"k{i}{j}", f"k{i}", f"k{j}")
+             for i in range(5) for j in range(5) if i != j]
+    beside = _ladder(tmp_path, 4, "ladder_4_k5",
+                     [f"k{i}" for i in range(5)], dense)
+    code, out, _ = run_cli("gprimes", beside)
+    assert code == 0 and "exit-free cycle fed by 31 paths" in out
 
 
 def test_window_stops_at_the_longest_path_the_graph_has():

@@ -34,9 +34,7 @@ from pathcenters.graph_algebra import (
     Algebra,
     GMonomial,
     count_ga_monomials,
-    default_special,
     enumerate_ga_monomials,
-    is_normal_monomial,
     normal_form,
 )
 from pathcenters.oracle import graded_center_component
@@ -100,7 +98,7 @@ def paths_into_by_length(g, targets):
 
 def monomials_by_all_pairs(g, kind, max_len, *, degrees=None, source=None):
     """Pair every real part with every ghost part at a target, then filter."""
-    special = default_special(g, kind)
+    alg = Algebra(kind, g)
     by_target = {}
     for p in all_paths_up_to(g, max_len):
         by_target.setdefault(p.target, []).append(p)
@@ -116,7 +114,7 @@ def monomials_by_all_pairs(g, kind, max_len, *, degrees=None, source=None):
                 if degrees is not None and not degrees[0] <= d <= degrees[1]:
                     continue
                 m = GMonomial(real, ghost)
-                if is_normal_monomial(g, kind, special, m):
+                if alg.is_normal(m):
                     out.append(m)
     return sorted(out, key=GMonomial.sort_key)
 
@@ -284,7 +282,8 @@ def test_closed_form_laurent_generator_matches_the_solve_on_fixtures(field):
     names = []
     for name, g in _laurent_fixtures():
         cls = classify_prime_leavitt(g)
-        assert laurent_generator(Algebra(LEAVITT, g, field=field), cls) == \
+        assert laurent_generator(Algebra(LEAVITT, g, field=field), cls.feeding,
+                                 cls.cycle) == \
             solved_laurent_generator(g, cls, field), name
         names.append(name)
     assert len(names) >= 5, names
@@ -296,5 +295,5 @@ def test_closed_form_laurent_generator_matches_the_solve(g, field):
     assert is_downward_directed(g)
     cls = classify_prime_leavitt(g)
     assert cls.reason == "finite_cycle"
-    assert laurent_generator(Algebra(LEAVITT, g, field=field), cls) == \
-        solved_laurent_generator(g, cls, field)
+    assert laurent_generator(Algebra(LEAVITT, g, field=field), cls.feeding,
+                             cls.cycle) == solved_laurent_generator(g, cls, field)

@@ -7,7 +7,6 @@ from pathcenters import (
     Algebra,
     AmbientError,
     COHN,
-    GAElement,
     GMonomial,
     GraphError,
     Graph,
@@ -28,7 +27,6 @@ from pathcenters import (
 )
 from pathcenters.graph_algebra import (
     enumerate_ga_monomials,
-    is_normal_monomial,
     parse_word,
     reduce_word,
 )
@@ -81,10 +79,10 @@ def test_ck_relations_normalize_to_zero():
     for g in (rose_graph(2), toeplitz_graph(), cycle_graph(2)):
         for e in g.edges:
             for f in g.edges:
-                rel = (GAElement.ghost_edge(g, LEAVITT, e)
-                       * GAElement.edge(g, LEAVITT, f))
+                rel = (Algebra(LEAVITT, g).edge(e, ghost=True)
+                       * Algebra(LEAVITT, g).edge(f))
                 expect = (we(g, LEAVITT, g.rng[e])
-                          if e == f else GAElement.zero(g, LEAVITT))
+                          if e == f else Algebra(LEAVITT, g).zero())
                 assert rel == expect
         for v in g.vertices:
             if not g.is_regular(v):
@@ -105,7 +103,7 @@ def test_cohn_idempotent_display():
     q = we(g, COHN, "v") - we(g, COHN, "f1", "f1*") - we(g, COHN, "f2", "f2*")
     assert q * q == q
     for m in enumerate_ga_monomials(g, COHN, 2):
-        mid = GAElement.from_monomial(g, COHN, m)
+        mid = Algebra(COHN, g).monomial(m)
         prod = q * mid * q
         if prod:
             assert list(prod.coeffs) == list(q.coeffs)
@@ -117,7 +115,7 @@ def test_cohn_primeness_obstruction_kaw1():
     qu = we(g, COHN, "u1") - we(g, COHN, "f1", "f1*")
     qv = we(g, COHN, "u2") - we(g, COHN, "f2", "f2*")
     for m in enumerate_ga_monomials(g, COHN, 3):
-        mid = GAElement.from_monomial(g, COHN, m)
+        mid = Algebra(COHN, g).monomial(m)
         assert not (qu * mid * qv)
 
 
@@ -137,7 +135,7 @@ def test_ck2_sum_acts_like_vertex():
     for m in enumerate_ga_monomials(g, LEAVITT, 2):
         if m.source != "u":
             continue
-        el = GAElement.from_monomial(g, LEAVITT, m)
+        el = Algebra(LEAVITT, g).monomial(m)
         assert s * el == el
 
 
@@ -158,10 +156,10 @@ def test_involution_is_antimultiplicative():
     monos = enumerate_ga_monomials(g, LEAVITT, 2)
 
     def rand_el():
-        out = GAElement.zero(g, LEAVITT)
+        out = Algebra(LEAVITT, g).zero()
         for _ in range(rng.randint(1, 3)):
-            out = out + GAElement.from_monomial(g, LEAVITT, rng.choice(monos),
-                                                rng.choice([1, -1, 2]))
+            out = out + Algebra(LEAVITT, g).monomial(
+                rng.choice(monos), rng.choice([1, -1, 2]))
         return out
 
     for _ in range(100):
@@ -207,9 +205,9 @@ def test_T_composition_rule():
     g = rose_graph(2)
     monos = enumerate_ga_monomials(g, LEAVITT, 2)
     for _ in range(50):
-        a = GAElement.from_monomial(g, LEAVITT, rng.choice(monos))
-        b = GAElement.from_monomial(g, LEAVITT, rng.choice(monos))
-        x = GAElement.from_monomial(g, LEAVITT, rng.choice(monos))
+        a = Algebra(LEAVITT, g).monomial(rng.choice(monos))
+        b = Algebra(LEAVITT, g).monomial(rng.choice(monos))
+        x = Algebra(LEAVITT, g).monomial(rng.choice(monos))
         assert T_operator(a, T_operator(b, x)) == T_operator(b * a, x)
 
 
@@ -306,15 +304,15 @@ def test_monomial_products_agree_with_word_reduction():
     monos = enumerate_ga_monomials(g, LEAVITT, 2)
     for m1 in monos:
         for m2 in monos:
-            via_mul = (GAElement.from_monomial(g, LEAVITT, m1)
-                       * GAElement.from_monomial(g, LEAVITT, m2))
+            via_mul = (Algebra(LEAVITT, g).monomial(m1)
+                       * Algebra(LEAVITT, g).monomial(m2))
             w1 = list(m1.real.edges) + [e + "*" for e in reversed(m1.ghost.edges)]
             w2 = list(m2.real.edges) + [e + "*" for e in reversed(m2.ghost.edges)]
             word = (w1 or [m1.real.source]) + (w2 or [m2.real.source])
             try:
                 via_word = normal_form(g, LEAVITT, [(1, word)])
             except WordError:
-                via_word = GAElement.zero(g, LEAVITT)
+                via_word = Algebra(LEAVITT, g).zero()
             assert via_mul == via_word
 
 
@@ -336,10 +334,10 @@ def test_associativity_on_random_bounded_triples():
     monos = enumerate_ga_monomials(g, LEAVITT, 2)
 
     def rand_el():
-        out = GAElement.zero(g, LEAVITT)
+        out = Algebra(LEAVITT, g).zero()
         for _ in range(rng.randint(1, 2)):
-            out = out + GAElement.from_monomial(
-                g, LEAVITT, rng.choice(monos), rng.choice([1, -1, 2]))
+            out = out + Algebra(LEAVITT, g).monomial(
+                rng.choice(monos), rng.choice([1, -1, 2]))
         return out
 
     for _ in range(150):
@@ -353,8 +351,8 @@ def test_associativity_on_random_bounded_triples():
 def test_special_edge_choice_is_part_of_the_element():
     g = rose_graph(2)
     alt = SpecialEdgeChoice.from_mapping(g, {"v": "f2"})
-    a = GAElement.one(g, LEAVITT)
-    b = GAElement.one(g, LEAVITT, special=alt)
+    a = Algebra(LEAVITT, g).one()
+    b = Algebra(LEAVITT, g, special=alt).one()
     with pytest.raises(AmbientError):
         a * b
     # the basis really differs: f2 f2* collapses under the alternative choice
@@ -378,12 +376,13 @@ def test_normal_monomial_recognition():
     special = SpecialEdgeChoice.lex_default(g)
     f1 = Path.from_edges(g, ("f1",))
     f2 = Path.from_edges(g, ("f2",))
-    assert not is_normal_monomial(g, LEAVITT, special, GMonomial(f1, f1))
-    assert is_normal_monomial(g, LEAVITT, special, GMonomial(f2, f2))
-    assert is_normal_monomial(g, LEAVITT, special, GMonomial(f1, f2))
-    assert is_normal_monomial(g, COHN, None, GMonomial(f1, f1))
+    leavitt = Algebra(LEAVITT, g, special)
+    assert not leavitt.is_normal(GMonomial(f1, f1))
+    assert leavitt.is_normal(GMonomial(f2, f2))
+    assert leavitt.is_normal(GMonomial(f1, f2))
+    assert Algebra(COHN, g).is_normal(GMonomial(f1, f1))
     with pytest.raises(GraphError):
-        GAElement.from_monomial(g, LEAVITT, GMonomial(f1, f1))
+        Algebra(LEAVITT, g).monomial(GMonomial(f1, f1))
 
 
 def test_cohn_to_leavitt_graph_shapes():
@@ -411,16 +410,16 @@ def test_reduce_word_respects_scalars():
 
 
 @pytest.mark.parametrize("other", [
-    lambda g: GAElement.one(g, COHN),
-    lambda g: GAElement.one(rose_graph(3), LEAVITT),
-    lambda g: GAElement.one(
-        g, LEAVITT, special=SpecialEdgeChoice.from_mapping(g, {"v": "f2"})),
-    lambda g: GAElement.one(g, LEAVITT, field=PrimeField(5)),
+    lambda g: Algebra(COHN, g).one(),
+    lambda g: Algebra(LEAVITT, rose_graph(3)).one(),
+    lambda g: Algebra(
+        LEAVITT, g, special=SpecialEdgeChoice.from_mapping(g, {"v": "f2"})).one(),
+    lambda g: Algebra(LEAVITT, g, field=PrimeField(5)).one(),
 ], ids=["kind", "graph", "special", "field"])
 @pytest.mark.parametrize("op", [operator.mul, operator.add], ids=["mul", "add"])
 def test_elements_of_different_algebras_do_not_mix(other, op):
     g = rose_graph(2)
-    a, b = GAElement.one(g, LEAVITT), other(g)
+    a, b = Algebra(LEAVITT, g).one(), other(g)
     assert a.algebra != b.algebra and a != b
     with pytest.raises(AmbientError):
         op(a, b)
@@ -437,6 +436,6 @@ def test_equal_algebras_built_apart_mix():
     assert Algebra(COHN, g).special is None
     with pytest.raises(AmbientError):
         Algebra("weird", g)
-    f1 = GAElement.edge(g, LEAVITT, "f1")
-    assert alg.one() * f1 == f1 == f1 + GAElement.zero(g, LEAVITT)
+    f1 = Algebra(LEAVITT, g).edge("f1")
+    assert alg.one() * f1 == f1 == f1 + Algebra(LEAVITT, g).zero()
     assert (f1.kind, f1.field) == (LEAVITT, QQ)

@@ -1,10 +1,10 @@
 import pytest
 
 from pathcenters import (
+    Algebra,
     AmbientError,
     CenterStructure,
     COHN,
-    GAElement,
     KEElement,
     LEAVITT,
     OracleWindow,
@@ -60,7 +60,7 @@ def test_window_validation():
 
 def test_check_central_examples():
     r1 = rose_graph(1)
-    assert check_central(GAElement.one(r1, LEAVITT))
+    assert check_central(Algebra(LEAVITT, r1).one())
     assert check_central(word_element(r1, LEAVITT, ["f1"]))  # L(R_1) is commutative
     r2 = rose_graph(2)
     e = word_element(r2, LEAVITT, ["f1"])
@@ -94,7 +94,7 @@ def test_central_subspace_ke_cycle():
 def test_central_subspace_leavitt_r2_is_scalars():
     sub = central_subspace(rose_graph(2), OracleWindow(LEAVITT, 3, (-3, 3)))
     assert sub.dim == 1
-    assert sub.basis[0] == GAElement.one(rose_graph(2), LEAVITT)
+    assert sub.basis[0] == Algebra(LEAVITT, rose_graph(2)).one()
 
 
 def test_central_subspace_isolated_vertex():
@@ -125,7 +125,7 @@ def test_graded_component_examples():
     comp = graded_center_component(rose_graph(1), LEAVITT, 1, 2)
     assert [repr(b) for b in comp.basis] == ["1 f1"]
     comp = graded_center_component(rose_graph(2), LEAVITT, 0, 2)
-    assert comp.dim == 1 and comp.basis[0] == GAElement.one(rose_graph(2), LEAVITT)
+    assert comp.dim == 1 and comp.basis[0] == Algebra(LEAVITT, rose_graph(2)).one()
     comp = graded_center_component(rose_graph(1), COHN, 1, 3)
     assert comp.dim == 0
     sub = central_subspace(rose_graph(1), OracleWindow(COHN, 4, (1, 3)))
@@ -138,7 +138,7 @@ def test_degree_zero_vectors_are_symmetric_and_peirce_diagonal():
         assert comp.dim == 1, name
         for z in comp.basis:
             assert z.is_symmetric(), name
-            diag = GAElement.zero(g, LEAVITT)
+            diag = Algebra(LEAVITT, g).zero()
             for u in g.vertices:
                 diag = diag + z.peirce_component(u, u)
             assert diag == z, name
@@ -253,7 +253,7 @@ def test_all_central_vectors_are_peirce_diagonal():
     for g in (toeplitz_graph(), cycle_graph(2), two_loops()):
         sub = central_subspace(g, OracleWindow(LEAVITT, 3, (-3, 3)))
         for z in sub.basis:
-            diag = GAElement.zero(g, LEAVITT)
+            diag = Algebra(LEAVITT, g).zero()
             for u in g.vertices:
                 diag = diag + z.peirce_component(u, u)
             assert diag == z
@@ -269,7 +269,7 @@ def test_prime_field_center_construction():
     assert cs.kind == "laurent"
     z = cs.generators[1]
     assert z.field == f5 and check_central(z)
-    assert z * z.involution() == GAElement.one(g, LEAVITT, field=f5)
+    assert z * z.involution() == Algebra(LEAVITT, g, field=f5).one()
 
 
 def test_verify_ke_sum_claim_on_disconnected():

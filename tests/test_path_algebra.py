@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pathcenters import (
+    Algebra,
     AmbientError,
-    GAElement,
     Graph,
     GraphError,
     KEElement,
@@ -245,7 +245,7 @@ def test_path_kind_has_no_ghosts_and_no_involution():
     with pytest.raises(WordError):
         normal_form(g, PATH, [(1, ["f1*", "f1"])])  # CK1 would erase the ghost
     with pytest.raises(GraphError):
-        GAElement.ghost_edge(g, PATH, "f1")
+        Algebra(PATH, g).edge("f1", ghost=True)
     with pytest.raises(AmbientError):
         ke_path(g, "f1").involution()
     with pytest.raises(AmbientError):
