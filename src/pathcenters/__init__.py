@@ -32,9 +32,6 @@ from .graph import (
     classify_vertex,
     condition_L,
     connected_components,
-    count_paths_ending_at_base,
-    count_paths_ending_at_cycle,
-    cycle_feeding_paths,
     cycle_graph,
     cycle_has_exit,
     cycles_without_exits,

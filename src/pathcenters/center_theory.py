@@ -21,7 +21,7 @@ from .graph import (
     Path,
     all_paths_up_to,
     connected_components,
-    cycle_feeding_paths,
+    count_paths_into,
     cycles_without_exits,
     enumerate_hereditary_saturated,
     hereditary_saturated_closure,
@@ -84,23 +84,6 @@ class CenterStructure:
 # --- the path algebra KE -----------------------------------------------------
 
 
-def _component_cycle(g: Graph, comp):
-    """The unique cycle when the component is a cycle graph, else None."""
-    for v in comp:
-        if len(g.out_edges(v)) != 1 or len(g.in_edges(v)) != 1:
-            return None
-    start = min(comp)
-    edges = []
-    v = start
-    for _ in range(len(comp)):
-        e = g.out_edges(v)[0]
-        edges.append(e)
-        v = g.rng[e]
-    if v != start:
-        return None
-    return Cycle.from_edges(g, edges)
-
-
 def cycle_rotation_sum(g: Graph, cyc: Cycle, power: int = 1, field=QQ) -> GAElement:
     """Sum over the cycle's vertices of the k-th power of the rotation based
     there; power 1 gives the generator of Z(KE) for a cycle graph."""
@@ -120,11 +103,13 @@ def center_structure_KE(g: Graph, field=QQ) -> CenterStructure:
     identity, except that a cycle component contributes K[x] generated by
     the sum of its based rotations."""
     alg = Algebra(PATH, g, field=field)
+    # a component is a cycle graph exactly when it is an exit-free cycle
+    cycles = {c.vertex_set(g): c for c in cycles_without_exits(g)}
     pieces = []
     for comp in connected_components(g):
         one_comp = GAElement(
             alg, {GMonomial.at_vertex(g, v): field.one for v in sorted(comp)})
-        cyc = _component_cycle(g, comp)
+        cyc = cycles.get(comp)
         if cyc is None:
             pieces.append(CenterStructure(SCALAR, (one_comp,)))
         else:
@@ -138,12 +123,11 @@ def center_structure_KE(g: Graph, field=QQ) -> CenterStructure:
 def cycle_center_evaluate(g: Graph, poly_coeffs, field=QQ) -> GAElement:
     """Evaluate sum_i p(c_i) on a cycle graph; p is a dense coefficient list,
     low degree first.  The map p -> sum_i p(c_i) is onto the center."""
-    comps = connected_components(g)
-    if len(comps) != 1:
-        raise GraphError("not a cycle graph: disconnected")
-    cyc = _component_cycle(g, comps[0])
-    if cyc is None:
+    # a cycle graph is one exit-free cycle through every vertex
+    cycles = cycles_without_exits(g)
+    if not cycles or cycles[0].vertex_set(g) != frozenset(g.vertices):
         raise GraphError("not a cycle graph")
+    cyc = cycles[0]
     alg = Algebra(PATH, g, field=field)
     out = alg.zero()
     for k, a in enumerate(poly_coeffs):
@@ -184,7 +168,6 @@ class PrimeLeavittClassification:
     cycle: Cycle | None = None
     path_count: object = None  # int, or math.inf
     base_count: object = None
-    feeding: tuple | None = None  # the paths feeding the cycle, if finitely many
 
 
 def classify_prime_leavitt(g: Graph) -> PrimeLeavittClassification:
@@ -198,8 +181,8 @@ def classify_prime_leavitt(g: Graph) -> PrimeLeavittClassification:
         raise InvariantViolation("prime graph with two exit-free cycles; "
                                  "orthogonality theorem violated")
     c = exit_free[0]
-    feeding = cycle_feeding_paths(g, c)
-    if feeding is None:
+    counted = count_paths_into(g, c.vertex_set(g))
+    if counted is None:
         return PrimeLeavittClassification(
             scalar=True, reason="infinite_feeding", cycle=c,
             path_count=math.inf, base_count=math.inf,
@@ -208,27 +191,16 @@ def classify_prime_leavitt(g: Graph) -> PrimeLeavittClassification:
     # every cycle edge, one of them at the base
     return PrimeLeavittClassification(
         scalar=False, reason="finite_cycle", cycle=c,
-        path_count=c.length * len(feeding), base_count=len(feeding),
-        feeding=tuple(feeding),
+        path_count=c.length * counted[0], base_count=counted[0],
     )
 
 
-def laurent_generator(alg: Algebra, feeding, c: Cycle) -> GAElement:
+def laurent_generator(alg: Algebra, c: Cycle) -> GAElement:
     """The degree-l(c) generator of a Laurent center on the exit-free cycle
-    c: the sum over the feeding paths t of t·c_t·t*, c_t the cycle rotated
-    to enter at r(t) (Aranda Pino-Crow, Rev. Mat. Iberoam. 27, 2011),
-    verified central and unitary.  ResourceCapExceeded when the degree-l(c)
-    window of real length l(c) + the longest feeding path holds more
-    candidate monomials than the cap on the vertices that reach c (on a
-    prime graph, all of them: the window `oracle --verify` checks it in)."""
-    g = alg.graph
-    near = {t.source for t in feeding}
-    fed = Graph.build([v for v in g.vertices if v in near],
-                      [(e, g.src[e], g.rng[e]) for e in g.edges
-                       if g.src[e] in near and g.rng[e] in near])
-    max_len = c.length + max(t.length for t in feeding)
-    check_window_cap(fed, OracleWindow.single_degree(LEAVITT, max_len, c.length))
-    return _corner_generator(alg, feeding, c)
+    c, finitely fed: the sum over the feeding paths t of t·c_t·t*, c_t the
+    cycle rotated to enter at r(t) (Aranda Pino-Crow, Rev. Mat. Iberoam.
+    27, 2011), built and checked by `_corner_generator`."""
+    return _corner_generator(alg, c.vertex_set(alg.graph), c)
 
 
 def center_prime_leavitt(g: Graph, field=QQ, cls=None) -> CenterStructure:
@@ -241,8 +213,7 @@ def center_prime_leavitt(g: Graph, field=QQ, cls=None) -> CenterStructure:
     alg = Algebra(LEAVITT, g, field=field)
     if cls.scalar:
         return CenterStructure(SCALAR, (alg.one(),))
-    return CenterStructure(LAURENT, (alg.one(),
-                                     laurent_generator(alg, cls.feeding, cls.cycle)))
+    return CenterStructure(LAURENT, (alg.one(), laurent_generator(alg, cls.cycle)))
 
 
 # --- orthogonality of exit-free cycles ---------------------------------------
@@ -377,9 +348,24 @@ def _corner_sum(alg, feeding, c: Cycle = None):
         for t in feeding)
 
 
-def _corner_generator(alg, feeding, c: Cycle = None):
-    """`_corner_sum`, checked: it must be central, and z·z* = z*·z must be
-    the corner unit sum t·t* (1 on a whole prime graph)."""
+def _corner_generator(alg, targets, c: Cycle = None):
+    """`_corner_sum` over the finitely many paths into `targets`, a sink or
+    the vertex set of c, checked: it must be central, and z·z* = z*·z must
+    be the corner unit sum t·t* (1 on a whole prime graph).
+
+    ResourceCapExceeded, before any path is listed, when the window of
+    degree d = 0 (a sink) or l(c), real length d + the longest path, holds
+    more candidate monomials than the cap on the paths' sources (on a prime
+    graph, all vertices: the window `oracle --verify` checks it in)."""
+    g = alg.graph
+    _, longest, near = count_paths_into(g, targets)
+    fed = Graph.build([v for v in g.vertices if v in near],
+                      [(e, g.src[e], g.rng[e]) for e in g.edges
+                       if g.src[e] in near and g.rng[e] in near])
+    degree = 0 if c is None else c.length
+    check_window_cap(fed, OracleWindow.single_degree(LEAVITT, degree + longest,
+                                                     degree))
+    feeding = paths_into(g, targets)
     z = _corner_sum(alg, feeding, c)
     unit = z if c is None else _corner_sum(alg, feeding)
     zi = z.involution()
@@ -405,9 +391,9 @@ def _component_center_pieces(alg, comp):
         gen = GAElement(alg, {GMonomial.at_vertex(g, v): alg.field.one
                               for v in sorted(comp)})
         return [PieceContribution("scalar", f"component identity ({cls.reason})", gen)]
-    z = laurent_generator(alg, cls.feeding, cls.cycle)
+    z = laurent_generator(alg, cls.cycle)
     return [PieceContribution(
-        "laurent", f"prime component, exit-free cycle fed by {len(cls.feeding)} paths", z)]
+        "laurent", f"prime component, exit-free cycle fed by {cls.base_count} paths", z)]
 
 
 def _ideal_center_pieces(alg, h):
@@ -435,25 +421,24 @@ def _ideal_center_pieces(alg, h):
         sinks = [v for v in sorted(part) if g.is_sink(v)]
         if (len(cycles) == 1 and not sinks
                 and hereditary_saturated_closure(g, cycles[0].vertex_set(g)) == part):
-            c = cycles[0]
-            feeding = cycle_feeding_paths(g, c)
-            if feeding is None:
+            counted = count_paths_into(g, cycles[0].vertex_set(g))
+            if counted is None:
                 pieces.append(PieceContribution(
                     "zero", "matrix size infinite: a cycle feeds the corner"))
             else:
                 pieces.append(PieceContribution(
-                    "laurent", f"matrix corner over {len(feeding)} paths",
-                    laurent_generator(alg, feeding, c)))
+                    "laurent", f"matrix corner over {counted[0]} paths",
+                    laurent_generator(alg, cycles[0])))
         elif (len(sinks) == 1 and not cycles
                 and hereditary_saturated_closure(g, {sinks[0]}) == part):
-            feeding = paths_into(g, frozenset(sinks))
-            if feeding is None:
+            counted = count_paths_into(g, frozenset(sinks))
+            if counted is None:
                 pieces.append(PieceContribution(
                     "zero", "matrix size infinite: a cycle feeds the sink"))
             else:
                 pieces.append(PieceContribution(
-                    "scalar", f"matrix corner over K on {len(feeding)} paths",
-                    _corner_generator(alg, feeding)))
+                    "scalar", f"matrix corner over K on {counted[0]} paths",
+                    _corner_generator(alg, frozenset(sinks))))
         else:
             pieces.append(PieceContribution(
                 "unknown", "no decidable pattern; oracle-bounded evidence only"))
@@ -472,7 +457,7 @@ def _whole_center_pieces(alg, record):
         return [PieceContribution("scalar", f"whole center ({cls.reason})",
                                   alg.one())]
     return [PieceContribution("laurent", "whole center",
-                              laurent_generator(alg, cls.feeding, cls.cycle))]
+                              laurent_generator(alg, cls.cycle))]
 
 
 def center_bounds(g: Graph, *, field=QQ) -> CenterBounds:

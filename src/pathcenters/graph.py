@@ -309,12 +309,26 @@ def cycle_has_exit(g: Graph, c: Cycle) -> bool:
     return False
 
 
-def condition_L(g: Graph) -> bool:
-    return all(cycle_has_exit(g, c) for c in find_cycles(g))
-
-
 def cycles_without_exits(g: Graph):
-    return [c for c in find_cycles(g) if not cycle_has_exit(g, c)]
+    """The exit-free cycles, canonical, sorted by their edge lists, from one
+    Tarjan pass in O(V + E).
+
+    A cycle is exit-free exactly when its vertex set is a strongly connected
+    component each of whose vertices emits exactly one edge, and that edge
+    stays inside it; the walk from its least vertex then reads the cycle."""
+    found = []
+    for comp in strongly_connected_components(g):
+        if all(len(g._out[v]) == 1 and g.rng[g._out[v][0]] in comp for v in comp):
+            edges, v = [], min(comp)
+            for _ in comp:
+                edges.append(g._out[v][0])
+                v = g.rng[edges[-1]]
+            found.append(Cycle.from_edges(g, edges))
+    return sorted(found, key=lambda c: c.edges)
+
+
+def condition_L(g: Graph) -> bool:
+    return not cycles_without_exits(g)
 
 
 def exit_free_cycle_vertices(g: Graph) -> frozenset:
@@ -510,13 +524,6 @@ def extended_graph(g: Graph) -> ExtendedGraph:
     return ExtendedGraph(Graph.build(g.vertices, triples), ghost_of)
 
 
-def _assert_exit_free(g: Graph, c: Cycle):
-    for e in c.edges:
-        g.check_edge(e)
-    if cycle_has_exit(g, c):
-        raise GraphError("cycle has an exit")
-
-
 def paths_into(g: Graph, targets: frozenset):
     """Paths whose only vertex inside `targets` is their range.
 
@@ -551,33 +558,37 @@ def paths_into(g: Graph, targets: frozenset):
     return sorted(results, key=Path.sort_key)
 
 
-def cycle_feeding_paths(g: Graph, c: Cycle):
-    """Paths reaching the cycle's vertex set without entering it early."""
-    _assert_exit_free(g, c)
-    return paths_into(g, c.vertex_set(g))
+def count_paths_into(g: Graph, targets: frozenset):
+    """The number of `paths_into(g, targets)`, their longest length and the
+    set of their sources, or None when there are infinitely many; no path
+    is built.
 
-
-def count_paths_ending_at_cycle(g: Graph, c: Cycle):
-    """Number of paths ending at the exit-free cycle c, counted as: range on
-    the cycle and not traversing every edge of the cycle.
-
-    Once a path touches the cycle it is forced along it, so each counted
-    path is a feeding path extended by 0..len(c)-1 cycle edges.  Returns
-    math.inf exactly when another cycle has a directed route into c.
-    """
-    feeding = cycle_feeding_paths(g, c)
-    if feeding is None:
-        return INFINITE
-    return c.length * len(feeding)
-
-
-def count_paths_ending_at_base(g: Graph, c: Cycle):
-    """The companion count: paths ending at the cycle's base vertex that do
-    not wrap around the whole cycle.  Equals the number of feeding paths."""
-    feeding = cycle_feeding_paths(g, c)
-    if feeding is None:
-        return INFINITE
-    return len(feeding)
+    `targets` must be closed under out-edges (an exit-free cycle, or sinks),
+    so each strongly connected component lies inside or outside it.  Tarjan
+    yields every component after all the ones it reaches, so one pass
+    counts each vertex's paths from the counts at the ranges of its edges;
+    a cycle outside `targets` that reaches them makes the count infinite."""
+    for v in targets:
+        if any(g.rng[e] not in targets for e in g.out_edges(v)):
+            raise GraphError(f"targets are not closed under out-edges at {v!r}")
+    count, longest = {}, {}
+    for comp in strongly_connected_components(g):
+        if comp <= targets:
+            count.update(dict.fromkeys(comp, 1))
+            longest.update(dict.fromkeys(comp, 0))
+            continue
+        v = next(iter(comp))
+        ranges = [g.rng[e] for u in comp for e in g._out[u]]
+        if len(comp) > 1 or v in ranges:
+            if any(count.get(w) for w in ranges):
+                return None
+            count.update(dict.fromkeys(comp, 0))
+            continue
+        fed = [w for w in ranges if count[w]]
+        count[v] = sum(count[w] for w in fed)
+        if fed:
+            longest[v] = 1 + max(longest[w] for w in fed)
+    return sum(count.values()), max(longest.values(), default=0), frozenset(longest)
 
 
 def all_paths_up_to(g: Graph, max_len: int):

@@ -14,9 +14,11 @@ from .center_theory import CenterBounds, CenterStructure, SUM
 from .graph import (
     Graph,
     classify_vertex,
+    condition_L,
     connected_components,
     cycle_has_exit,
     enumerate_hereditary_saturated,
+    exit_free_cycle_vertices,
     find_cycles,
     is_downward_directed,
 )
@@ -48,24 +50,21 @@ def new_report(command: str, g: Graph, source: str):
 
 
 def predicates_section(g: Graph):
-    cycles = find_cycles(g)
-    exits = [cycle_has_exit(g, c) for c in cycles]
+    # the capped enumeration first: it refuses a large graph at once
+    hereditary = [sorted(h) for h in enumerate_hereditary_saturated(g)]
     return {
         "sinks": [v for v in g.vertices if classify_vertex(g, v).sink],
         "sources": [v for v in g.vertices if classify_vertex(g, v).source],
         "regular": [v for v in g.vertices if classify_vertex(g, v).regular],
         "connected_components": [sorted(b) for b in connected_components(g)],
         "cycles": [
-            {"edges": list(c.edges), "has_exit": x}
-            for c, x in zip(cycles, exits)
+            {"edges": list(c.edges), "has_exit": cycle_has_exit(g, c)}
+            for c in find_cycles(g)
         ],
-        "condition_L": all(exits),
+        "condition_L": condition_L(g),
         "downward_directed": is_downward_directed(g),
-        "hereditary_saturated": [
-            sorted(h) for h in enumerate_hereditary_saturated(g)
-        ],
-        "exit_free_cycle_vertices": sorted(frozenset().union(
-            *(c.vertex_set(g) for c, x in zip(cycles, exits) if not x))),
+        "hereditary_saturated": hereditary,
+        "exit_free_cycle_vertices": sorted(exit_free_cycle_vertices(g)),
     }
 
 

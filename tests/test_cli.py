@@ -518,6 +518,55 @@ def test_ladder_window_is_refused_on_its_count_before_any_monomial(
     assert code == 0 and "exit-free cycle fed by 31 paths" in out
 
 
+def test_structure_comes_from_the_scc_pass_without_listing(tmp_path,
+                                                           monkeypatch):
+    # no cycle and no path is listed: K_10 has no exit-free cycle, and the
+    # ladder generator and the sink corner are refused on their counts
+    import importlib
+    import pkgutil
+
+    import pathcenters
+    from pathcenters import graph
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("cycles or paths listed")
+
+    for info in pkgutil.iter_modules(pathcenters.__path__):
+        module = importlib.import_module(f"pathcenters.{info.name}")
+        for name in ("find_cycles", "paths_into"):
+            if getattr(module, name, None) is getattr(graph, name):
+                monkeypatch.setattr(module, name, refuse)
+
+    def complete(n):
+        vs = [f"u{i}" for i in range(n)]
+        return _write_graph(tmp_path / f"complete_{n}.graph", vs,
+                            [(f"e{i}_{j}", f"u{i}", f"u{j}")
+                             for i in range(n) for j in range(n) if i != j])
+
+    k10 = complete(10)
+    code, out, _ = run_cli("center", k10, "--algebra", "leavitt")
+    assert code == 0 and "structure: K\n" in out
+    code, out, _ = run_cli("gprimes", k10)
+    assert code == 0 and "witness: condition_L" in out
+    assert "upper_description: K\n" in out and "lower_description: K\n" in out
+    code, out, err = run_cli("center", _ladder(tmp_path, 16), "--algebra",
+                             "leavitt")
+    assert code == 3 and out == ""
+    assert "window holds 17179607041 candidate monomials; cap is 20000" in err
+    # a 10-rung ladder whose top feeds two sinks: each sink is a matrix
+    # corner of the lower bound, fed by 2^11 paths
+    vs = [f"x{i}" for i in range(11)] + ["s", "t"]
+    es = [(f"{a}{i}", f"x{i}", f"x{i + 1}") for i in range(10) for a in "ab"]
+    sinks = _write_graph(tmp_path / "sink_ladder_10.graph", vs,
+                         es + [("d", "x10", "s"), ("e", "x10", "t")])
+    for argv in (("center", sinks, "--algebra", "leavitt"), ("gprimes", sinks)):
+        code, out, err = run_cli(*argv)
+        assert code == 3 and out == "", argv
+        assert "1398102" in err and "cap is 20000" in err, argv
+    code, out, err = run_cli("analyze", complete(17))
+    assert code == 3 and out == "" and "cap is 16 vertices" in err
+
+
 def test_window_stops_at_the_longest_path_the_graph_has():
     # line_2 has no path longer than 1: the bound must not cost 4M steps
     import time

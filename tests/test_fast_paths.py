@@ -9,17 +9,27 @@ from hypothesis import given, settings, strategies as st
 
 from pathcenters import Graph
 from pathcenters.center_theory import (
+    POLY,
+    SCALAR,
+    SUM,
     _corner_sum,
+    center_structure_KE,
     classify_prime_leavitt,
+    cycle_rotation_sum,
     laurent_generator,
     project_to_quotient,
 )
+from pathcenters.errors import GraphError
 from pathcenters.graph import (
+    Cycle,
     Path,
     all_paths_up_to,
-    cycle_feeding_paths,
+    connected_components,
+    count_paths_into,
+    cycle_has_exit,
     cycles_without_exits,
     enumerate_hereditary_saturated,
+    find_cycles,
     hereditary_saturated_closure,
     is_downward_directed,
     paths_into,
@@ -96,6 +106,38 @@ def paths_into_by_length(g, targets):
     return found
 
 
+def exit_free_by_listing(g):
+    """Every cycle, kept when no vertex on it emits a second edge."""
+    return [c for c in find_cycles(g) if not cycle_has_exit(g, c)]
+
+
+def path_stats_by_listing(g, targets):
+    """Count, longest length and sources of the listed paths into `targets`."""
+    paths = paths_into(g, targets)
+    if paths is None:
+        return None
+    return (len(paths), max(t.length for t in paths),
+            frozenset(t.source for t in paths))
+
+
+def component_cycle_by_walk(g, comp):
+    """The unique cycle when the component is a cycle graph (every vertex of
+    in- and out-degree 1, one closed walk through all of them), else None."""
+    for v in comp:
+        if len(g.out_edges(v)) != 1 or len(g.in_edges(v)) != 1:
+            return None
+    start = min(comp)
+    edges = []
+    v = start
+    for _ in range(len(comp)):
+        e = g.out_edges(v)[0]
+        edges.append(e)
+        v = g.rng[e]
+    if v != start:
+        return None
+    return Cycle.from_edges(g, edges)
+
+
 def monomials_by_all_pairs(g, kind, max_len, *, degrees=None, source=None):
     """Pair every real part with every ghost part at a target, then filter."""
     alg = Algebra(kind, g)
@@ -124,7 +166,7 @@ def solved_laurent_generator(g, cls, field):
     l(c) + the longest feeding path, its one basis vector scaled to leading
     coefficient 1."""
     c = cls.cycle
-    max_len = c.length + max(t.length for t in cls.feeding)
+    max_len = c.length + count_paths_into(g, c.vertex_set(g))[1]
     comp = graded_center_component(g, LEAVITT, c.length, max_len, field=field)
     assert comp.dim == 1
     z = comp.basis[0]
@@ -209,6 +251,43 @@ def test_downward_directed_matches_pairwise_reachability(g):
             assert {v for v in reach if u in reachable_from(g, v)} == c
 
 
+def check_scc_answers_against_listing(g, seed):
+    """The SCC-pass answers equal the listed ones: the exit-free cycles, the
+    feeding counts into the forward closure of `seed` (a set that is not
+    closed is refused), and the cycle components of KE."""
+    assert cycles_without_exits(g) == exit_free_by_listing(g)
+    closed = frozenset().union(*(reachable_from(g, v) for v in seed))
+    assert count_paths_into(g, closed) == path_stats_by_listing(g, closed)
+    if frozenset(seed) != closed:
+        with pytest.raises(GraphError):
+            count_paths_into(g, frozenset(seed))
+    cs = center_structure_KE(g)
+    pieces = cs.components if cs.kind == SUM else (cs,)
+    comps = connected_components(g)
+    assert len(pieces) == len(comps)
+    for comp, piece in zip(comps, pieces):
+        cyc = component_cycle_by_walk(g, comp)
+        if cyc is None:
+            assert piece.kind == SCALAR
+        else:
+            assert piece.kind == POLY
+            assert piece.generators[1] == cycle_rotation_sum(g, cyc)
+
+
+def test_scc_answers_match_listing_on_fixtures():
+    for path in sorted(FIXTURES.glob("*.graph")):
+        g = parse_graph(path.read_text())
+        for v in g.vertices:
+            check_scc_answers_against_listing(g, {v})
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), g=graphs())
+def test_scc_answers_match_listing(data, g):
+    seed = data.draw(st.sets(st.sampled_from(g.vertices), min_size=1))
+    check_scc_answers_against_listing(g, seed)
+
+
 @settings(max_examples=150, deadline=None)
 @given(data=st.data(), g=graphs(max_vertices=4, max_edges=5))
 def test_windowed_enumeration_matches_all_pairs(data, g):
@@ -257,7 +336,7 @@ def test_direct_straightening_matches_the_word_rewriter(data, g):
 
     leavitt = Algebra(LEAVITT, g)
     for c in cycles_without_exits(g):
-        feeding = cycle_feeding_paths(g, c)
+        feeding = paths_into(g, c.vertex_set(g))
         if feeding is not None:
             words = [(1, word_of(t.concat(c.rotation_based_at(g, t.target)), t))
                      for t in feeding]
@@ -282,8 +361,7 @@ def test_closed_form_laurent_generator_matches_the_solve_on_fixtures(field):
     names = []
     for name, g in _laurent_fixtures():
         cls = classify_prime_leavitt(g)
-        assert laurent_generator(Algebra(LEAVITT, g, field=field), cls.feeding,
-                                 cls.cycle) == \
+        assert laurent_generator(Algebra(LEAVITT, g, field=field), cls.cycle) == \
             solved_laurent_generator(g, cls, field), name
         names.append(name)
     assert len(names) >= 5, names
@@ -295,5 +373,5 @@ def test_closed_form_laurent_generator_matches_the_solve(g, field):
     assert is_downward_directed(g)
     cls = classify_prime_leavitt(g)
     assert cls.reason == "finite_cycle"
-    assert laurent_generator(Algebra(LEAVITT, g, field=field), cls.feeding,
-                             cls.cycle) == solved_laurent_generator(g, cls, field)
+    assert laurent_generator(Algebra(LEAVITT, g, field=field), cls.cycle) == \
+        solved_laurent_generator(g, cls, field)

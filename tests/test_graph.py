@@ -9,12 +9,10 @@ from pathcenters import (
     GraphError,
     Path,
     ResourceCapExceeded,
+    classify_prime_leavitt,
     classify_vertex,
     condition_L,
     connected_components,
-    count_paths_ending_at_base,
-    count_paths_ending_at_cycle,
-    cycle_feeding_paths,
     cycle_graph,
     cycle_has_exit,
     cycles_without_exits,
@@ -32,7 +30,14 @@ from pathcenters import (
     rose_graph,
     toeplitz_graph,
 )
-from pathcenters.graph import all_paths_up_to, is_hereditary, is_saturated, reachable_from
+from pathcenters.graph import (
+    all_paths_up_to,
+    count_paths_into,
+    is_hereditary,
+    is_saturated,
+    paths_into,
+    reachable_from,
+)
 
 from conftest import cycle_feeds_loop, feeder_loop, two_loops
 
@@ -252,33 +257,37 @@ def test_opposite_and_extended():
 
 def test_count_paths_examples():
     r1 = rose_graph(1)
-    c = find_cycles(r1)[0]
-    assert count_paths_ending_at_cycle(r1, c) == 1
-    assert count_paths_ending_at_base(r1, c) == 1
+    assert count_paths_into(r1, frozenset({"v"})) == (1, 0, frozenset({"v"}))
+    cls = classify_prime_leavitt(r1)
+    assert (cls.path_count, cls.base_count) == (1, 1)
 
     fl = feeder_loop()
     c = cycles_without_exits(fl)[0]
-    assert count_paths_ending_at_cycle(fl, c) == 2
-    feeding = cycle_feeding_paths(fl, c)
+    assert count_paths_into(fl, c.vertex_set(fl)) == (2, 1, frozenset({"u", "v"}))
+    assert classify_prime_leavitt(fl).path_count == 2
+    feeding = paths_into(fl, c.vertex_set(fl))
     assert [repr(p) for p in feeding] == ["@v", "f"]
 
     cfl = cycle_feeds_loop()
     c = cycles_without_exits(cfl)[0]
-    assert count_paths_ending_at_cycle(cfl, c) == math.inf
+    assert count_paths_into(cfl, c.vertex_set(cfl)) is None
+    assert classify_prime_leavitt(cfl).path_count == math.inf
 
 
 def test_count_paths_requires_exit_free():
+    # the loop at u has an exit, so its vertex set is not closed
     tg = toeplitz_graph()
     with pytest.raises(GraphError):
-        count_paths_ending_at_cycle(tg, find_cycles(tg)[0])
+        count_paths_into(tg, find_cycles(tg)[0].vertex_set(tg))
 
 
 def test_count_on_multivertex_cycle():
     g = cycle_graph(2)
     c = find_cycles(g)[0]
     # two trivial feeding paths, extended by 0 or 1 of the 2 cycle edges
-    assert count_paths_ending_at_cycle(g, c) == 4
-    assert count_paths_ending_at_base(g, c) == 2
+    assert count_paths_into(g, c.vertex_set(g)) == (2, 0, c.vertex_set(g))
+    cls = classify_prime_leavitt(g)
+    assert (cls.path_count, cls.base_count) == (4, 2)
 
 
 def test_infinite_count_agrees_with_independent_cycle_reachability():
@@ -291,8 +300,8 @@ def test_infinite_count_agrees_with_independent_cycle_reachability():
                 and any(reachable_from(g, v) & cv for v in d.vertex_set(g))
                 for d in find_cycles(g)
             )
-            got = count_paths_ending_at_cycle(g, c)
-            assert (got == math.inf) == other_reaches
+            got = count_paths_into(g, cv)
+            assert (got is None) == other_reaches
 
 
 # --- constructors ---------------------------------------------------------------
