@@ -16,6 +16,7 @@ from .errors import GraphError, ResourceCapExceeded
 INFINITE = math.inf
 
 DEFAULT_VERTEX_CAP = 16
+CYCLE_CAP = 20_000
 
 
 @dataclass(frozen=True, eq=True)
@@ -274,7 +275,8 @@ def find_cycles(g: Graph):
 
     A cycle is a closed path whose edges have pairwise distinct sources, so
     it is determined by a simple directed vertex cycle plus one edge choice
-    per step.  Each is discovered exactly once, rooted at its least vertex.
+    per step.  Each is discovered exactly once, rooted at its least vertex;
+    ResourceCapExceeded as soon as more than CYCLE_CAP are found.
     """
     order = {v: i for i, v in enumerate(g.vertices)}
     found = []
@@ -287,6 +289,11 @@ def find_cycles(g: Graph):
                 w = g.rng[e]
                 if w == root:
                     found.append(acc + [e])
+                    if len(found) > CYCLE_CAP:
+                        raise ResourceCapExceeded(
+                            f"cycle listing found more than {CYCLE_CAP} "
+                            f"cycles; cap is {CYCLE_CAP} cycles",
+                            needed=len(found), cap=CYCLE_CAP)
                 elif w not in visited and order[w] > order[root]:
                     visited.add(w)
                     acc.append(e)
@@ -396,24 +403,27 @@ def strongly_connected_components(g: Graph):
                     yield frozenset(comp)
 
 
-def is_downward_directed(g: Graph) -> bool:
-    """Every pair of vertices flows to a common vertex via directed paths.
-
-    In a finite graph every vertex reaches a terminal strongly connected
-    component, so this holds exactly when there is only one: when every
-    vertex reaches the first terminal component found."""
-    if not g.vertices:
-        return True
-    w = next(iter(next(strongly_connected_components(g))))
-    seen = {w}
-    work = [w]
+def reaching(g: Graph, targets) -> frozenset:
+    """The vertices with a directed path into `targets` (targets included)."""
+    seen = set(targets)
+    work = list(seen)
     while work:
         for e in g._in[work.pop()]:
             s = g.src[e]
             if s not in seen:
                 seen.add(s)
                 work.append(s)
-    return len(seen) == len(g.vertices)
+    return frozenset(seen)
+
+
+def is_downward_directed(g: Graph) -> bool:
+    """Every pair of vertices flows to a common vertex via directed paths.
+
+    In a finite graph every vertex reaches a terminal strongly connected
+    component, so this holds exactly when there is only one: when every
+    vertex reaches the first terminal component found."""
+    terminal = next(strongly_connected_components(g), frozenset())
+    return len(reaching(g, terminal)) == len(g.vertices)
 
 
 def is_hereditary(g: Graph, s) -> bool:
@@ -463,6 +473,13 @@ def _grow_closed(g: Graph, closed: frozenset, seed) -> frozenset:
     return frozenset(h)
 
 
+def check_vertex_cap(g: Graph, what: str, cap: int = DEFAULT_VERTEX_CAP):
+    """ResourceCapExceeded, saying `what`, when g has more than `cap` vertices."""
+    n = len(g.vertices)
+    if n > cap:
+        raise ResourceCapExceeded(f"{what}; cap is {cap} vertices", needed=n, cap=cap)
+
+
 def enumerate_hereditary_saturated(g: Graph, max_vertices: int = DEFAULT_VERTEX_CAP):
     """All hereditary saturated subsets, sorted by size then members.
 
@@ -473,14 +490,8 @@ def enumerate_hereditary_saturated(g: Graph, max_vertices: int = DEFAULT_VERTEX_
     (default 16) still guards it, because that number can itself be 2^n
     (n disjoint loops).
     """
-    n = len(g.vertices)
-    if n > max_vertices:
-        raise ResourceCapExceeded(
-            f"hereditary-saturated enumeration needs 2^{n} subsets; "
-            f"cap is {max_vertices} vertices",
-            needed=n,
-            cap=max_vertices,
-        )
+    check_vertex_cap(g, "hereditary-saturated enumeration needs "
+                        f"2^{len(g.vertices)} subsets", max_vertices)
     start = hereditary_saturated_closure(g, ())
     seen = {start}
     queue = deque([start])

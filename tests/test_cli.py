@@ -363,6 +363,13 @@ def _write_graph(path, vertices, edges):
     return str(path)
 
 
+def _loops(tmp_path, k):
+    """`k` disjoint loops."""
+    vs = [f"u{i}" for i in range(k)]
+    return _write_graph(tmp_path / f"loops_{k}.graph", vs,
+                        [(f"c{i}", f"u{i}", f"u{i}") for i in range(k)])
+
+
 def _ladder(tmp_path, rungs, name=None, vertices=(), edges=()):
     """Double-edge ladder of `rungs` rungs into an exit-free loop, plus the
     given extra vertices and edges."""
@@ -450,10 +457,23 @@ def test_long_graphs_end_in_a_resource_cap_without_traceback(tmp_path):
                          line + [(f"f{n}", f"u{n}", "u1")])
     line_loop = _write_graph(tmp_path / "line_loop.graph", vs,
                              line + [("c", f"u{n}", f"u{n}")])
+    # graded primes need no vertex cap, but `gprimes` and the non-prime
+    # `center` keep refusing 17 vertices until the benchmark reference
+    # (exit 3 for `gprimes line_17`) is re-recorded
+    line_17 = _write_graph(tmp_path / "line_17.graph", vs[:17], line[:16])
+    loops_17 = _loops(tmp_path, 17)
+    complete_9 = _write_graph(tmp_path / "complete_9.graph", vs[:9],
+                              [(f"e{i}_{j}", f"u{i}", f"u{j}")
+                               for i in range(1, 10) for j in range(1, 10)
+                               if i != j])
     for argv, needle in (
         (("analyze", cycle), "cap is 16 vertices"),
         (("analyze", line_loop), "cap is 16 vertices"),
         (("center", line_loop, "--algebra", "leavitt"), "cap is 20000"),
+        (("gprimes", line_17), "cap is 16 vertices"),
+        (("gprimes", loops_17), "cap is 16 vertices"),
+        (("center", loops_17, "--algebra", "leavitt"), "cap is 16 vertices"),
+        (("analyze", complete_9), "more than 20000 cycles; cap is 20000 cycles"),
     ):
         code, out, err = run_cli(*argv)
         assert code == 3 and out == ""
@@ -565,6 +585,47 @@ def test_structure_comes_from_the_scc_pass_without_listing(tmp_path,
         assert "1398102" in err and "cap is 20000" in err, argv
     code, out, err = run_cli("analyze", complete(17))
     assert code == 3 and out == "" and "cap is 16 vertices" in err
+
+
+def test_graded_primes_come_from_maximal_tails_without_listing_sets(
+        tmp_path, monkeypatch):
+    # one graded prime per loop: 12 quotients, not one per each of the
+    # 4,096 hereditary saturated sets
+    import importlib
+    import pkgutil
+
+    import pathcenters
+    from pathcenters import center_theory, graph
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("hereditary saturated sets listed")
+
+    for info in pkgutil.iter_modules(pathcenters.__path__):
+        module = importlib.import_module(f"pathcenters.{info.name}")
+        if getattr(module, "enumerate_hereditary_saturated", None) is \
+                graph.enumerate_hereditary_saturated:
+            monkeypatch.setattr(module, "enumerate_hereditary_saturated", refuse)
+    loops = _loops(tmp_path, 12)
+    code, out, _ = run_cli("gprimes", loops, "--format", "json")
+    assert code == 0
+    records = json.loads(out)["sections"]["graded-primes"]
+    assert len(records) == 12
+    assert all(r["flavor"] == "J" and len(r["H"]) == 11 for r in records)
+    code, out, _ = run_cli("center", loops, "--algebra", "leavitt")
+    assert code == 2 and "[bounds]" in out
+    assert "upper_description: " + " x ".join(["K[x,x^-1]"] * 12) in out
+
+    quotients = []
+    quotient_graph = center_theory.quotient_graph
+
+    def counted(g, h):
+        quotients.append(h)
+        return quotient_graph(g, h)
+
+    monkeypatch.setattr(center_theory, "quotient_graph", counted)
+    g = parse_graph((tmp_path / "loops_12.graph").read_text())
+    assert len(center_theory.graded_prime_ideals(g)) == 12
+    assert len(quotients) == 12
 
 
 def test_window_stops_at_the_longest_path_the_graph_has():

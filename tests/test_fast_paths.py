@@ -12,14 +12,16 @@ from pathcenters.center_theory import (
     POLY,
     SCALAR,
     SUM,
+    GradedPrimeRecord,
     _corner_sum,
     center_structure_KE,
     classify_prime_leavitt,
     cycle_rotation_sum,
+    graded_prime_ideals,
     laurent_generator,
     project_to_quotient,
 )
-from pathcenters.errors import GraphError
+from pathcenters.errors import GraphError, HypothesisNotMet
 from pathcenters.graph import (
     Cycle,
     Path,
@@ -35,6 +37,7 @@ from pathcenters.graph import (
     paths_into,
     quotient_graph,
     reachable_from,
+    reaching,
     strongly_connected_components,
 )
 from pathcenters.graph_algebra import (
@@ -89,6 +92,28 @@ def downward_directed_by_pairs(g):
     """Every pair of vertices has a common vertex in their reachable sets."""
     reach = {v: reachable_from(g, v) for v in g.vertices}
     return all(reach[u] & reach[v] for u, v in combinations(g.vertices, 2))
+
+
+def graded_primes_by_enumeration(g):
+    """All proper hereditary saturated H with downward-directed quotient,
+    classified into flavor I (a K factor) or J (a K[x,x^-1] factor)."""
+    records = []
+    everything = frozenset(g.vertices)
+    for h in enumerate_hereditary_saturated(g):
+        if h == everything:
+            continue
+        q = quotient_graph(g, h)
+        try:
+            cls = classify_prime_leavitt(q)
+        except HypothesisNotMet:  # the quotient is not downward directed
+            continue
+        records.append(GradedPrimeRecord(h, q, "I" if cls.scalar else "J", cls))
+    return records
+
+
+def reaching_by_forward_walks(g, targets):
+    """The vertices whose forward reachable set meets `targets`."""
+    return frozenset(v for v in g.vertices if reachable_from(g, v) & targets)
 
 
 def paths_into_by_length(g, targets):
@@ -286,6 +311,35 @@ def test_scc_answers_match_listing_on_fixtures():
 def test_scc_answers_match_listing(data, g):
     seed = data.draw(st.sets(st.sampled_from(g.vertices), min_size=1))
     check_scc_answers_against_listing(g, seed)
+
+
+def check_graded_primes_against_enumeration(g):
+    """The maximal-tail records equal the enumerated ones in order, H,
+    flavor, classification and quotient vertices and edges."""
+    fast, slow = graded_prime_ideals(g), graded_primes_by_enumeration(g)
+    assert [r.H for r in fast] == [r.H for r in slow]
+    for a, b in zip(fast, slow):
+        assert (a.flavor, a.cls) == (b.flavor, b.cls)
+        assert a.quotient.vertices == b.quotient.vertices
+        assert a.quotient.edge_triples() == b.quotient.edge_triples()
+    assert fast == slow
+
+
+def test_graded_primes_match_enumeration_on_fixtures():
+    for path in sorted(FIXTURES.glob("*.graph")):
+        g = parse_graph(path.read_text())
+        check_graded_primes_against_enumeration(g)
+        for v in g.vertices:
+            targets = frozenset({v})
+            assert reaching(g, targets) == reaching_by_forward_walks(g, targets)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), g=graphs(max_vertices=7, max_edges=12))
+def test_graded_primes_match_enumeration(data, g):
+    check_graded_primes_against_enumeration(g)
+    targets = frozenset(data.draw(st.sets(st.sampled_from(g.vertices))))
+    assert reaching(g, targets) == reaching_by_forward_walks(g, targets)
 
 
 @settings(max_examples=150, deadline=None)

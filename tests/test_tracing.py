@@ -16,12 +16,15 @@ from conftest import fixture_path
 TRACING = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
 
-def test_tracer_installs_over_the_package_and_sees_an_oracle_request():
+def _load_tracing():
     spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
-    argv = ["oracle", str(fixture_path("rose_2")), "--algebra", "leavitt",
-            "--max-len", "2", "--verify"]
+    return tracing
+
+
+def _traced(tracing, argv):
+    """Run one request under a fresh tracer: (exit code, stdout, tracer)."""
     tracer = tracing.Tracer()
     uninstall = tracing.install(tracer)
     try:
@@ -31,9 +34,31 @@ def test_tracer_installs_over_the_package_and_sees_an_oracle_request():
             code = cli.main(argv)
     finally:
         uninstall()
-    assert code == 0 and "ok: True" in out.getvalue()
+    return code, out.getvalue(), tracer
+
+
+def test_tracer_installs_over_the_package_and_sees_an_oracle_request():
+    tracing = _load_tracing()
+    argv = ["oracle", str(fixture_path("rose_2")), "--algebra", "leavitt",
+            "--max-len", "2", "--verify"]
+    code, out, tracer = _traced(tracing, argv)
+    assert code == 0 and "ok: True" in out
     metrics = tracing.per_layer(tracer)
     assert metrics["graph_algebra.mul_monomials.calls"]["value"] > 0
     assert metrics["oracle.centrality_witness.calls"]["value"] > 0
     assert tracer.calls["graph_algebra.GAElement.mul"] > 0
     assert metrics["oracle.central_subspace.calls"]["value"] == 1
+
+
+def test_tracer_sees_graded_primes_without_hereditary_sets():
+    # two_loops is not prime: two graded primes, found from the maximal
+    # tails; `install` looks up every traced name, so none has gone
+    tracing = _load_tracing()
+    argv = ["gprimes", str(fixture_path("two_loops"))]
+    code, out, tracer = _traced(tracing, argv)
+    assert code == 0 and "[graded-primes]" in out
+    metrics = tracing.per_layer(tracer)
+    assert metrics["center_theory.graded_primes"]["value"] == 2
+    assert tracer.calls["center_theory.graded_prime_ideals"] == 1
+    assert metrics["graph.hereditary_sets"]["value"] == 0
+    assert tracer.calls["graph.enumerate_hereditary_saturated"] == 0
