@@ -16,6 +16,7 @@ from .errors import GraphError, ResourceCapExceeded
 INFINITE = math.inf
 
 DEFAULT_VERTEX_CAP = 16
+# the most cycles, and the most hereditary saturated sets, `analyze` lists
 CYCLE_CAP = 20_000
 
 
@@ -486,9 +487,10 @@ def enumerate_hereditary_saturated(g: Graph, max_vertices: int = DEFAULT_VERTEX_
     Breadth-first search from closure(empty set) over the one-vertex steps
     H -> closure(H | {v}).  Every hereditary saturated H is the end of such
     a chain inside it, so the search reaches each one, and its cost grows
-    with the number of sets found rather than with 2^n.  The vertex cap
-    (default 16) still guards it, because that number can itself be 2^n
-    (n disjoint loops).
+    with the number of sets found rather than with 2^n.  That number can
+    itself be 2^n (n disjoint loops), so the vertex cap (default 16) guards
+    it, and ResourceCapExceeded is raised as soon as more than CYCLE_CAP
+    sets are found.
     """
     check_vertex_cap(g, "hereditary-saturated enumeration needs "
                         f"2^{len(g.vertices)} subsets", max_vertices)
@@ -503,6 +505,11 @@ def enumerate_hereditary_saturated(g: Graph, max_vertices: int = DEFAULT_VERTEX_
                 if nxt not in seen:
                     seen.add(nxt)
                     queue.append(nxt)
+                    if len(seen) > CYCLE_CAP:
+                        raise ResourceCapExceeded(
+                            f"hereditary-saturated listing found more than "
+                            f"{CYCLE_CAP} sets; cap is {CYCLE_CAP} sets",
+                            needed=len(seen), cap=CYCLE_CAP)
     return sorted(seen, key=lambda s: (len(s), sorted(s)))
 
 

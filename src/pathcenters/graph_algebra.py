@@ -193,7 +193,8 @@ class Algebra:
         for coeff, real, ghost in terms:
             if self.kind == PATH and ghost.edges:
                 raise WordError("path algebra elements have no ghost part")
-            _straighten(self, real, ghost, coeff, out)
+            for m, c in _straighten(self, real, ghost, coeff).items():
+                _accumulate(out, m, c, self.field)
         return GAElement(self, out)
 
     @cached_property
@@ -213,11 +214,13 @@ def _chop(g: Graph, p: Path) -> Path:
     return Path(p.source, g.src[last], p.edges[:-1])
 
 
-def _straighten(alg, real, ghost, coeff, out):
-    """Accumulate coeff * real·ghost* into `out` in normal form.
+def _straighten(alg, real, ghost, coeff):
+    """coeff * real·ghost* in normal form, as a dict of normal monomials.
 
     Only the junction can be off-basis, and the CK2 elimination shortens it,
-    so the recursion terminates after at most min(len, len) steps.
+    so the recursion terminates after at most min(len, len) steps.  The
+    terms it adds are one edge longer than any the recursion returns, so no
+    two terms share a monomial and nothing cancels.
     """
     special = alg.special  # None unless the algebra is Leavitt
     if special is not None and real.edges and ghost.edges:
@@ -227,17 +230,16 @@ def _straighten(alg, real, ghost, coeff, out):
             v = g.src[e]
             if special.edge_at(v) == e:
                 lam, mu = _chop(g, real), _chop(g, ghost)
-                _straighten(alg, lam, mu, coeff, out)
+                out = _straighten(alg, lam, mu, coeff)
+                minus = alg.field.neg(coeff)
                 for f in g.out_edges(v):
-                    if f == e:
-                        continue
-                    m = GMonomial(
-                        Path(lam.source, g.rng[f], lam.edges + (f,)),
-                        Path(mu.source, g.rng[f], mu.edges + (f,)),
-                    )
-                    _accumulate(out, m, alg.field.neg(coeff), alg.field)
-                return
-    _accumulate(out, GMonomial(real, ghost), coeff, alg.field)
+                    if f != e:
+                        out[GMonomial(
+                            Path(lam.source, g.rng[f], lam.edges + (f,)),
+                            Path(mu.source, g.rng[f], mu.edges + (f,)),
+                        )] = minus
+                return out
+    return {GMonomial(real, ghost): coeff}
 
 
 def _accumulate(out, m, coeff, field):
@@ -251,18 +253,18 @@ def _accumulate(out, m, coeff, field):
 
 
 def mul_monomials(alg, m1: GMonomial, m2: GMonomial, coeff):
-    """coeff·m1·m2 for normal monomials, as a dict of normal monomials."""
-    out = {}
+    """coeff·m1·m2 for normal monomials and a nonzero coeff, as a dict of
+    normal monomials."""
     real1, mu1, lam2, ghost2 = m1.real, m1.ghost, m2.real, m2.ghost
     if lam2.starts_with(mu1):
         real = Path(real1.source, lam2.target,
                     real1.edges + lam2.edges[len(mu1.edges):])
-        _straighten(alg, real, ghost2, coeff, out)
-    elif mu1.starts_with(lam2):
+        return _straighten(alg, real, ghost2, coeff)
+    if mu1.starts_with(lam2):
         ghost = Path(ghost2.source, mu1.target,
                      ghost2.edges + mu1.edges[len(lam2.edges):])
-        _straighten(alg, real1, ghost, coeff, out)
-    return out
+        return _straighten(alg, real1, ghost, coeff)
+    return {}
 
 
 # --- the raw-word rewrite engine -------------------------------------------
@@ -464,10 +466,15 @@ class GAElement:
         self._check_ambient(other)
         alg = self.algebra
         field = alg.field
+        one = field.one
         out = {}
         for m1, a in self.coeffs.items():
+            # generators have coefficient 1; field.mul would run even when
+            # the product is zero
+            a_is_one = a == one
             for m2, b in other.coeffs.items():
-                for m, c in mul_monomials(alg, m1, m2, field.mul(a, b)).items():
+                ab = b if a_is_one else a if b == one else field.mul(a, b)
+                for m, c in mul_monomials(alg, m1, m2, ab).items():
                     _accumulate(out, m, c, field)
         return self._make(out)
 

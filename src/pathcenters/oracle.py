@@ -7,12 +7,32 @@ sparse exact elimination.  Products are normalized in the full algebra, so
 the constraints are exact even when they leave the window; "complete within
 window" therefore means complete for the candidate span, with no spurious
 solutions from clipped products.
+
+Two exact shortcuts keep the assembly to the products that can be nonzero.
+
+* Peirce restriction.  v·z = z·v for every vertex v exactly when z is
+  Peirce-diagonal, so the vertex constraints force every candidate λμ* with
+  s(λ) != s(μ) to zero: each such column is a pivot whose reduced row is
+  its unit vector, so it is never free and the reduced-echelon nullspace
+  basis is the one of the diagonal columns alone.  Only those are solver
+  columns (in window order), and the vertex rows, which cancel on them, are
+  not formed.
+* Junction index.  λμ*·g and g·λμ* can be nonzero only when the parts meet
+  at the junction, so each generator is multiplied only by the candidates
+  bucketed under its junction: λμ*·e needs μ to start with e or to be
+  trivial at s(e); e·λμ* needs s(λ) = r(e); λμ*·e* needs s(μ) = r(e); and
+  e*·λμ* needs λ to start with e or to be trivial at s(e), because e* runs
+  from r(e) to s(e).
+
+`CentralSubspace.candidate_count` and the cap still count every candidate
+of the window, diagonal or not.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from itertools import chain
 
 from .errors import AmbientError, InvariantViolation, ResourceCapExceeded
 from .graph import Graph
@@ -135,34 +155,61 @@ def enumerate_candidates(g: Graph, window: OracleWindow, *, cap=None):
                                   degrees=window.degrees)
 
 
+def _head(p):
+    """The first edge of a path, or its vertex when it is trivial (edge and
+    vertex ids never coincide, so one dict holds both)."""
+    return p.edges[0] if p.edges else p.source
+
+
 def central_subspace(g: Graph, window: OracleWindow, *, field=QQ,
                      cap=None) -> CentralSubspace:
     """Exact basis of all window elements commuting with every generator."""
     alg = Algebra(window.kind, g, field=field)
     candidates = enumerate_candidates(g, window, cap=cap)
-    # every generator is a single monomial with coefficient 1
-    gen_monomials = [next(iter(gel.coeffs)) for _, gel in alg.generators]
+    # only Peirce-diagonal candidates can carry weight (see module docstring)
+    diagonal = [m for m in candidates if m.source == m.target]
+    by_source, by_real_head, by_ghost_head = {}, {}, {}
+    for j, m in enumerate(diagonal):
+        by_source.setdefault(m.source, []).append(j)
+        by_real_head.setdefault(_head(m.real), []).append(j)
+        by_ghost_head.setdefault(_head(m.ghost), []).append(j)
+
+    def starting_with(index, e):
+        # the candidates whose part starts with e or is trivial at s(e)
+        return index.get(e, []) + index.get(g.src[e], [])
 
     rows = {}
-    one = field.one
-    for gi, gmon in enumerate(gen_monomials):
-        for j, m in enumerate(candidates):
-            for rm, c in mul_monomials(alg, m, gmon, one).items():
+    one, minus_one = field.one, field.neg(field.one)
+    for gi, (_, gel) in enumerate(alg.generators):
+        (gmon,) = gel.coeffs  # every generator is one monomial, coefficient 1
+        if gmon.is_vertex:
+            continue  # its rows cancel on Peirce-diagonal columns
+        if gmon.ghost.is_trivial:  # an edge e
+            (e,) = gmon.real.edges
+            right = starting_with(by_ghost_head, e)  # m·e
+            left = by_source.get(g.rng[e], ())  # e·m
+        else:  # a ghost edge e*
+            (e,) = gmon.ghost.edges
+            right = by_source.get(g.rng[e], ())  # m·e*
+            left = starting_with(by_real_head, e)  # e*·m
+        # the row of (g, rm) holds the coefficient of rm in m·g - g·m
+        products = chain(
+            ((j, mul_monomials(alg, diagonal[j], gmon, one)) for j in right),
+            ((j, mul_monomials(alg, gmon, diagonal[j], minus_one)) for j in left),
+        )
+        for j, product in products:
+            for rm, c in product.items():
                 row = rows.setdefault((gi, rm), {})
                 old = row.get(j)
                 row[j] = c if old is None else field.add(old, c)
-            for rm, c in mul_monomials(alg, gmon, m, one).items():
-                row = rows.setdefault((gi, rm), {})
-                old = row.get(j)
-                row[j] = field.neg(c) if old is None else field.sub(old, c)
     cleaned = (
         {j: c for j, c in row.items() if c} for row in rows.values()
     )
-    vectors = sparse_nullspace((r for r in cleaned if r), len(candidates), field)
+    vectors = sparse_nullspace((r for r in cleaned if r), len(diagonal), field)
 
     basis = []
     for vec in vectors:
-        coeffs = {candidates[j]: c for j, c in vec.items()}
+        coeffs = {diagonal[j]: c for j, c in vec.items()}
         basis.append(GAElement(alg, coeffs))
 
     for el in basis:  # soundness re-check, post-solve

@@ -461,7 +461,7 @@ def test_long_graphs_end_in_a_resource_cap_without_traceback(tmp_path):
     # `center` keep refusing 17 vertices until the benchmark reference
     # (exit 3 for `gprimes line_17`) is re-recorded
     line_17 = _write_graph(tmp_path / "line_17.graph", vs[:17], line[:16])
-    loops_17 = _loops(tmp_path, 17)
+    loops_16, loops_17 = _loops(tmp_path, 16), _loops(tmp_path, 17)
     complete_9 = _write_graph(tmp_path / "complete_9.graph", vs[:9],
                               [(f"e{i}_{j}", f"u{i}", f"u{j}")
                                for i in range(1, 10) for j in range(1, 10)
@@ -474,6 +474,8 @@ def test_long_graphs_end_in_a_resource_cap_without_traceback(tmp_path):
         (("gprimes", loops_17), "cap is 16 vertices"),
         (("center", loops_17, "--algebra", "leavitt"), "cap is 16 vertices"),
         (("analyze", complete_9), "more than 20000 cycles; cap is 20000 cycles"),
+        # 2^16 hereditary saturated sets
+        (("analyze", loops_16), "more than 20000 sets; cap is 20000 sets"),
     ):
         code, out, err = run_cli(*argv)
         assert code == 3 and out == ""

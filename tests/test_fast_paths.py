@@ -45,12 +45,21 @@ from pathcenters.graph_algebra import (
     LEAVITT,
     PATH,
     Algebra,
+    GAElement,
     GMonomial,
     count_ga_monomials,
     enumerate_ga_monomials,
+    mul_monomials,
     normal_form,
 )
-from pathcenters.oracle import graded_center_component
+from pathcenters.linalg import sparse_nullspace
+from pathcenters.oracle import (
+    CentralSubspace,
+    OracleWindow,
+    central_subspace,
+    enumerate_candidates,
+    graded_center_component,
+)
 from pathcenters.scalars import QQ, PrimeField
 from pathcenters.textio import parse_element, parse_graph
 
@@ -197,6 +206,34 @@ def solved_laurent_generator(g, cls, field):
     z = comp.basis[0]
     lead = min(z.coeffs, key=GMonomial.sort_key)
     return z.scale(field.inv(z.coeffs[lead]))
+
+
+def central_subspace_by_all_pairs(g, window, field):
+    """Multiply every candidate by every generator on both sides and solve
+    over every candidate column."""
+    alg = Algebra(window.kind, g, field=field)
+    candidates = enumerate_candidates(g, window)
+    gen_monomials = [next(iter(gel.coeffs)) for _, gel in alg.generators]
+
+    rows = {}
+    one = field.one
+    for gi, gmon in enumerate(gen_monomials):
+        for j, m in enumerate(candidates):
+            for rm, c in mul_monomials(alg, m, gmon, one).items():
+                row = rows.setdefault((gi, rm), {})
+                old = row.get(j)
+                row[j] = c if old is None else field.add(old, c)
+            for rm, c in mul_monomials(alg, gmon, m, one).items():
+                row = rows.setdefault((gi, rm), {})
+                old = row.get(j)
+                row[j] = field.neg(c) if old is None else field.sub(old, c)
+    cleaned = (
+        {j: c for j, c in row.items() if c} for row in rows.values()
+    )
+    vectors = sparse_nullspace((r for r in cleaned if r), len(candidates), field)
+    basis = tuple(GAElement(alg, {candidates[j]: c for j, c in vec.items()})
+                  for vec in vectors)
+    return CentralSubspace(basis, window, len(candidates))
 
 
 def word_of(real, ghost):
@@ -429,3 +466,34 @@ def test_closed_form_laurent_generator_matches_the_solve(g, field):
     assert cls.reason == "finite_cycle"
     assert laurent_generator(Algebra(LEAVITT, g, field=field), cls.cycle) == \
         solved_laurent_generator(g, cls, field)
+
+
+def check_central_subspace_against_all_pairs(g, window, field):
+    fast = central_subspace(g, window, field=field)
+    slow = central_subspace_by_all_pairs(g, window, field)
+    assert fast.candidate_count == slow.candidate_count
+    assert fast.basis == slow.basis
+    return fast
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=["QQ", "F65521"])
+@pytest.mark.parametrize("kind", ALGEBRA_KINDS)
+def test_junction_assembly_matches_all_pairs_on_fixtures(kind, field):
+    dims = []
+    for path in sorted(FIXTURES.glob("*.graph")):
+        g = parse_graph(path.read_text())
+        for degrees in (None, (0, 0), (1, 2)):
+            window = OracleWindow(kind, 2, degrees)
+            dims.append(check_central_subspace_against_all_pairs(g, window, field).dim)
+    assert any(dims)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), g=graphs(max_vertices=4, max_edges=6),
+       kind=st.sampled_from(ALGEBRA_KINDS), field=st.sampled_from(FIELDS))
+def test_junction_assembly_matches_all_pairs(data, g, kind, field):
+    max_len = data.draw(st.integers(0, 3))
+    while max_len and count_ga_monomials(g, kind, max_len) > 400:
+        max_len -= 1
+    window = OracleWindow(kind, max_len, data.draw(windows(max_len)))
+    check_central_subspace_against_all_pairs(g, window, field)

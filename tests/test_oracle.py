@@ -27,6 +27,7 @@ from pathcenters import (
 )
 from pathcenters.center_theory import SCALAR, center_prime_cohn
 from pathcenters.graph import find_cycles, reachable_from
+from pathcenters.graph_algebra import mul_monomials
 from pathcenters.linalg import LinearSpan
 from pathcenters.oracle import element_vector
 from pathcenters.path_algebra import KEElement as KE
@@ -323,3 +324,24 @@ def test_one_solve_and_its_recheck_build_the_generators_once(monkeypatch):
     assert len(builds) == 1
     assert all(check_central(z) for z in sub.basis)
     assert len(builds) == 1
+
+
+@pytest.mark.parametrize("kind", [LEAVITT, COHN])
+@pytest.mark.parametrize("name, g", [("toeplitz", toeplitz_graph()),
+                                     ("cycle_feeds_loop", cycle_feeds_loop()),
+                                     ("rose_2", rose_graph(2))])
+def test_assembly_forms_no_zero_product(monkeypatch, name, g, kind):
+    from pathcenters import oracle
+
+    products = []
+
+    def counted(*args):
+        out = mul_monomials(*args)
+        products.append(out)
+        return out
+
+    monkeypatch.setattr(oracle, "mul_monomials", counted)
+    sub = central_subspace(g, OracleWindow(kind, 3))
+    all_pairs = 2 * sub.candidate_count * len(Algebra(kind, g).generators)
+    assert products and all(products), name
+    assert len(products) < all_pairs, name
