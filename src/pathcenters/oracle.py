@@ -8,7 +8,8 @@ the constraints are exact even when they leave the window; "complete within
 window" therefore means complete for the candidate span, with no spurious
 solutions from clipped products.
 
-Two exact shortcuts keep the assembly to the products that can be nonzero.
+Three exact shortcuts trim the assembly: the first two keep it to the
+products that can be nonzero, the third to the columns still alive.
 
 * Peirce restriction.  v·z = z·v for every vertex v exactly when z is
   Peirce-diagonal, so the vertex constraints force every candidate λμ* with
@@ -23,6 +24,14 @@ Two exact shortcuts keep the assembly to the products that can be nonzero.
   trivial at s(e); e·λμ* needs s(λ) = r(e); λμ*·e* needs s(μ) = r(e); and
   e*·λμ* needs λ to start with e or to be trivial at s(e), because e* runs
   from r(e) to s(e).
+* Dead columns.  The rows are assembled one generator at a time; a row of
+  that generator with exactly one nonzero entry {j: c} forces x_j = 0 in
+  every solution, so later generators skip column j (no product, no row
+  entry).  Dropping j from later rows leaves the solution space unchanged,
+  and the reduced-echelon nullspace basis depends only on that space and
+  the column order, so the basis is unchanged.  A column dies only once the
+  whole generator's rows are summed and cleaned: the two products of one
+  row entry, m·g and -g·m, can cancel.
 
 `CentralSubspace.candidate_count` and the cap still count every candidate
 of the window, diagonal or not.
@@ -176,11 +185,11 @@ def central_subspace(g: Graph, window: OracleWindow, *, field=QQ,
 
     def starting_with(index, e):
         # the candidates whose part starts with e or is trivial at s(e)
-        return index.get(e, []) + index.get(g.src[e], [])
+        return chain(index.get(e, ()), index.get(g.src[e], ()))
 
-    rows = {}
+    rows, dead = [], set()
     one, minus_one = field.one, field.neg(field.one)
-    for gi, (_, gel) in enumerate(alg.generators):
+    for _, gel in alg.generators:
         (gmon,) = gel.coeffs  # every generator is one monomial, coefficient 1
         if gmon.is_vertex:
             continue  # its rows cancel on Peirce-diagonal columns
@@ -192,20 +201,27 @@ def central_subspace(g: Graph, window: OracleWindow, *, field=QQ,
             (e,) = gmon.ghost.edges
             right = by_source.get(g.rng[e], ())  # m·e*
             left = starting_with(by_real_head, e)  # e*·m
-        # the row of (g, rm) holds the coefficient of rm in m·g - g·m
+        # the row of rm holds the coefficient of rm in m·g - g·m
         products = chain(
-            ((j, mul_monomials(alg, diagonal[j], gmon, one)) for j in right),
-            ((j, mul_monomials(alg, gmon, diagonal[j], minus_one)) for j in left),
+            ((j, mul_monomials(alg, diagonal[j], gmon, one))
+             for j in right if j not in dead),
+            ((j, mul_monomials(alg, gmon, diagonal[j], minus_one))
+             for j in left if j not in dead),
         )
+        gen_rows = {}
         for j, product in products:
             for rm, c in product.items():
-                row = rows.setdefault((gi, rm), {})
+                row = gen_rows.setdefault(rm, {})
                 old = row.get(j)
                 row[j] = c if old is None else field.add(old, c)
-    cleaned = (
-        {j: c for j, c in row.items() if c} for row in rows.values()
-    )
-    vectors = sparse_nullspace((r for r in cleaned if r), len(diagonal), field)
+        # kill columns only once this generator's rows are summed and cleaned
+        for row in gen_rows.values():
+            row = {j: c for j, c in row.items() if c}
+            if len(row) == 1:
+                dead.update(row)
+            if row:
+                rows.append(row)
+    vectors = sparse_nullspace(rows, len(diagonal), field)
 
     basis = []
     for vec in vectors:

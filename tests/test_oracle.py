@@ -29,8 +29,9 @@ from pathcenters.center_theory import SCALAR, center_prime_cohn
 from pathcenters.graph import find_cycles, reachable_from
 from pathcenters.graph_algebra import mul_monomials
 from pathcenters.linalg import LinearSpan
-from pathcenters.oracle import element_vector
+from pathcenters.oracle import element_vector, enumerate_candidates
 from pathcenters.path_algebra import KEElement as KE
+from pathcenters.scalars import QQ
 
 from conftest import cycle_feeds_loop, feeder_loop, two_loops
 
@@ -345,3 +346,39 @@ def test_assembly_forms_no_zero_product(monkeypatch, name, g, kind):
     all_pairs = 2 * sub.candidate_count * len(Algebra(kind, g).generators)
     assert products and all(products), name
     assert len(products) < all_pairs, name
+
+
+def junction_bucket_size(g, window):
+    """How many products the junction buckets hold: each diagonal candidate
+    m = λμ* against each edge and ghost edge whose junction it meets."""
+    diagonal = [m for m in enumerate_candidates(g, window) if m.source == m.target]
+
+    def meets(part, e):  # the part starts with e or is trivial at s(e)
+        return part.edges[:1] == (e,) or (part.is_trivial and part.source == g.src[e])
+
+    return sum(
+        meets(m.ghost, e) + meets(m.real, e)  # m·e, e*·m
+        + 2 * (m.source == g.rng[e])  # e·m, m·e*
+        for e in g.edges for m in diagonal
+    )
+
+
+@pytest.mark.parametrize("name, kind", [("rose_2", LEAVITT), ("rose_2", COHN),
+                                        ("toeplitz", LEAVITT)])
+def test_assembly_skips_columns_forced_to_zero(monkeypatch, name, kind):
+    from pathcenters import oracle
+    from test_fast_paths import central_subspace_by_all_pairs
+
+    g = {"rose_2": rose_graph(2), "toeplitz": toeplitz_graph()}[name]
+    products = []
+
+    def counted(*args):
+        out = mul_monomials(*args)
+        products.append(out)
+        return out
+
+    window = OracleWindow(kind, 3)
+    monkeypatch.setattr(oracle, "mul_monomials", counted)
+    sub = central_subspace(g, window)
+    assert 0 < len(products) < junction_bucket_size(g, window), name
+    assert sub.basis == central_subspace_by_all_pairs(g, window, QQ).basis
