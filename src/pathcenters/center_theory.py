@@ -2,10 +2,11 @@
 
 Covers: the center of the path algebra KE (scalars except on cycle graphs,
 where it is a polynomial ring on the rotation sum), primeness and centers of
-prime Cohn and Leavitt path algebras, the enumeration of graded prime ideals
-with their I/J flavors, and the upper/lower center bounds for a general
-Leavitt path algebra.  Every generator is a closed form checked central by
-direct products, never solved for, so the oracle that cross-checks it stays
+prime Cohn and Leavitt path algebras, the graded prime ideals (one per
+maximal tail) with their I/J flavors, and the upper/lower center bounds for
+a general Leavitt path algebra, each lower piece read off its prime's
+record.  Every generator is a closed form checked central by direct
+products, never solved for, so the oracle that cross-checks it stays
 independent.
 """
 
@@ -24,7 +25,6 @@ from .graph import (
     connected_components,
     count_paths_into,
     cycles_without_exits,
-    hereditary_saturated_closure,
     is_downward_directed,
     paths_into,
     quotient_graph,
@@ -378,71 +378,47 @@ def _corner_generator(alg, targets, c: Cycle = None):
     return z
 
 
-def _component_center_pieces(alg, comp):
-    """Decidable description of the center of the ideal on a full component."""
-    g = alg.graph
-    sub = quotient_graph(g, frozenset(g.vertices) - comp)
-    try:
-        cls = classify_prime_leavitt(sub)
-    except HypothesisNotMet:
-        return [PieceContribution("unknown",
-                                  "non-prime component; oracle-bounded evidence only")]
-    if cls.scalar:
-        gen = GAElement(alg, {GMonomial.at_vertex(g, v): alg.field.one
-                              for v in sorted(comp)})
-        return [PieceContribution("scalar", f"component identity ({cls.reason})", gen)]
-    z = laurent_generator(alg, cls.cycle)
-    return [PieceContribution(
-        "laurent", f"prime component, exit-free cycle fed by {cls.base_count} paths", z)]
+def _lower_pieces(alg, record, hw):
+    """Z(W_P) for the graded prime `record`, W_P on the vertices `hw`.
 
-
-def _ideal_center_pieces(alg, h):
-    """Structural center of I(H) in the decidable patterns, else `unknown`.
-
-    Decidable: the zero ideal; whole components carrying a prime Leavitt
-    algebra; the closure of a single exit-free cycle (a matrix algebra over
+    A vertex of hw reaches no other record's component, so hw is empty
+    unless P's component C is terminal, and then it is the hereditary
+    saturated closure of C.  Decidable: the zero ideal; hw the whole
+    connected component E^0 - H, whose prime Leavitt algebra `record.cls`
+    classifies; the closure of an exit-free cycle (a matrix algebra over
     Laurent polynomials: K[x,x^-1] when finitely many paths end at the
     cycle, zero center when the matrix size is infinite); the closure of a
-    single sink (a matrix algebra over K).
-    """
-    if not h:
+    sink (a matrix algebra over K).  A terminal C with Condition (L) is
+    `unknown`."""
+    if not hw:
         return [PieceContribution("zero", "zero ideal")]
-    g = alg.graph
-    pieces = []
-    for comp in connected_components(g):
-        part = h & comp
-        if not part:
-            continue
-        if part == comp:
-            pieces.extend(_component_center_pieces(alg, comp))
-            continue
-        cycles = [c for c in cycles_without_exits(g)
-                  if c.vertex_set(g) <= part]
-        sinks = [v for v in sorted(part) if g.is_sink(v)]
-        if (len(cycles) == 1 and not sinks
-                and hereditary_saturated_closure(g, cycles[0].vertex_set(g)) == part):
-            counted = count_paths_into(g, cycles[0].vertex_set(g))
-            if counted is None:
-                pieces.append(PieceContribution(
-                    "zero", "matrix size infinite: a cycle feeds the corner"))
-            else:
-                pieces.append(PieceContribution(
-                    "laurent", f"matrix corner over {counted[0]} paths",
-                    laurent_generator(alg, cycles[0])))
-        elif (len(sinks) == 1 and not cycles
-                and hereditary_saturated_closure(g, {sinks[0]}) == part):
-            counted = count_paths_into(g, frozenset(sinks))
-            if counted is None:
-                pieces.append(PieceContribution(
-                    "zero", "matrix size infinite: a cycle feeds the sink"))
-            else:
-                pieces.append(PieceContribution(
-                    "scalar", f"matrix corner over K on {counted[0]} paths",
-                    _corner_generator(alg, frozenset(sinks))))
-        else:
-            pieces.append(PieceContribution(
-                "unknown", "no decidable pattern; oracle-bounded evidence only"))
-    return pieces
+    g, cls = alg.graph, record.cls
+    if hw | record.H == frozenset(g.vertices):
+        if cls.scalar:
+            gen = GAElement(alg, {GMonomial.at_vertex(g, v): alg.field.one
+                                  for v in sorted(hw)})
+            return [PieceContribution("scalar", f"component identity ({cls.reason})", gen)]
+        return [PieceContribution(
+            "laurent", f"prime component, exit-free cycle fed by {cls.base_count} paths",
+            laurent_generator(alg, cls.cycle))]
+    if cls.cycle is not None:
+        if cls.reason == "infinite_feeding":
+            return [PieceContribution(
+                "zero", "matrix size infinite: a cycle feeds the corner")]
+        return [PieceContribution(
+            "laurent", f"matrix corner over {cls.base_count} paths",
+            laurent_generator(alg, cls.cycle))]
+    sinks = frozenset(v for v in hw if g.is_sink(v))
+    if not sinks:
+        return [PieceContribution(
+            "unknown", "no decidable pattern; oracle-bounded evidence only")]
+    counted = count_paths_into(g, sinks)
+    if counted is None:
+        return [PieceContribution(
+            "zero", "matrix size infinite: a cycle feeds the sink")]
+    return [PieceContribution(
+        "scalar", f"matrix corner over K on {counted[0]} paths",
+        _corner_generator(alg, sinks))]
 
 
 def _whole_center_pieces(alg, cls):
@@ -459,8 +435,8 @@ def _whole_center_pieces(alg, cls):
 def center_bounds(g: Graph, *, field=QQ) -> CenterBounds:
     """Theorem-level bounds: the upper bound is one K per I-record and one
     K[x,x^-1] per J-record; the lower bound collects Z(W_P) for W_P the
-    intersection of the other graded primes, described structurally in the
-    decidable patterns.  A singleton family makes W_P improper, so its lower
+    intersection of the other graded primes, read off P's record by
+    `_lower_pieces`.  A singleton family makes W_P improper, so its lower
     entry degenerates to the whole center and is flagged as such."""
     alg = Algebra(LEAVITT, g, field=field)
     records = tuple(graded_prime_ideals(g))
@@ -476,7 +452,7 @@ def center_bounds(g: Graph, *, field=QQ) -> CenterBounds:
             continue
         hw = frozenset.intersection(*others)
         lower.append(LowerSummand(
-            i, hw, False, tuple(_ideal_center_pieces(alg, hw))))
+            i, hw, False, tuple(_lower_pieces(alg, records[i], hw))))
     radical = (frozenset.intersection(*(r.H for r in records))
                if records else everything)
     return CenterBounds(records, upper, tuple(lower), radical)

@@ -474,26 +474,26 @@ def _grow_closed(g: Graph, closed: frozenset, seed) -> frozenset:
     return frozenset(h)
 
 
-def check_vertex_cap(g: Graph, what: str, cap: int = DEFAULT_VERTEX_CAP):
-    """ResourceCapExceeded, saying `what`, when g has more than `cap` vertices."""
-    n = len(g.vertices)
+def check_vertex_cap(g: Graph, what: str):
+    """ResourceCapExceeded, saying `what`, when g has more vertices than the cap."""
+    n, cap = len(g.vertices), DEFAULT_VERTEX_CAP
     if n > cap:
         raise ResourceCapExceeded(f"{what}; cap is {cap} vertices", needed=n, cap=cap)
 
 
-def enumerate_hereditary_saturated(g: Graph, max_vertices: int = DEFAULT_VERTEX_CAP):
+def enumerate_hereditary_saturated(g: Graph):
     """All hereditary saturated subsets, sorted by size then members.
 
     Breadth-first search from closure(empty set) over the one-vertex steps
     H -> closure(H | {v}).  Every hereditary saturated H is the end of such
     a chain inside it, so the search reaches each one, and its cost grows
     with the number of sets found rather than with 2^n.  That number can
-    itself be 2^n (n disjoint loops), so the vertex cap (default 16) guards
+    itself be 2^n (n disjoint loops), so the vertex cap (16) guards
     it, and ResourceCapExceeded is raised as soon as more than CYCLE_CAP
     sets are found.
     """
     check_vertex_cap(g, "hereditary-saturated enumeration needs "
-                        f"2^{len(g.vertices)} subsets", max_vertices)
+                        f"2^{len(g.vertices)} subsets")
     start = hereditary_saturated_closure(g, ())
     seen = {start}
     queue = deque([start])

@@ -61,12 +61,10 @@ DEFAULT_MONOMIAL_CAP = 20_000
 MONOMIAL_CAP_ENV = "PATHCENTERS_MAX_MONOMIALS"
 
 
-def monomial_cap(explicit=None):
-    """The candidate cap: `explicit`, else the environment, else the default.
+def monomial_cap():
+    """The candidate cap: the environment, else the default.
 
     A set environment value must be a non-negative integer (ValueError)."""
-    if explicit is not None:
-        return explicit
     env = os.environ.get(MONOMIAL_CAP_ENV)
     if not env:
         return DEFAULT_MONOMIAL_CAP
@@ -137,10 +135,10 @@ def centrality_witness(a):
     return None
 
 
-def check_window_cap(g: Graph, window: OracleWindow, cap=None):
+def check_window_cap(g: Graph, window: OracleWindow):
     """Raise ResourceCapExceeded when `window` holds more candidate monomials
     than the configured cap, counted exactly without building a monomial."""
-    cap = monomial_cap(cap)
+    cap = monomial_cap()
     needed = count_ga_monomials(g, window.kind, window.max_len,
                                 degrees=window.degrees)
     if needed > cap:
@@ -155,11 +153,11 @@ def check_window_cap(g: Graph, window: OracleWindow, cap=None):
         )
 
 
-def enumerate_candidates(g: Graph, window: OracleWindow, *, cap=None):
+def enumerate_candidates(g: Graph, window: OracleWindow):
     """Window candidates, checked against the configured resource cap.
 
     The cap is checked on the exact count before any monomial is built."""
-    check_window_cap(g, window, cap)
+    check_window_cap(g, window)
     return enumerate_ga_monomials(g, window.kind, window.max_len,
                                   degrees=window.degrees)
 
@@ -170,11 +168,10 @@ def _head(p):
     return p.edges[0] if p.edges else p.source
 
 
-def central_subspace(g: Graph, window: OracleWindow, *, field=QQ,
-                     cap=None) -> CentralSubspace:
+def central_subspace(g: Graph, window: OracleWindow, *, field=QQ) -> CentralSubspace:
     """Exact basis of all window elements commuting with every generator."""
     alg = Algebra(window.kind, g, field=field)
-    candidates = enumerate_candidates(g, window, cap=cap)
+    candidates = enumerate_candidates(g, window)
     # only Peirce-diagonal candidates can carry weight (see module docstring)
     diagonal = [m for m in candidates if m.source == m.target]
     by_source, by_real_head, by_ghost_head = {}, {}, {}

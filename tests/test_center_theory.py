@@ -319,19 +319,19 @@ def test_verify_bounds_on_disconnected_mixed_fixture():
 
 
 def test_undecidable_ideal_pattern_is_tagged_for_the_oracle():
-    from pathcenters.center_theory import _ideal_center_pieces
-
-    # one vertex feeding an exit-free loop, a sink, and an exit-free loop d:
-    # the set {v, w} is hereditary saturated but matches no decidable corner
+    # u feeds a sink s and a vertex w with two loops: W_P for the tail
+    # {u, w} is the ideal on {w}, whose component has Condition (L) but is
+    # no whole graph component, so no decidable corner describes it
     g = Graph.build(
-        ["u", "v", "w", "t"],
-        [("f", "u", "v"), ("c", "v", "v"), ("g", "u", "w"), ("d", "t", "t"),
-         ("h", "u", "t")],
+        ["u", "w", "s"],
+        [("f", "u", "w"), ("c", "w", "w"), ("d", "w", "w"), ("g", "u", "s")],
     )
-    from pathcenters.graph import is_hereditary, is_saturated
-
-    part = frozenset({"v", "w"})
-    assert is_hereditary(g, part) and is_saturated(g, part)
-    pieces = _ideal_center_pieces(Algebra(LEAVITT, g), part)
-    assert [p.kind for p in pieces] == ["unknown"]
-    assert "oracle-bounded" in pieces[0].detail
+    bounds = center_bounds(g)
+    by_h = {r.H: s for r, s in zip(bounds.records, bounds.lower)}
+    loops = by_h[frozenset({"s"})]
+    assert not loops.improper and loops.ideal_vertices == frozenset({"w"})
+    assert [p.kind for p in loops.pieces] == ["unknown"]
+    assert "oracle-bounded" in loops.pieces[0].detail
+    sink = by_h[frozenset({"w"})]
+    assert sink.ideal_vertices == frozenset({"s"})
+    assert [p.detail for p in sink.pieces] == ["matrix corner over K on 2 paths"]

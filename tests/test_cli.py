@@ -425,7 +425,8 @@ def test_each_graph_is_classified_once_per_request(monkeypatch):
     runs = [("oracle", str(fixture_path(name)), "--algebra", "leavitt",
              "--max-len", "2", "--verify")
             for name in ("toeplitz", "fork_sink_loop")]
-    runs.append(("gprimes", str(fixture_path("rose_1"))))
+    runs += [("gprimes", str(fixture_path(name)))
+             for name in ("rose_1", "two_loops", "cycle2_plus_vertex")]
     for argv in runs:
         seen.clear()
         assert run_cli(*argv)[0] == 0, argv

@@ -13,7 +13,11 @@ from pathcenters.center_theory import (
     SCALAR,
     SUM,
     GradedPrimeRecord,
+    PieceContribution,
+    _corner_generator,
     _corner_sum,
+    _lower_pieces,
+    center_bounds,
     center_structure_KE,
     classify_prime_leavitt,
     cycle_rotation_sum,
@@ -21,7 +25,7 @@ from pathcenters.center_theory import (
     laurent_generator,
     project_to_quotient,
 )
-from pathcenters.errors import GraphError, HypothesisNotMet
+from pathcenters.errors import GraphError, HypothesisNotMet, ResourceCapExceeded
 from pathcenters.graph import (
     Cycle,
     Path,
@@ -61,7 +65,7 @@ from pathcenters.oracle import (
     graded_center_component,
 )
 from pathcenters.scalars import QQ, PrimeField
-from pathcenters.textio import parse_element, parse_graph
+from pathcenters.textio import element_to_text, parse_element, parse_graph
 
 from conftest import FIXTURES
 
@@ -206,6 +210,75 @@ def solved_laurent_generator(g, cls, field):
     z = comp.basis[0]
     lead = min(z.coeffs, key=GMonomial.sort_key)
     return z.scale(field.inv(z.coeffs[lead]))
+
+
+def component_pieces_by_pattern(alg, comp):
+    """Decidable description of the center of the ideal on a full component."""
+    g = alg.graph
+    sub = quotient_graph(g, frozenset(g.vertices) - comp)
+    try:
+        cls = classify_prime_leavitt(sub)
+    except HypothesisNotMet:
+        return [PieceContribution("unknown",
+                                  "non-prime component; oracle-bounded evidence only")]
+    if cls.scalar:
+        gen = GAElement(alg, {GMonomial.at_vertex(g, v): alg.field.one
+                              for v in sorted(comp)})
+        return [PieceContribution("scalar", f"component identity ({cls.reason})", gen)]
+    z = laurent_generator(alg, cls.cycle)
+    return [PieceContribution(
+        "laurent", f"prime component, exit-free cycle fed by {cls.base_count} paths", z)]
+
+
+def lower_pieces_by_pattern(alg, h):
+    """Structural center of I(H) in the decidable patterns, else `unknown`,
+    for any hereditary saturated H: the search over components, exit-free
+    cycles and sinks that `_lower_pieces` replaced.
+
+    Decidable: the zero ideal; whole components carrying a prime Leavitt
+    algebra; the closure of a single exit-free cycle (a matrix algebra over
+    Laurent polynomials: K[x,x^-1] when finitely many paths end at the
+    cycle, zero center when the matrix size is infinite); the closure of a
+    single sink (a matrix algebra over K).
+    """
+    if not h:
+        return [PieceContribution("zero", "zero ideal")]
+    g = alg.graph
+    pieces = []
+    for comp in connected_components(g):
+        part = h & comp
+        if not part:
+            continue
+        if part == comp:
+            pieces.extend(component_pieces_by_pattern(alg, comp))
+            continue
+        cycles = [c for c in cycles_without_exits(g)
+                  if c.vertex_set(g) <= part]
+        sinks = [v for v in sorted(part) if g.is_sink(v)]
+        if (len(cycles) == 1 and not sinks
+                and hereditary_saturated_closure(g, cycles[0].vertex_set(g)) == part):
+            counted = count_paths_into(g, cycles[0].vertex_set(g))
+            if counted is None:
+                pieces.append(PieceContribution(
+                    "zero", "matrix size infinite: a cycle feeds the corner"))
+            else:
+                pieces.append(PieceContribution(
+                    "laurent", f"matrix corner over {counted[0]} paths",
+                    laurent_generator(alg, cycles[0])))
+        elif (len(sinks) == 1 and not cycles
+                and hereditary_saturated_closure(g, {sinks[0]}) == part):
+            counted = count_paths_into(g, frozenset(sinks))
+            if counted is None:
+                pieces.append(PieceContribution(
+                    "zero", "matrix size infinite: a cycle feeds the sink"))
+            else:
+                pieces.append(PieceContribution(
+                    "scalar", f"matrix corner over K on {counted[0]} paths",
+                    _corner_generator(alg, frozenset(sinks))))
+        else:
+            pieces.append(PieceContribution(
+                "unknown", "no decidable pattern; oracle-bounded evidence only"))
+    return pieces
 
 
 def central_subspace_by_all_pairs(g, window, field):
@@ -466,6 +539,77 @@ def test_closed_form_laurent_generator_matches_the_solve(g, field):
     assert cls.reason == "finite_cycle"
     assert laurent_generator(Algebra(LEAVITT, g, field=field), cls.cycle) == \
         solved_laurent_generator(g, cls, field)
+
+
+def piece_texts(pieces):
+    """(kind, detail, generator text) for each piece the thunk returns, or
+    "cap" when it is refused."""
+    try:
+        return [(p.kind, p.detail,
+                 None if p.generator is None else element_to_text(p.generator))
+                for p in pieces()]
+    except ResourceCapExceeded:
+        return "cap"
+
+
+def check_lower_pieces_against_pattern(g, field):
+    """Every non-improper lower summand of `center_bounds` equals the
+    pattern search on its vertices.  A refused corner stops `center_bounds`,
+    so then each W_P is read through `_lower_pieces` on its own.  Returns
+    the piece kinds compared, "cap" standing for a refused W_P."""
+    alg = Algebra(LEAVITT, g, field=field)
+    pairs = []
+    try:
+        for s in center_bounds(g, field=field).lower:
+            if not s.improper:
+                pairs.append((piece_texts(lambda: s.pieces), s.ideal_vertices))
+    except ResourceCapExceeded:
+        records = graded_prime_ideals(g)
+        for r in records if len(records) > 1 else ():
+            hw = frozenset.intersection(*(q.H for q in records if q is not r))
+            pairs.append((piece_texts(lambda: _lower_pieces(alg, r, hw)), hw))
+    kinds = set()
+    for fast, hw in pairs:
+        assert fast == piece_texts(lambda: lower_pieces_by_pattern(alg, hw)), sorted(hw)
+        kinds.update(["cap"] if fast == "cap" else (kind for kind, _, _ in fast))
+    return kinds
+
+
+LOWER_FIELDS = [QQ, PrimeField(3)]
+LOWER_GRAPHS = [
+    # a vertex with two loops fed beside a sink: the undecidable piece
+    Graph.build(["u", "w", "s"], [("f", "u", "w"), ("c", "w", "w"),
+                                  ("d", "w", "w"), ("g", "u", "s")]),
+    # a 2-cycle fed beside a sink: a Laurent corner over 3 paths
+    Graph.build(["u", "c1", "c2", "s"], [("f", "u", "c1"), ("z1", "c1", "c2"),
+                                         ("z2", "c2", "c1"), ("g", "u", "s")]),
+]
+
+
+def lower_kinds_on_fixtures(field):
+    graphs = [parse_graph(p.read_text()) for p in sorted(FIXTURES.glob("*.graph"))]
+    kinds = set()
+    for g in graphs + LOWER_GRAPHS:
+        kinds |= check_lower_pieces_against_pattern(g, field)
+    return kinds
+
+
+@pytest.mark.parametrize("field", LOWER_FIELDS, ids=["QQ", "F3"])
+def test_lower_pieces_match_the_pattern_search_on_fixtures(field):
+    assert lower_kinds_on_fixtures(field) == {"zero", "scalar", "laurent", "unknown"}
+
+
+def test_refused_lower_pieces_match_the_pattern_search(monkeypatch):
+    # a cap of 2 candidates refuses some corner windows and admits others
+    monkeypatch.setenv("PATHCENTERS_MAX_MONOMIALS", "2")
+    kinds = lower_kinds_on_fixtures(QQ)
+    assert "cap" in kinds and len(kinds) > 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(g=graphs(max_vertices=7, max_edges=12), field=st.sampled_from(LOWER_FIELDS))
+def test_lower_pieces_match_the_pattern_search(g, field):
+    check_lower_pieces_against_pattern(g, field)
 
 
 def check_central_subspace_against_all_pairs(g, window, field):

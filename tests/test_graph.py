@@ -226,7 +226,7 @@ def test_enumerate_matches_direct_predicate_filter():
 
 def test_enumeration_cap():
     with pytest.raises(ResourceCapExceeded):
-        enumerate_hereditary_saturated(line_graph(3), max_vertices=2)
+        enumerate_hereditary_saturated(line_graph(17))
 
 
 def test_quotient_graph_examples():

@@ -173,9 +173,10 @@ def test_window_monotonicity():
             assert span.contains(element_vector(el))
 
 
-def test_resource_cap():
+def test_resource_cap(monkeypatch):
+    monkeypatch.setenv("PATHCENTERS_MAX_MONOMIALS", "50")
     with pytest.raises(ResourceCapExceeded):
-        central_subspace(rose_graph(3), OracleWindow(LEAVITT, 3), cap=50)
+        central_subspace(rose_graph(3), OracleWindow(LEAVITT, 3))
 
 
 def test_prime_field_mode():
