@@ -21,6 +21,7 @@ from .graph import (
     Graph,
     Path,
     all_paths_up_to,
+    anchor_components,
     check_vertex_cap,
     connected_components,
     count_paths_into,
@@ -29,7 +30,6 @@ from .graph import (
     paths_into,
     quotient_graph,
     reaching,
-    strongly_connected_components,
 )
 from .graph_algebra import (
     COHN,
@@ -284,19 +284,17 @@ class GradedPrimeRecord:
 def graded_prime_ideals(g: Graph):
     """The graded prime ideals I(H), sorted by |H| then H, of flavor I (a K
     factor) or J (a K[x,x^-1] factor).  E^0 - H is a maximal tail: the
-    vertices reaching one strongly connected component that holds an edge
-    or is a sink (Rangaswamy, J. Algebra 375, 2013)."""
+    vertices reaching one anchor, a strongly connected component that holds
+    an edge or is a sink (Rangaswamy, J. Algebra 375, 2013)."""
     # perfbench/reference.json records this refusal for `gprimes line_17`;
     # the change that re-records that entry deletes this check
     check_vertex_cap(g, "graded-prime listing refused")
     records = []
-    for comp in strongly_connected_components(g):
-        if (g.is_sink(next(iter(comp)))
-                or any(g.rng[e] in comp for v in comp for e in g.out_edges(v))):
-            h = frozenset(g.vertices) - reaching(g, comp)
-            q = quotient_graph(g, h)
-            cls = classify_prime_leavitt(q)
-            records.append(GradedPrimeRecord(h, q, "I" if cls.scalar else "J", cls))
+    for comp in anchor_components(g):
+        h = frozenset(g.vertices) - reaching(g, comp)
+        q = quotient_graph(g, h)
+        cls = classify_prime_leavitt(q)
+        records.append(GradedPrimeRecord(h, q, "I" if cls.scalar else "J", cls))
     return sorted(records, key=lambda r: (len(r.H), sorted(r.H)))
 
 

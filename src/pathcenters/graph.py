@@ -441,24 +441,15 @@ def is_saturated(g: Graph, s) -> bool:
 
 
 def hereditary_saturated_closure(g: Graph, seed) -> frozenset:
-    """Least hereditary and saturated superset of `seed`."""
-    seed = set(seed)
-    for v in seed:
-        g.check_vertex(v)
-    return _grow_closed(g, frozenset(), seed)
-
-
-def _grow_closed(g: Graph, closed: frozenset, seed) -> frozenset:
-    """Least hereditary saturated superset of `closed | seed`, where
-    `closed` is already hereditary and saturated.
+    """Least hereditary and saturated superset of `seed`.
 
     Worklist: each vertex that joins pulls in the ranges of its out-edges
     (hereditary) and re-checks the sources of its in-edges, which join once
-    all their out-edges land inside (saturated).  Only the new vertices are
-    ever visited."""
-    h = set(closed)
-    work = [v for v in seed if v not in h]
-    h.update(work)
+    all their out-edges land inside (saturated)."""
+    h = set(seed)
+    for v in h:
+        g.check_vertex(v)
+    work = list(h)
     while work:
         x = work.pop()
         for e in g._out[x]:
@@ -481,36 +472,49 @@ def check_vertex_cap(g: Graph, what: str):
         raise ResourceCapExceeded(f"{what}; cap is {cap} vertices", needed=n, cap=cap)
 
 
+def anchor_components(g: Graph):
+    """The strongly connected components that hold an edge or are a sink,
+    in Tarjan order: each after every component it reaches."""
+    return [comp for comp in strongly_connected_components(g)
+            if g.is_sink(next(iter(comp)))
+            or any(g.rng[e] in comp for v in comp for e in g._out[v])]
+
+
 def enumerate_hereditary_saturated(g: Graph):
     """All hereditary saturated subsets, sorted by size then members.
 
-    Breadth-first search from closure(empty set) over the one-vertex steps
-    H -> closure(H | {v}).  Every hereditary saturated H is the end of such
-    a chain inside it, so the search reaches each one, and its cost grows
-    with the number of sets found rather than with 2^n.  That number can
-    itself be 2^n (n disjoint loops), so the vertex cap (16) guards
-    it, and ResourceCapExceeded is raised as soon as more than CYCLE_CAP
-    sets are found.
+    H is hereditary saturated exactly when E^0 - H = reaching(U) for a set
+    U of anchors (`anchor_components`) that holds every anchor reaching one
+    in U: a walk inside E^0 - H, closed under in-edges and with an out-edge
+    at each non-sink, ends in an anchor.  U is the set of anchors inside
+    reaching(U), so distinct U give distinct H.  The anchors are walked
+    sources first on an explicit stack, each kept only when no dropped one
+    reaches it, so every branch yields one set.  The sets can number 2^n
+    (n disjoint loops): the vertex cap (16) guards the listing, and
+    ResourceCapExceeded is raised as soon as more than CYCLE_CAP are found.
     """
     check_vertex_cap(g, "hereditary-saturated enumeration needs "
                         f"2^{len(g.vertices)} subsets")
-    start = hereditary_saturated_closure(g, ())
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        h = queue.popleft()
-        for v in g.vertices:
-            if v not in h:
-                nxt = _grow_closed(g, h, (v,))
-                if nxt not in seen:
-                    seen.add(nxt)
-                    queue.append(nxt)
-                    if len(seen) > CYCLE_CAP:
-                        raise ResourceCapExceeded(
-                            f"hereditary-saturated listing found more than "
-                            f"{CYCLE_CAP} sets; cap is {CYCLE_CAP} sets",
-                            needed=len(seen), cap=CYCLE_CAP)
-    return sorted(seen, key=lambda s: (len(s), sorted(s)))
+    anchors = anchor_components(g)[::-1]
+    bit = {v: 1 << k for k, v in enumerate(g.vertices)}
+    reach = [sum(bit[v] for v in reaching(g, comp)) for comp in anchors]
+    found = []
+    stack = [(0, 0, 0)]  # (next anchor, dropped anchors' vertices, removed vertices)
+    while stack:
+        i, dropped, removed = stack.pop()
+        if i == len(anchors):
+            # through a set, so the frozenset's table is sized to its members
+            found.append(frozenset({v for v in g.vertices if not removed & bit[v]}))
+            if len(found) > CYCLE_CAP:
+                raise ResourceCapExceeded(
+                    f"hereditary-saturated listing found more than "
+                    f"{CYCLE_CAP} sets; cap is {CYCLE_CAP} sets",
+                    needed=len(found), cap=CYCLE_CAP)
+            continue
+        stack.append((i + 1, dropped | bit[min(anchors[i])], removed))
+        if not reach[i] & dropped:
+            stack.append((i + 1, dropped, removed | reach[i]))
+    return sorted(found, key=lambda s: (len(s), sorted(s)))
 
 
 def quotient_graph(g: Graph, h) -> Graph:

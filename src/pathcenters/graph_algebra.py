@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, chain
 
 from .errors import (
     AmbientError,
@@ -467,12 +467,22 @@ class GAElement:
         alg = self.algebra
         field = alg.field
         one = field.one
+        # m1·m2 needs ghost(m1) and real(m2) to start together, so m2 is
+        # found by the head of its real part: its first edge, or its vertex
+        by_head = {}
+        for m2, b in other.coeffs.items():
+            lam = m2.real
+            by_head.setdefault(lam.edges[0] if lam.edges else lam.source,
+                               []).append((m2, b))
         out = {}
         for m1, a in self.coeffs.items():
-            # generators have coefficient 1; field.mul would run even when
-            # the product is zero
+            mu = m1.ghost
+            heads = mu.edges[:1] or alg.graph.out_edges(mu.source)
+            partners = chain(by_head.get(mu.source, ()),
+                             *(by_head.get(e, ()) for e in heads))
+            # generators have coefficient 1; skip field.mul for them
             a_is_one = a == one
-            for m2, b in other.coeffs.items():
+            for m2, b in partners:
                 ab = b if a_is_one else a if b == one else field.mul(a, b)
                 for m, c in mul_monomials(alg, m1, m2, ab).items():
                     _accumulate(out, m, c, field)

@@ -23,7 +23,8 @@ products that can be nonzero, the third to the columns still alive.
   bucketed under its junction: λμ*·e needs μ to start with e or to be
   trivial at s(e); e·λμ* needs s(λ) = r(e); λμ*·e* needs s(μ) = r(e); and
   e*·λμ* needs λ to start with e or to be trivial at s(e), because e* runs
-  from r(e) to s(e).
+  from r(e) to s(e).  The same index serves `centrality_witness`, which
+  checks the vertices too: λμ*·v needs s(μ) = v, and v·λμ* needs s(λ) = v.
 * Dead columns.  The rows are assembled one generator at a time; a row of
   that generator with exactly one nonzero entry {j: c} forces x_j = 0 in
   every solution, so later generators skip column j (no product, no row
@@ -128,9 +129,24 @@ def check_central(a) -> bool:
 
 
 def centrality_witness(a):
-    """The first generator that fails to commute with `a`, or None."""
-    for label, gel in a.algebra.generators:
-        if a * gel != gel * a:
+    """The first generator, in `a.algebra.generators` order, that fails to
+    commute with `a`, or None; only products whose parts meet are formed."""
+    alg = a.algebra
+    terms = list(a.coeffs.items())
+    index = _junction_index(a.coeffs)
+
+    def summed(products):
+        out = {}
+        for product in products:
+            for m, c in product.items():
+                out[m] = alg.field.add(out[m], c) if m in out else c
+        return {m: c for m, c in out.items() if c}
+
+    for label, gel in alg.generators:
+        (gmon,) = gel.coeffs  # every generator is one monomial, coefficient 1
+        right, left = _meeting(alg.graph, index, gmon)
+        if (summed(mul_monomials(alg, terms[j][0], gmon, terms[j][1]) for j in right)
+                != summed(mul_monomials(alg, gmon, *terms[j]) for j in left)):
             return label, gel
     return None
 
@@ -162,10 +178,28 @@ def enumerate_candidates(g: Graph, window: OracleWindow):
                                   degrees=window.degrees)
 
 
-def _head(p):
-    """The first edge of a path, or its vertex when it is trivial (edge and
-    vertex ids never coincide, so one dict holds both)."""
-    return p.edges[0] if p.edges else p.source
+def _junction_index(monomials):
+    """The positions of `monomials` by the head of each part: its first edge,
+    or its vertex when trivial (edge and vertex ids never coincide)."""
+    by_real_head, by_ghost_head = {}, {}
+    for j, m in enumerate(monomials):
+        for by_head, p in ((by_real_head, m.real), (by_ghost_head, m.ghost)):
+            by_head.setdefault(p.edges[0] if p.edges else p.source, []).append(j)
+    return by_real_head, by_ghost_head
+
+
+def _meeting(g: Graph, index, gmon):
+    """(right, left): the positions j in `index` whose monomial m has m·gmon,
+    respectively gmon·m, nonzero: the parts meeting there start together."""
+    by_real_head, by_ghost_head = index
+
+    def starting_with(p, by_head):
+        # parts trivial at s(p), or headed by p's edge (any edge at v if p = @v)
+        heads = p.edges[:1] or g.out_edges(p.source)
+        return chain(by_head.get(p.source, ()), *(by_head.get(e, ()) for e in heads))
+
+    return (starting_with(gmon.real, by_ghost_head),
+            starting_with(gmon.ghost, by_real_head))
 
 
 def central_subspace(g: Graph, window: OracleWindow, *, field=QQ) -> CentralSubspace:
@@ -174,30 +208,14 @@ def central_subspace(g: Graph, window: OracleWindow, *, field=QQ) -> CentralSubs
     candidates = enumerate_candidates(g, window)
     # only Peirce-diagonal candidates can carry weight (see module docstring)
     diagonal = [m for m in candidates if m.source == m.target]
-    by_source, by_real_head, by_ghost_head = {}, {}, {}
-    for j, m in enumerate(diagonal):
-        by_source.setdefault(m.source, []).append(j)
-        by_real_head.setdefault(_head(m.real), []).append(j)
-        by_ghost_head.setdefault(_head(m.ghost), []).append(j)
-
-    def starting_with(index, e):
-        # the candidates whose part starts with e or is trivial at s(e)
-        return chain(index.get(e, ()), index.get(g.src[e], ()))
-
+    index = _junction_index(diagonal)
     rows, dead = [], set()
     one, minus_one = field.one, field.neg(field.one)
     for _, gel in alg.generators:
         (gmon,) = gel.coeffs  # every generator is one monomial, coefficient 1
         if gmon.is_vertex:
             continue  # its rows cancel on Peirce-diagonal columns
-        if gmon.ghost.is_trivial:  # an edge e
-            (e,) = gmon.real.edges
-            right = starting_with(by_ghost_head, e)  # m·e
-            left = by_source.get(g.rng[e], ())  # e·m
-        else:  # a ghost edge e*
-            (e,) = gmon.ghost.edges
-            right = by_source.get(g.rng[e], ())  # m·e*
-            left = starting_with(by_real_head, e)  # e*·m
+        right, left = _meeting(g, index, gmon)
         # the row of rm holds the coefficient of rm in m·g - g·m
         products = chain(
             ((j, mul_monomials(alg, diagonal[j], gmon, one))

@@ -2,12 +2,13 @@
 replaced.  Those versions follow the definitions directly and are kept here
 only as test oracles."""
 
+from collections import deque
 from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pathcenters import Graph
+from pathcenters import Graph, graph_algebra, oracle
 from pathcenters.center_theory import (
     POLY,
     SCALAR,
@@ -61,13 +62,15 @@ from pathcenters.oracle import (
     CentralSubspace,
     OracleWindow,
     central_subspace,
+    centrality_witness,
+    check_central,
     enumerate_candidates,
     graded_center_component,
 )
 from pathcenters.scalars import QQ, PrimeField
 from pathcenters.textio import element_to_text, parse_element, parse_graph
 
-from conftest import FIXTURES
+from conftest import FIXTURES, fixture_path
 
 FIELDS = [QQ, PrimeField(65521)]
 
@@ -101,6 +104,24 @@ def hereditary_saturated_by_subsets(g):
     return sorted(out, key=lambda s: (len(s), sorted(s)))
 
 
+def hereditary_saturated_by_closure_search(g):
+    """Breadth-first search from closure(empty set) over the one-vertex
+    steps H -> closure(H | {v}).  Every hereditary saturated H is the end
+    of such a chain inside it, so the search reaches each one."""
+    start = hereditary_saturated_closure(g, ())
+    seen = {start}
+    queue = deque([start])
+    while queue:
+        h = queue.popleft()
+        for v in g.vertices:
+            if v not in h:
+                nxt = hereditary_saturated_closure(g, h | {v})
+                if nxt not in seen:
+                    seen.add(nxt)
+                    queue.append(nxt)
+    return sorted(seen, key=lambda s: (len(s), sorted(s)))
+
+
 def downward_directed_by_pairs(g):
     """Every pair of vertices has a common vertex in their reachable sets."""
     reach = {v: reachable_from(g, v) for v in g.vertices}
@@ -112,7 +133,7 @@ def graded_primes_by_enumeration(g):
     classified into flavor I (a K factor) or J (a K[x,x^-1] factor)."""
     records = []
     everything = frozenset(g.vertices)
-    for h in enumerate_hereditary_saturated(g):
+    for h in hereditary_saturated_by_closure_search(g):
         if h == everything:
             continue
         q = quotient_graph(g, h)
@@ -309,6 +330,27 @@ def central_subspace_by_all_pairs(g, window, field):
     return CentralSubspace(basis, window, len(candidates))
 
 
+def product_by_all_pairs(x, y):
+    """Multiply every term of x by every term of y."""
+    alg, field = x.algebra, x.field
+    out = {}
+    for m1, a in x.coeffs.items():
+        for m2, b in y.coeffs.items():
+            for m, c in mul_monomials(alg, m1, m2, field.mul(a, b)).items():
+                old = out.get(m)
+                out[m] = c if old is None else field.add(old, c)
+    return GAElement(alg, out)
+
+
+def centrality_witness_by_all_generators(a):
+    """The first generator g with a·g != g·a, both products formed over all
+    pairs of terms, or None."""
+    for label, gel in a.algebra.generators:
+        if product_by_all_pairs(a, gel) != product_by_all_pairs(gel, a):
+            return label, gel
+    return None
+
+
 def word_of(real, ghost):
     """The raw word real·ghost* that the rewriter reads."""
     return list(real.edges) + [e + "*" for e in reversed(ghost.edges)] or [real.source]
@@ -326,12 +368,12 @@ def graphs(draw, max_vertices=6, max_edges=10):
 
 
 @st.composite
-def fed_cycles(draw, max_feeders=4, max_cycle=3):
+def fed_cycles(draw, max_feeders=4, max_cycle=3, min_feeders=0, min_cycle=1):
     """Downward-directed graphs with an exit-free cycle fed finitely: an
     acyclic set of feeders, each with edges (parallel ones too) only to
     later feeders or onto the cycle, so every vertex reaches the cycle."""
-    k = draw(st.integers(1, max_cycle))
-    m = draw(st.integers(0, max_feeders))
+    k = draw(st.integers(min_cycle, max_cycle))
+    m = draw(st.integers(min_feeders, max_feeders))
     cyc = [f"c{i}" for i in range(k)]
     feeders = [f"u{i}" for i in range(m)]
     es = [(f"z{i}", cyc[i], cyc[(i + 1) % k]) for i in range(k)]
@@ -340,6 +382,22 @@ def fed_cycles(draw, max_feeders=4, max_cycle=3):
         for w in draw(st.lists(st.sampled_from(later), min_size=1, max_size=2)):
             es.append((f"e{len(es)}", u, w))
     return Graph.build(feeders + cyc, es)
+
+
+@st.composite
+def fed_cycle_beside_terminal(draw):
+    """A finitely fed exit-free cycle of length >= 2 beside a second
+    terminal component (a sink, a loop or a 2-cycle) that some feeders
+    also reach, so the cycle's lower piece is a matrix corner over its
+    feeding paths, not a whole component."""
+    g = draw(fed_cycles(max_feeders=3, min_feeders=1, min_cycle=2))
+    size = draw(st.integers(0, 2))
+    ts = [f"t{i}" for i in range(max(size, 1))]
+    es = [(f"y{i}", t, ts[(i + 1) % size]) for i, t in enumerate(ts[:size])]
+    feeders = [v for v in g.vertices if v.startswith("u")]
+    for u in draw(st.lists(st.sampled_from(feeders), min_size=1, max_size=2)):
+        es.append((f"x{len(es)}", u, ts[0]))
+    return Graph.build(g.vertices + tuple(ts), g.edge_triples() + es)
 
 
 @st.composite
@@ -355,6 +413,40 @@ def windows(draw, max_len):
 @given(g=graphs())
 def test_hereditary_saturated_search_matches_subset_sweep(g):
     assert enumerate_hereditary_saturated(g) == hereditary_saturated_by_subsets(g)
+
+
+def ladder_graph(rungs):
+    """A line of doubled edges into an exit-free loop."""
+    vs = [f"x{i}" for i in range(rungs + 1)]
+    es = [(f"{a}{i}", f"x{i}", f"x{i + 1}") for i in range(rungs) for a in "ab"]
+    return Graph.build(vs, es + [("c", f"x{rungs}", f"x{rungs}")])
+
+
+def listing_graphs():
+    """The fixtures, 12 disjoint loops, K_6 and the ladders."""
+    out = {p.stem: parse_graph(p.read_text()) for p in sorted(FIXTURES.glob("*.graph"))}
+    vs = [f"u{i}" for i in range(12)]
+    out["loops_12"] = Graph.build(vs, [(f"c{v}", v, v) for v in vs])
+    vs = vs[:6]
+    out["complete_6"] = Graph.build(vs, [(f"e{u}{v}", u, v) for u in vs for v in vs
+                                         if u != v])
+    out.update((f"ladder_{r}", ladder_graph(r)) for r in (2, 3, 4, 8))
+    return out
+
+
+def test_anchor_listing_matches_closure_search_on_fixtures_and_families():
+    sizes = {}
+    for name, g in listing_graphs().items():
+        listed = enumerate_hereditary_saturated(g)
+        assert listed == hereditary_saturated_by_closure_search(g), name
+        sizes[name] = len(listed)
+    assert sizes["loops_12"] == 4096 and sizes["complete_6"] == 2
+
+
+@settings(max_examples=300, deadline=None)
+@given(g=graphs(max_vertices=8, max_edges=14))
+def test_anchor_listing_matches_closure_search(g):
+    assert enumerate_hereditary_saturated(g) == hereditary_saturated_by_closure_search(g)
 
 
 @settings(max_examples=200, deadline=None)
@@ -607,7 +699,8 @@ def test_refused_lower_pieces_match_the_pattern_search(monkeypatch):
 
 
 @settings(max_examples=200, deadline=None)
-@given(g=graphs(max_vertices=7, max_edges=12), field=st.sampled_from(LOWER_FIELDS))
+@given(g=graphs(max_vertices=7, max_edges=12) | fed_cycle_beside_terminal(),
+       field=st.sampled_from(LOWER_FIELDS))
 def test_lower_pieces_match_the_pattern_search(g, field):
     check_lower_pieces_against_pattern(g, field)
 
@@ -645,3 +738,50 @@ def test_junction_assembly_matches_all_pairs(data, g, kind, field):
         max_len -= 1
     window = OracleWindow(kind, max_len, data.draw(windows(max_len)))
     check_central_subspace_against_all_pairs(g, window, field)
+
+
+@st.composite
+def window_sums(draw, g, kind, field, central):
+    """A random sum of monomials of the length-2 window, plus a random
+    combination of the window's central basis."""
+    alg = Algebra(kind, g, field=field)
+    window = OracleWindow(kind, 2)
+    out = alg.zero()
+    for m in draw(st.lists(st.sampled_from(enumerate_candidates(g, window)),
+                           max_size=4)):
+        out = out + alg.monomial(m, draw(st.integers(-2, 2)))
+    for z in central:
+        out = out + z.scale(draw(st.integers(-2, 2)))
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), g=graphs(max_vertices=4, max_edges=5),
+       kind=st.sampled_from(ALGEBRA_KINDS), field=st.sampled_from(LOWER_FIELDS))
+def test_junction_products_match_all_pairs(data, g, kind, field):
+    central = central_subspace(g, OracleWindow(kind, 2), field=field).basis
+    a = data.draw(window_sums(g, kind, field, central))
+    b = data.draw(window_sums(g, kind, field, ()))
+    expected = centrality_witness_by_all_generators(a)
+    witness = centrality_witness(a)
+    assert (witness and witness[0]) == (expected and expected[0])
+    assert a * b == product_by_all_pairs(a, b)
+    assert b * a == product_by_all_pairs(b, a)
+
+
+def test_centrality_checks_form_no_zero_product(monkeypatch):
+    products = []
+
+    def recorded(*args):
+        products.append(mul_monomials(*args))
+        return products[-1]
+
+    for module in (oracle, graph_algebra):
+        monkeypatch.setattr(module, "mul_monomials", recorded)
+    ladder = ladder_graph(4)
+    cycles = [parse_graph(fixture_path(f"cycle_{n}").read_text()) for n in (2, 3, 4)]
+    for g in [ladder] + cycles:
+        z = laurent_generator(Algebra(LEAVITT, g), classify_prime_leavitt(g).cycle)
+        products.clear()
+        assert check_central(z)
+        assert products and all(products)
