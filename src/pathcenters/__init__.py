@@ -40,7 +40,6 @@ from .graph import (
     exit_free_cycle_vertices,
     extended_graph,
     find_cycles,
-    geodesic_distance,
     hereditary_saturated_closure,
     is_downward_directed,
     line_graph,
@@ -58,6 +57,8 @@ from .graph_algebra import (
     GMonomial,
     SpecialEdgeChoice,
     T_operator,
+    centrality_witness,
+    check_central,
     cohn_to_leavitt_graph,
     fixed_point_subspace,
     normal_form,
@@ -67,8 +68,6 @@ from .oracle import (
     CentralSubspace,
     OracleWindow,
     central_subspace,
-    check_central,
-    centrality_witness,
     graded_center_component,
     verify_structure,
 )

@@ -38,12 +38,12 @@ from .graph_algebra import (
     Algebra,
     GAElement,
     GMonomial,
+    check_central,
+    check_window_cap,
 )
 from .linalg import LinearSpan
 from .oracle import (
     OracleWindow,
-    check_central,
-    check_window_cap,
     element_vector,
     solved_subspace,
     structural_truncation,
@@ -363,8 +363,7 @@ def _corner_generator(alg, targets, c: Cycle = None):
     _, longest, near = count_paths_into(g, targets)
     fed = quotient_graph(g, frozenset(g.vertices) - near)
     degree = 0 if c is None else c.length
-    check_window_cap(fed, OracleWindow.single_degree(LEAVITT, degree + longest,
-                                                     degree))
+    check_window_cap(fed, LEAVITT, degree + longest, (degree, degree))
     feeding = paths_into(g, targets)
     z = _corner_sum(alg, feeding, c)
     unit = z if c is None else _corner_sum(alg, feeding)

@@ -7,13 +7,10 @@ their own identity: parallel edges and loops are fully supported.
 
 from __future__ import annotations
 
-import math
 from collections import deque
 from dataclasses import dataclass
 
 from .errors import GraphError, ResourceCapExceeded
-
-INFINITE = math.inf
 
 DEFAULT_VERTEX_CAP = 16
 # the most cycles, and the most hereditary saturated sets, `analyze` lists
@@ -122,12 +119,6 @@ class Path:
     @property
     def is_trivial(self):
         return not self.edges
-
-    @property
-    def first_edge(self):
-        if not self.edges:
-            raise GraphError("trivial path has no first edge")
-        return self.edges[0]
 
     def concat(self, other: "Path") -> "Path":
         if self.target != other.source:
@@ -249,26 +240,6 @@ def connected_components(g: Graph):
                     queue.append(y)
         blocks.append(frozenset(block))
     return sorted(blocks, key=lambda b: sorted(b))
-
-
-def geodesic_distance(g: Graph, u, v):
-    """Shortest undirected edge count between u and v; inf across components."""
-    g.check_vertex(u)
-    g.check_vertex(v)
-    if u == v:
-        return 0
-    adj = _undirected_adjacency(g)
-    dist = {u: 0}
-    queue = deque([u])
-    while queue:
-        x = queue.popleft()
-        for y in adj[x]:
-            if y not in dist:
-                dist[y] = dist[x] + 1
-                if y == v:
-                    return dist[y]
-                queue.append(y)
-    return INFINITE
 
 
 def find_cycles(g: Graph):

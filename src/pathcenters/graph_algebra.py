@@ -22,6 +22,7 @@ end with the same special edge.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, chain
@@ -43,6 +44,8 @@ LEAVITT = "leavitt"
 ALGEBRA_KINDS = (PATH, COHN, LEAVITT)
 
 _MAX_REWRITE_STEPS = 200_000
+DEFAULT_MONOMIAL_CAP = 20_000
+MONOMIAL_CAP_ENV = "PATHCENTERS_MAX_MONOMIALS"
 
 
 @dataclass(frozen=True)
@@ -209,37 +212,36 @@ class Algebra:
         return tuple(gens)
 
 
-def _chop(g: Graph, p: Path) -> Path:
-    last = p.edges[-1]
-    return Path(p.source, g.src[last], p.edges[:-1])
-
-
 def _straighten(alg, real, ghost, coeff):
     """coeff * real·ghost* in normal form, as a dict of normal monomials.
 
-    Only the junction can be off-basis, and the CK2 elimination shortens it,
-    so the recursion terminates after at most min(len, len) steps.  The
-    terms it adds are one edge longer than any the recursion returns, so no
-    two terms share a monomial and nothing cancels.
+    Only the junction can be off-basis.  One backward scan counts the
+    special edges e the two parts end in together; CK2 strips each of them
+    and adds -coeff·(λf)(μf)* for every other edge f at s(e), λ and μ the
+    parts before e.  The stripped monomial comes first, then each level's
+    terms, innermost first.  Terms of different levels differ in length, so
+    no two share a monomial and nothing cancels.
     """
-    special = alg.special  # None unless the algebra is Leavitt
-    if special is not None and real.edges and ghost.edges:
-        e = real.edges[-1]
-        if e == ghost.edges[-1]:
-            g = alg.graph
-            v = g.src[e]
-            if special.edge_at(v) == e:
-                lam, mu = _chop(g, real), _chop(g, ghost)
-                out = _straighten(alg, lam, mu, coeff)
-                minus = alg.field.neg(coeff)
-                for f in g.out_edges(v):
-                    if f != e:
-                        out[GMonomial(
-                            Path(lam.source, g.rng[f], lam.edges + (f,)),
-                            Path(mu.source, g.rng[f], mu.edges + (f,)),
-                        )] = minus
-                return out
-    return {GMonomial(real, ghost): coeff}
+    special, g = alg.special, alg.graph  # special is None unless Leavitt
+    lam, mu = real.edges, ghost.edges
+    k = 0
+    while (special is not None and k < len(lam) and k < len(mu)
+           and lam[-1 - k] == mu[-1 - k]
+           and special.edge_at(g.src[lam[-1 - k]]) == lam[-1 - k]):
+        k += 1
+    if not k:
+        return {GMonomial(real, ghost): coeff}
+    a, b = len(lam) - k, len(mu) - k
+    v = g.src[lam[a]]
+    out = {GMonomial(Path(real.source, v, lam[:a]),
+                     Path(ghost.source, v, mu[:b])): coeff}
+    minus = alg.field.neg(coeff)
+    for i, j in zip(range(a, len(lam)), range(b, len(mu))):
+        for f in g.out_edges(g.src[lam[i]]):
+            if f != lam[i]:
+                out[GMonomial(Path(real.source, g.rng[f], lam[:i] + (f,)),
+                              Path(ghost.source, g.rng[f], mu[:j] + (f,)))] = minus
+    return out
 
 
 def _accumulate(out, m, coeff, field):
@@ -265,6 +267,49 @@ def mul_monomials(alg, m1: GMonomial, m2: GMonomial, coeff):
                      ghost2.edges + mu1.edges[len(lam2.edges):])
         return _straighten(alg, real1, ghost, coeff)
     return {}
+
+
+def heads_index(parts):
+    """The positions of the paths `parts` by head: the first edge, or the
+    vertex of a trivial path (edge and vertex ids never coincide)."""
+    index = {}
+    for j, p in enumerate(parts):
+        index.setdefault(p.edges[0] if p.edges else p.source, []).append(j)
+    return index
+
+
+def starting_with(g: Graph, p: Path, index):
+    """The positions in `index` of the paths that start together with p
+    (trivial at s(p), or headed by p's first edge, any edge at s(p) when p
+    is trivial): m1·m2 is nonzero only if ghost(m1), real(m2) do so."""
+    heads = p.edges[:1] or g.out_edges(p.source)
+    return chain(index.get(p.source, ()), *(index.get(e, ()) for e in heads))
+
+
+def check_central(a) -> bool:
+    return centrality_witness(a) is None
+
+
+def centrality_witness(a):
+    """The first generator, in `a.algebra.generators` order, that fails to
+    commute with `a`, or None; only products whose parts meet are formed."""
+    alg = a.algebra
+    g, field = alg.graph, alg.field
+    terms = list(a.coeffs.items())
+    by_real = heads_index(m.real for m, _ in terms)
+    by_ghost = heads_index(m.ghost for m, _ in terms)
+    for label, gel in alg.generators:
+        (gmon,) = gel.coeffs  # every generator is one monomial, coefficient 1
+        right, left = {}, {}
+        for j in starting_with(g, gmon.real, by_ghost):
+            for m, c in mul_monomials(alg, terms[j][0], gmon, terms[j][1]).items():
+                _accumulate(right, m, c, field)
+        for j in starting_with(g, gmon.ghost, by_real):
+            for m, c in mul_monomials(alg, gmon, *terms[j]).items():
+                _accumulate(left, m, c, field)
+        if right != left:
+            return label, gel
+    return None
 
 
 # --- the raw-word rewrite engine -------------------------------------------
@@ -469,20 +514,14 @@ class GAElement:
         one = field.one
         # m1·m2 needs ghost(m1) and real(m2) to start together, so m2 is
         # found by the head of its real part: its first edge, or its vertex
-        by_head = {}
-        for m2, b in other.coeffs.items():
-            lam = m2.real
-            by_head.setdefault(lam.edges[0] if lam.edges else lam.source,
-                               []).append((m2, b))
+        partners = list(other.coeffs.items())
+        index = heads_index(m2.real for m2, _ in partners)
         out = {}
         for m1, a in self.coeffs.items():
-            mu = m1.ghost
-            heads = mu.edges[:1] or alg.graph.out_edges(mu.source)
-            partners = chain(by_head.get(mu.source, ()),
-                             *(by_head.get(e, ()) for e in heads))
             # generators have coefficient 1; skip field.mul for them
             a_is_one = a == one
-            for m2, b in partners:
+            for j in starting_with(alg.graph, m1.ghost, index):
+                m2, b = partners[j]
                 ab = b if a_is_one else a if b == one else field.mul(a, b)
                 for m, c in mul_monomials(alg, m1, m2, ab).items():
                     _accumulate(out, m, c, field)
@@ -523,10 +562,6 @@ class GAElement:
         if len(degs) == 1:
             return degs.pop()
         return None
-
-    def real_degree(self):
-        """Max real-part length over the support (0 for the zero element)."""
-        return max((m.real.length for m in self.coeffs), default=0)
 
     def is_symmetric(self):
         return all(m.real == m.ghost for m in self.coeffs)
@@ -646,6 +681,40 @@ def count_ga_monomials(graph, kind, max_len, *, degrees=None, special=None):
         total -= sum(pairs(counts[v], max_len - 1, max_len - 1)
                      for v, _ in special.pairs)
     return total
+
+
+def monomial_cap():
+    """The candidate cap: the environment, else the default.
+
+    A set environment value must be a non-negative integer (ValueError)."""
+    env = os.environ.get(MONOMIAL_CAP_ENV)
+    if not env:
+        return DEFAULT_MONOMIAL_CAP
+    message = f"{MONOMIAL_CAP_ENV} must be a non-negative integer, got {env!r}"
+    try:
+        cap = int(env)
+    except ValueError:
+        raise ValueError(message) from None
+    if cap < 0:
+        raise ValueError(message)
+    return cap
+
+
+def check_window_cap(g: Graph, kind, max_len, degrees):
+    """Raise ResourceCapExceeded when the window holds more candidate
+    monomials than the cap, counted exactly without building a monomial."""
+    cap = monomial_cap()
+    needed = count_ga_monomials(g, kind, max_len, degrees=degrees)
+    if needed > cap:
+        try:
+            text = str(needed)
+        except ValueError:  # more digits than int-to-text conversion allows
+            text = f"at least 2^{needed.bit_length() - 1}"
+        raise ResourceCapExceeded(
+            f"window holds {text} candidate monomials; cap is {cap}",
+            needed=needed,
+            cap=cap,
+        )
 
 
 def fixed_point_subspace(graph, kind, c: Path, max_len, *, special=None, field=QQ):

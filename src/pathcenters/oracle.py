@@ -23,8 +23,9 @@ products that can be nonzero, the third to the columns still alive.
   bucketed under its junction: λμ*·e needs μ to start with e or to be
   trivial at s(e); e·λμ* needs s(λ) = r(e); λμ*·e* needs s(μ) = r(e); and
   e*·λμ* needs λ to start with e or to be trivial at s(e), because e* runs
-  from r(e) to s(e).  The same index serves `centrality_witness`, which
-  checks the vertices too: λμ*·v needs s(μ) = v, and v·λμ* needs s(λ) = v.
+  from r(e) to s(e).  The index is `graph_algebra`'s, shared with the
+  element product and `centrality_witness`, which checks the vertices too:
+  λμ*·v needs s(μ) = v, and v·λμ* needs s(λ) = v.
 * Dead columns.  The rows are assembled one generator at a time; a row of
   that generator with exactly one nonzero entry {j: c} forces x_j = 0 in
   every solution, so later generators skip column j (no product, no row
@@ -34,49 +35,33 @@ products that can be nonzero, the third to the columns still alive.
   whole generator's rows are summed and cleaned: the two products of one
   row entry, m·g and -g·m, can cancel.
 
-`CentralSubspace.candidate_count` and the cap still count every candidate
+`CentralSubspace.candidate_count` and the cap (`check_window_cap`, in
+`graph_algebra` with the centrality checks) still count every candidate
 of the window, diagonal or not.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from itertools import chain
 
-from .errors import AmbientError, InvariantViolation, ResourceCapExceeded
+from .errors import AmbientError, InvariantViolation
 from .graph import Graph
 from .graph_algebra import (
     ALGEBRA_KINDS,
-    PATH,
     Algebra,
     GAElement,
-    count_ga_monomials,
+    centrality_witness,
+    check_central,
+    check_window_cap,
     enumerate_ga_monomials,
+    heads_index,
+    monomial_cap,
     mul_monomials,
+    starting_with,
 )
 from .linalg import LinearSpan, sparse_nullspace
 from .scalars import QQ
-
-DEFAULT_MONOMIAL_CAP = 20_000
-MONOMIAL_CAP_ENV = "PATHCENTERS_MAX_MONOMIALS"
-
-
-def monomial_cap():
-    """The candidate cap: the environment, else the default.
-
-    A set environment value must be a non-negative integer (ValueError)."""
-    env = os.environ.get(MONOMIAL_CAP_ENV)
-    if not env:
-        return DEFAULT_MONOMIAL_CAP
-    message = f"{MONOMIAL_CAP_ENV} must be a non-negative integer, got {env!r}"
-    try:
-        cap = int(env)
-    except ValueError:
-        raise ValueError(message) from None
-    if cap < 0:
-        raise ValueError(message)
-    return cap
 
 
 @dataclass(frozen=True)
@@ -121,85 +106,13 @@ class CentralSubspace:
         return len(self.basis)
 
 
-# --- centrality against the generators --------------------------------------
-
-
-def check_central(a) -> bool:
-    return centrality_witness(a) is None
-
-
-def centrality_witness(a):
-    """The first generator, in `a.algebra.generators` order, that fails to
-    commute with `a`, or None; only products whose parts meet are formed."""
-    alg = a.algebra
-    terms = list(a.coeffs.items())
-    index = _junction_index(a.coeffs)
-
-    def summed(products):
-        out = {}
-        for product in products:
-            for m, c in product.items():
-                out[m] = alg.field.add(out[m], c) if m in out else c
-        return {m: c for m, c in out.items() if c}
-
-    for label, gel in alg.generators:
-        (gmon,) = gel.coeffs  # every generator is one monomial, coefficient 1
-        right, left = _meeting(alg.graph, index, gmon)
-        if (summed(mul_monomials(alg, terms[j][0], gmon, terms[j][1]) for j in right)
-                != summed(mul_monomials(alg, gmon, *terms[j]) for j in left)):
-            return label, gel
-    return None
-
-
-def check_window_cap(g: Graph, window: OracleWindow):
-    """Raise ResourceCapExceeded when `window` holds more candidate monomials
-    than the configured cap, counted exactly without building a monomial."""
-    cap = monomial_cap()
-    needed = count_ga_monomials(g, window.kind, window.max_len,
-                                degrees=window.degrees)
-    if needed > cap:
-        try:
-            text = str(needed)
-        except ValueError:  # more digits than int-to-text conversion allows
-            text = f"at least 2^{needed.bit_length() - 1}"
-        raise ResourceCapExceeded(
-            f"window holds {text} candidate monomials; cap is {cap}",
-            needed=needed,
-            cap=cap,
-        )
-
-
 def enumerate_candidates(g: Graph, window: OracleWindow):
     """Window candidates, checked against the configured resource cap.
 
     The cap is checked on the exact count before any monomial is built."""
-    check_window_cap(g, window)
+    check_window_cap(g, window.kind, window.max_len, window.degrees)
     return enumerate_ga_monomials(g, window.kind, window.max_len,
                                   degrees=window.degrees)
-
-
-def _junction_index(monomials):
-    """The positions of `monomials` by the head of each part: its first edge,
-    or its vertex when trivial (edge and vertex ids never coincide)."""
-    by_real_head, by_ghost_head = {}, {}
-    for j, m in enumerate(monomials):
-        for by_head, p in ((by_real_head, m.real), (by_ghost_head, m.ghost)):
-            by_head.setdefault(p.edges[0] if p.edges else p.source, []).append(j)
-    return by_real_head, by_ghost_head
-
-
-def _meeting(g: Graph, index, gmon):
-    """(right, left): the positions j in `index` whose monomial m has m·gmon,
-    respectively gmon·m, nonzero: the parts meeting there start together."""
-    by_real_head, by_ghost_head = index
-
-    def starting_with(p, by_head):
-        # parts trivial at s(p), or headed by p's edge (any edge at v if p = @v)
-        heads = p.edges[:1] or g.out_edges(p.source)
-        return chain(by_head.get(p.source, ()), *(by_head.get(e, ()) for e in heads))
-
-    return (starting_with(gmon.real, by_ghost_head),
-            starting_with(gmon.ghost, by_real_head))
 
 
 def central_subspace(g: Graph, window: OracleWindow, *, field=QQ) -> CentralSubspace:
@@ -208,20 +121,20 @@ def central_subspace(g: Graph, window: OracleWindow, *, field=QQ) -> CentralSubs
     candidates = enumerate_candidates(g, window)
     # only Peirce-diagonal candidates can carry weight (see module docstring)
     diagonal = [m for m in candidates if m.source == m.target]
-    index = _junction_index(diagonal)
+    by_real = heads_index(m.real for m in diagonal)
+    by_ghost = heads_index(m.ghost for m in diagonal)
     rows, dead = [], set()
     one, minus_one = field.one, field.neg(field.one)
     for _, gel in alg.generators:
         (gmon,) = gel.coeffs  # every generator is one monomial, coefficient 1
         if gmon.is_vertex:
             continue  # its rows cancel on Peirce-diagonal columns
-        right, left = _meeting(g, index, gmon)
         # the row of rm holds the coefficient of rm in m·g - g·m
         products = chain(
             ((j, mul_monomials(alg, diagonal[j], gmon, one))
-             for j in right if j not in dead),
+             for j in starting_with(g, gmon.real, by_ghost) if j not in dead),
             ((j, mul_monomials(alg, gmon, diagonal[j], minus_one))
-             for j in left if j not in dead),
+             for j in starting_with(g, gmon.ghost, by_real) if j not in dead),
         )
         gen_rows = {}
         for j, product in products:

@@ -335,3 +335,26 @@ def test_undecidable_ideal_pattern_is_tagged_for_the_oracle():
     sink = by_h[frozenset({"w"})]
     assert sink.ideal_vertices == frozenset({"s"})
     assert [p.detail for p in sink.pieces] == ["matrix corner over K on 2 paths"]
+
+
+def test_theory_uses_the_oracle_only_to_verify_its_bounds():
+    # the closed-form generators are checked by direct products, so every
+    # name the theory takes from the oracle serves `verify_bounds` alone
+    import ast
+    import inspect
+
+    from pathcenters import center_theory
+
+    tree = ast.parse(inspect.getsource(center_theory))
+    imports = [node for node in tree.body if isinstance(node, ast.ImportFrom)
+               and node.level == 1]
+    assert not any(node.module is None and alias.name == "oracle"
+                   for node in imports for alias in node.names)
+    from_oracle = {alias.asname or alias.name for node in imports
+                   if node.module == "oracle" for alias in node.names}
+    (verify,) = [node for node in tree.body if isinstance(node, ast.FunctionDef)
+                 and node.name == "verify_bounds"]
+    inside = {id(node) for node in ast.walk(verify)}
+    used_outside = {node.id for node in ast.walk(tree)
+                    if isinstance(node, ast.Name) and id(node) not in inside}
+    assert from_oracle and not from_oracle & used_outside

@@ -483,6 +483,18 @@ def test_long_graphs_end_in_a_resource_cap_without_traceback(tmp_path):
         assert needle in err and "Traceback" not in err
 
 
+def test_leavitt_center_of_a_long_cycle_exits_zero_without_traceback(tmp_path):
+    # the unitary check z·z* strips a 1,000-edge special suffix per term
+    n = 1000
+    cycle = _write_graph(tmp_path / "cycle_1000.graph",
+                         [f"u{i}" for i in range(1, n + 1)],
+                         [(f"f{i}", f"u{i}", f"u{i % n + 1}")
+                          for i in range(1, n + 1)])
+    code, out, err = run_cli("center", cycle, "--algebra", "leavitt")
+    assert code == 0 and "structure: K[x,x^-1]" in out
+    assert "Traceback" not in err
+
+
 def test_parser_is_built_once_and_keeps_no_state_between_calls():
     from pathcenters import cli
 

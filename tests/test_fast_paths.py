@@ -4,6 +4,7 @@ only as test oracles."""
 
 from collections import deque
 from itertools import combinations
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -33,6 +34,7 @@ from pathcenters.graph import (
     all_paths_up_to,
     connected_components,
     count_paths_into,
+    cycle_graph,
     cycle_has_exit,
     cycles_without_exits,
     enumerate_hereditary_saturated,
@@ -43,6 +45,7 @@ from pathcenters.graph import (
     quotient_graph,
     reachable_from,
     reaching,
+    rose_graph,
     strongly_connected_components,
 )
 from pathcenters.graph_algebra import (
@@ -52,6 +55,7 @@ from pathcenters.graph_algebra import (
     Algebra,
     GAElement,
     GMonomial,
+    SpecialEdgeChoice,
     count_ga_monomials,
     enumerate_ga_monomials,
     mul_monomials,
@@ -342,6 +346,39 @@ def product_by_all_pairs(x, y):
     return GAElement(alg, out)
 
 
+def _chop(g: Graph, p: Path) -> Path:
+    last = p.edges[-1]
+    return Path(p.source, g.src[last], p.edges[:-1])
+
+
+def straighten_by_recursion(alg, real, ghost, coeff):
+    """coeff * real·ghost* in normal form, as a dict of normal monomials.
+
+    Only the junction can be off-basis, and the CK2 elimination shortens it,
+    so the recursion terminates after at most min(len, len) steps.  The
+    terms it adds are one edge longer than any the recursion returns, so no
+    two terms share a monomial and nothing cancels.
+    """
+    special = alg.special  # None unless the algebra is Leavitt
+    if special is not None and real.edges and ghost.edges:
+        e = real.edges[-1]
+        if e == ghost.edges[-1]:
+            g = alg.graph
+            v = g.src[e]
+            if special.edge_at(v) == e:
+                lam, mu = _chop(g, real), _chop(g, ghost)
+                out = straighten_by_recursion(alg, lam, mu, coeff)
+                minus = alg.field.neg(coeff)
+                for f in g.out_edges(v):
+                    if f != e:
+                        out[GMonomial(
+                            Path(lam.source, g.rng[f], lam.edges + (f,)),
+                            Path(mu.source, g.rng[f], mu.edges + (f,)),
+                        )] = minus
+                return out
+    return {GMonomial(real, ghost): coeff}
+
+
 def centrality_witness_by_all_generators(a):
     """The first generator g with a·g != g·a, both products formed over all
     pairs of terms, or None."""
@@ -398,6 +435,35 @@ def fed_cycle_beside_terminal(draw):
     for u in draw(st.lists(st.sampled_from(feeders), min_size=1, max_size=2)):
         es.append((f"x{len(es)}", u, ts[0]))
     return Graph.build(g.vertices + tuple(ts), g.edge_triples() + es)
+
+
+@st.composite
+def special_suffix_pairs(draw, alg):
+    """(real, ghost): two paths of length <= 3 into one vertex x, followed
+    by one shared walk from x that mostly takes the special edges."""
+    g = alg.graph
+    x = v = draw(st.sampled_from(g.vertices))
+    walk = []
+    for _ in range(draw(st.integers(0, 8))):
+        if not g.is_regular(v):
+            break
+        special = draw(st.integers(0, 3)) > 0
+        e = alg.special.edge_at(v) if special else draw(st.sampled_from(g.out_edges(v)))
+        walk.append(e)
+        v = g.rng[e]
+    into_x = [p for p in all_paths_up_to(g, 3) if p.target == x]
+    shared = Path(x, v, tuple(walk))
+    return tuple(draw(st.sampled_from(into_x)).concat(shared) for _ in range(2))
+
+
+@st.composite
+def normal_monomials(draw, alg, sources):
+    """A normal monomial with parts of length <= 3 whose real part starts
+    at one of `sources`."""
+    paths = all_paths_up_to(alg.graph, 3)
+    real = draw(st.sampled_from([p for p in paths if p.source in sources]))
+    ghosts = [GMonomial(real, p) for p in paths if p.target == real.target]
+    return draw(st.sampled_from([m for m in ghosts if alg.is_normal(m)]))
 
 
 @st.composite
@@ -603,6 +669,30 @@ def test_direct_straightening_matches_the_word_rewriter(data, g):
         if feeding is not None:
             assert _corner_sum(leavitt, feeding) == \
                 normal_form(g, LEAVITT, [(1, word_of(t, t)) for t in feeding])
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(),
+       g=graphs(max_vertices=4, max_edges=7)
+       | st.builds(cycle_graph, st.integers(1, 4))
+       | st.builds(rose_graph, st.integers(1, 3)),
+       field=st.sampled_from([QQ, PrimeField(3)]))
+def test_one_pass_straightening_matches_the_recursion(data, g, field):
+    """The same terms in the same order: the stripped monomial, then each
+    level's other-edge terms, innermost level first."""
+    special = SpecialEdgeChoice.from_mapping(g, {
+        v: data.draw(st.sampled_from(g.out_edges(v)))
+        for v in g.vertices if g.is_regular(v)})
+    alg = Algebra(LEAVITT, g, special, field)
+    c = field.coerce(data.draw(st.sampled_from([1, -1, 2, -2, 4])))
+    real, ghost = data.draw(special_suffix_pairs(alg))
+    assert list(graph_algebra._straighten(alg, real, ghost, c).items()) == \
+        list(straighten_by_recursion(alg, real, ghost, c).items())
+    m1 = data.draw(normal_monomials(alg, g.vertices))
+    m2 = data.draw(normal_monomials(alg, [m1.target]))
+    with patch.object(graph_algebra, "_straighten", straighten_by_recursion):
+        expected = mul_monomials(alg, m1, m2, c)
+    assert list(mul_monomials(alg, m1, m2, c).items()) == list(expected.items())
 
 
 def _laurent_fixtures():

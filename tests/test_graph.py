@@ -21,7 +21,6 @@ from pathcenters import (
     exit_free_cycle_vertices,
     extended_graph,
     find_cycles,
-    geodesic_distance,
     hereditary_saturated_closure,
     is_downward_directed,
     line_graph,
@@ -76,14 +75,11 @@ def test_path_composability_enforced():
     g = line_graph(3)
     p = Path.from_edges(g, ("f1", "f2"))
     assert p.source == "u1" and p.target == "u3" and p.length == 2
-    assert p.first_edge == "f1"
     with pytest.raises(GraphError):
         Path.from_edges(g, ("f2", "f1"))
     with pytest.raises(GraphError):
         Path.vertex(g, "nope")
     assert Path.vertex(g, "u1").length == 0
-    with pytest.raises(GraphError):
-        Path.vertex(g, "u1").first_edge
 
 
 def test_cycle_canonical_rotation_leads_with_least_edge():
@@ -101,7 +97,7 @@ def test_cycle_rejects_repeated_sources():
         Cycle.from_edges(g, ("f1", "f2"))  # closed but both start at v
 
 
-# --- components and distance --------------------------------------------------
+# --- components --------------------------------------------------------------
 
 
 def test_connected_components_examples():
@@ -111,15 +107,6 @@ def test_connected_components_examples():
         frozenset({"u2"}),
     ]
     assert connected_components(feeder_loop()) == [frozenset({"u", "v"})]
-
-
-def test_geodesic_distance_examples():
-    g = line_graph(3)
-    assert geodesic_distance(g, "u1", "u1") == 0
-    assert geodesic_distance(g, "u1", "u3") == 2
-    assert geodesic_distance(two_loops(), "u1", "u2") == math.inf
-    with pytest.raises(GraphError):
-        geodesic_distance(g, "u1", "zz")
 
 
 def test_classify_vertex_examples():
