@@ -465,11 +465,12 @@ class BoundsVerification:
     notes: tuple = ()
 
 
-def project_to_quotient(el: GAElement, h, qgraph: Graph):
-    """Image of an element under L_K(E) -> L_K(E/H): monomials landing in H
-    die, the rest are renormalized in the quotient's basis.  A surviving
-    monomial's paths avoid H, so they are paths of the quotient too."""
-    return Algebra(el.kind, qgraph, field=el.field).sum_of(
+def project_to_quotient(el: GAElement, h, qalg: Algebra):
+    """Image of an element under L_K(E) -> L_K(E/H), with `qalg` the
+    quotient's algebra: monomials landing in H die, the rest are
+    renormalized in the quotient's basis.  A surviving monomial's paths
+    avoid H, so they are paths of the quotient too."""
+    return qalg.sum_of(
         (c, m.real, m.ghost) for m, c in el.coeffs.items() if m.real.target not in h)
 
 
@@ -492,12 +493,13 @@ def verify_bounds(g: Graph, bounds: CenterBounds = None,
 
     upper_ok = True
     for r in bounds.records:
+        qalg = Algebra(window.kind, r.quotient, field=field)
         claim_q = center_prime_leavitt(r.quotient, field=field, cls=r.cls)
         span = LinearSpan(field)
         for el in structural_truncation(claim_q, window):
             span.add(element_vector(el))
         for z in sub.basis:
-            zq = project_to_quotient(z, r.H, r.quotient)
+            zq = project_to_quotient(z, r.H, qalg)
             if not check_central(zq) or not span.contains(element_vector(zq)):
                 upper_ok = False
                 notes.append(

@@ -616,25 +616,28 @@ def enumerate_ga_monomials(graph, kind, max_len, *, degrees=None,
     pins both the real and the ghost part to start at one vertex.  For the
     path algebra the only ghost is the trivial path at the target.  Paths
     are bucketed by (target, length), so a real part of length a is paired
-    only with ghost lengths b that put a - b inside the window.
+    only with ghost lengths b that put a - b inside the window.  The reals
+    are walked in sorted order and each one's ghosts by ascending length,
+    each bucket in sorted order, so the monomials come out sorted.
     """
     alg = Algebra(kind, graph, special)
     lo, hi = _window_lengths(max_len, degrees)
     paths = all_paths_up_to(graph, _longest_real(kind, max_len, hi))
+    longest_ghost = 0 if kind == PATH else paths[-1].length  # sorted by length
+    if source is not None:
+        paths = [p for p in paths if p.source == source]
     buckets = {}
     for p in paths:
-        if source is None or p.source == source:
-            buckets.setdefault((p.target, p.length), []).append(p)
-    longest_ghost = 0 if kind == PATH else paths[-1].length  # sorted by length
+        buckets.setdefault((p.target, p.length), []).append(p)
     out = []
-    for (target, a), reals in buckets.items():
+    for real in paths:
+        a = real.length
         for b in range(max(0, a - hi), min(longest_ghost, a - lo) + 1):
-            for ghost in buckets.get((target, b), ()):
-                for real in reals:
-                    m = GMonomial(real, ghost)
-                    if alg.is_normal(m):
-                        out.append(m)
-    return sorted(out, key=GMonomial.sort_key)
+            for ghost in buckets.get((real.target, b), ()):
+                m = GMonomial(real, ghost)
+                if alg.is_normal(m):
+                    out.append(m)
+    return out
 
 
 def count_ga_monomials(graph, kind, max_len, *, degrees=None, special=None):

@@ -9,7 +9,8 @@ window" therefore means complete for the candidate span, with no spurious
 solutions from clipped products.
 
 Three exact shortcuts trim the assembly: the first two keep it to the
-products that can be nonzero, the third to the columns still alive.
+products that can be nonzero, the third keeps both the assembly and the
+solve to the columns still alive.
 
 * Peirce restriction.  v·z = z·v for every vertex v exactly when z is
   Peirce-diagonal, so the vertex constraints force every candidate λμ* with
@@ -29,11 +30,17 @@ products that can be nonzero, the third to the columns still alive.
 * Dead columns.  The rows are assembled one generator at a time; a row of
   that generator with exactly one nonzero entry {j: c} forces x_j = 0 in
   every solution, so later generators skip column j (no product, no row
-  entry).  Dropping j from later rows leaves the solution space unchanged,
-  and the reduced-echelon nullspace basis depends only on that space and
-  the column order, so the basis is unchanged.  A column dies only once the
-  whole generator's rows are summed and cleaned: the two products of one
-  row entry, m·g and -g·m, can cancel.
+  entry).  A column dies only once the whole generator's rows are summed
+  and cleaned: the two products of one row entry, m·g and -g·m, can
+  cancel.  The unit rows are not kept, and once assembled every other row
+  loses its dead entries, earlier generators' rows included; rows left
+  empty are dropped, and the solver sees only the live columns, renumbered
+  in window order.  That is exact: the unit rows put every e_dead in the
+  row space, so the row space is span(e_dead) ⊕ R', R' spanned by the
+  stripped rows, and its reduced echelon form is the stripped system's
+  form plus those unit rows.  Every dead column is a pivot, the free
+  columns are the stripped system's, and the canonical nullspace basis is
+  the stripped system's read back through the live list.
 
 `CentralSubspace.candidate_count` and the cap (`check_window_cap`, in
 `graph_algebra` with the centrality checks) still count every candidate
@@ -147,13 +154,18 @@ def central_subspace(g: Graph, window: OracleWindow, *, field=QQ) -> CentralSubs
             row = {j: c for j, c in row.items() if c}
             if len(row) == 1:
                 dead.update(row)
-            if row:
+            elif row:
                 rows.append(row)
-    vectors = sparse_nullspace(rows, len(diagonal), field)
+    # solve on the live columns only, renumbered in window order
+    live = [j for j in range(len(diagonal)) if j not in dead]
+    renumber = {j: i for i, j in enumerate(live)}
+    stripped = ({renumber[j]: c for j, c in row.items() if j not in dead}
+                for row in rows)
+    vectors = sparse_nullspace([row for row in stripped if row], len(live), field)
 
     basis = []
     for vec in vectors:
-        coeffs = {diagonal[j]: c for j, c in vec.items()}
+        coeffs = {diagonal[live[i]]: c for i, c in vec.items()}
         basis.append(GAElement(alg, coeffs))
 
     for el in basis:  # soundness re-check, post-solve

@@ -1,8 +1,10 @@
 import pathlib
+from unittest.mock import patch
 
 import pytest
 
-from pathcenters import Graph
+from pathcenters import Graph, oracle
+from pathcenters.linalg import sparse_nullspace
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -39,3 +41,18 @@ def fork_sink_loop() -> Graph:
         ["u", "v", "w"],
         [("f", "u", "v"), ("g", "u", "w"), ("c", "v", "v")],
     )
+
+
+def solver_calls(g, window, field):
+    """`oracle.central_subspace`'s result and the (rows, ncols) of every
+    system its solver received."""
+    calls = []
+
+    def recording(rows, ncols, field):
+        rows = list(rows)
+        calls.append((rows, ncols))
+        return sparse_nullspace(rows, ncols, field)
+
+    with patch.object(oracle, "sparse_nullspace", recording):
+        sub = oracle.central_subspace(g, window, field=field)
+    return sub, calls

@@ -303,9 +303,10 @@ def test_quotient_projection_is_a_homomorphism():
     q = quotient_graph(g, h)
     monos = enumerate_ga_monomials(g, LEAVITT, 2)
     els = [Algebra(LEAVITT, g).monomial(m) for m in monos]
+    qalg = Algebra(LEAVITT, q)
     for x, y in itertools.islice(itertools.product(els, els), 0, None, 7):
-        assert (project_to_quotient(x * y, h, q)
-                == project_to_quotient(x, h, q) * project_to_quotient(y, h, q))
+        assert (project_to_quotient(x * y, h, qalg)
+                == project_to_quotient(x, h, qalg) * project_to_quotient(y, h, qalg))
 
 
 def test_verify_bounds_on_disconnected_mixed_fixture():

@@ -10,8 +10,12 @@ import io
 import pathlib
 
 from pathcenters import cli
+from pathcenters.graph_algebra import LEAVITT
+from pathcenters.oracle import OracleWindow
+from pathcenters.scalars import QQ
+from pathcenters.textio import parse_graph
 
-from conftest import fixture_path
+from conftest import fixture_path, solver_calls
 
 TRACING = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
@@ -68,3 +72,23 @@ def test_tracer_sees_graded_primes_without_hereditary_sets():
     assert tracer.calls["center_theory.graded_prime_ideals"] == 1
     assert metrics["graph.hereditary_sets"]["value"] == 0
     assert tracer.calls["graph.enumerate_hereditary_saturated"] == 0
+
+
+def test_tracer_sees_the_live_solve():
+    # the solver gets only the live columns, and the tracer counts its rows
+    # and columns: rose_2's one live column (the vertex) leaves no row,
+    # toeplitz keeps a few
+    tracing = _load_tracing()
+    traced_rows = {}
+    for name, max_len in (("rose_2", 2), ("toeplitz", 3)):
+        argv = ["oracle", str(fixture_path(name)), "--algebra", "leavitt",
+                "--max-len", str(max_len), "--verify"]
+        code, out, tracer = _traced(tracing, argv)
+        assert code == 0 and "ok: True" in out
+        metrics = tracing.per_layer(tracer)
+        g = parse_graph(fixture_path(name).read_text())
+        _, ((rows, ncols),) = solver_calls(g, OracleWindow(LEAVITT, max_len), QQ)
+        assert metrics["linalg.cols"]["value"] == ncols
+        assert metrics["linalg.rows"]["value"] == len(rows)
+        traced_rows[name] = len(rows)
+    assert traced_rows == {"rose_2": 0, "toeplitz": 6}
