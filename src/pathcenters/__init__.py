@@ -71,7 +71,7 @@ from .oracle import (
     graded_center_component,
     verify_structure,
 )
-from .path_algebra import KEElement, left_annihilator_test
+from .path_algebra import left_annihilator_test
 from .scalars import QQ, PrimeField, field_from_characteristic
 from .textio import element_to_text, emit_graph, parse_element, parse_graph
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import GraphError, HypothesisNotMet, InvariantViolation
+from .errors import AmbientError, GraphError, HypothesisNotMet, InvariantViolation
 from .graph import (
     Cycle,
     Graph,
@@ -42,12 +42,7 @@ from .graph_algebra import (
     check_window_cap,
 )
 from .linalg import LinearSpan
-from .oracle import (
-    OracleWindow,
-    element_vector,
-    solved_subspace,
-    structural_truncation,
-)
+from .oracle import element_vector, structural_truncation
 from .scalars import QQ
 
 ZERO = "zero"
@@ -363,7 +358,7 @@ def _corner_generator(alg, targets, c: Cycle = None):
     _, longest, near = count_paths_into(g, targets)
     fed = quotient_graph(g, frozenset(g.vertices) - near)
     degree = 0 if c is None else c.length
-    check_window_cap(fed, LEAVITT, degree + longest, (degree, degree))
+    check_window_cap(Algebra(LEAVITT, fed), degree + longest, (degree, degree))
     feeding = paths_into(g, targets)
     z = _corner_sum(alg, feeding, c)
     unit = z if c is None else _corner_sum(alg, feeding)
@@ -474,31 +469,29 @@ def project_to_quotient(el: GAElement, h, qalg: Algebra):
         (c, m.real, m.ghost) for m, c in el.coeffs.items() if m.real.target not in h)
 
 
-def verify_bounds(g: Graph, bounds: CenterBounds = None,
-                  window: OracleWindow = None, *, field=QQ,
-                  subspace=None) -> BoundsVerification:
-    """Window-exact consistency of the bounds against the oracle: the bounded
-    center basis must project into each quotient's structural truncation
-    (upper containment) and must span every decidable lower generator's
-    truncated powers (lower containment).
+def verify_bounds(subspace) -> BoundsVerification:
+    """Window-exact consistency of the bounds against the oracle's solved
+    Leavitt `subspace`: the bounded center basis must project into each
+    quotient's structural truncation (upper containment) and must span
+    every decidable lower generator's truncated powers (lower containment).
 
-    `subspace`, when given, is the `CentralSubspace` already solved for
-    `window`; it is used instead of solving the window again."""
-    if bounds is None:
-        bounds = center_bounds(g, field=field)
-    if window is None:
-        window = OracleWindow(LEAVITT, 4, (-4, 4))
-    sub = solved_subspace(g, window, subspace, field=field)
+    AmbientError when `subspace` was solved in another kind of algebra."""
+    alg, window = subspace.algebra, subspace.window
+    if alg.kind != LEAVITT:
+        raise AmbientError(f"the center bounds are about a Leavitt path "
+                           f"algebra, not a {alg.kind} algebra")
+    field = alg.field
+    bounds = center_bounds(alg.graph, field=field)
     notes = []
 
     upper_ok = True
     for r in bounds.records:
-        qalg = Algebra(window.kind, r.quotient, field=field)
+        qalg = Algebra(LEAVITT, r.quotient, field=field)
         claim_q = center_prime_leavitt(r.quotient, field=field, cls=r.cls)
         span = LinearSpan(field)
         for el in structural_truncation(claim_q, window):
             span.add(element_vector(el))
-        for z in sub.basis:
+        for z in subspace.basis:
             zq = project_to_quotient(z, r.H, qalg)
             if not check_central(zq) or not span.contains(element_vector(zq)):
                 upper_ok = False
@@ -507,7 +500,7 @@ def verify_bounds(g: Graph, bounds: CenterBounds = None,
                     f"at H={sorted(r.H)}")
 
     oracle_span = LinearSpan(field)
-    for z in sub.basis:
+    for z in subspace.basis:
         oracle_span.add(element_vector(z))
     lower_ok = True
     for summand in bounds.lower:
@@ -529,7 +522,7 @@ def verify_bounds(g: Graph, bounds: CenterBounds = None,
     radical_empty = not bounds.radical_vertices
     return BoundsVerification(
         ok=upper_ok and lower_ok and radical_empty,
-        oracle_dim=sub.dim,
+        oracle_dim=subspace.dim,
         upper_ok=upper_ok,
         lower_ok=lower_ok,
         radical_empty=radical_empty,

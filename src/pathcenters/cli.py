@@ -142,16 +142,14 @@ def cmd_oracle(args):
         claim = _prime_claim(g, args.algebra, field)
         if claim is not None:
             section["verification"] = rpt.verification_block(
-                verify_structure(claim, g, window, field=field,
-                                 subspace=subspace))
+                verify_structure(claim, subspace))
         elif args.algebra == "cohn":
             rpt.add_notice(report, "no structural claim to verify: "
                                    "Cohn path algebra is not prime")
             code = EXIT_HYPOTHESIS
         else:
             section["verification"] = rpt.bounds_verification_block(
-                ct.verify_bounds(g, window=window, field=field,
-                                 subspace=subspace))
+                ct.verify_bounds(subspace))
     report["sections"]["oracle-verification"] = section
     return report, code
 

@@ -573,13 +573,13 @@ class GAElement:
                            if m.source == u and m.target == v})
 
 
-def normal_form(graph, kind, terms, *, special=None, field=QQ, rng=None) -> GAElement:
+def normal_form(alg, terms, *, rng=None) -> GAElement:
     """Reduce scalar-weighted raw words over the extended graph to basis form."""
-    alg = Algebra(kind, graph, special, field)
+    field = alg.field
     out = {}
     for coeff, word in terms:
-        parsed = parse_word(graph, word)
-        if kind == PATH and any(tag == _G for tag, _ in parsed):
+        parsed = parse_word(alg.graph, word)
+        if alg.kind == PATH and any(tag == _G for tag, _ in parsed):
             raise WordError("path algebra elements have no ghost part")
         reduced = reduce_word(alg, parsed, field.coerce(coeff), rng=rng)
         for m, c in reduced.items():
@@ -587,8 +587,8 @@ def normal_form(graph, kind, terms, *, special=None, field=QQ, rng=None) -> GAEl
     return GAElement(alg, out)
 
 
-def word_element(graph, kind, word, coeff=1, *, special=None, field=QQ) -> GAElement:
-    return normal_form(graph, kind, [(coeff, word)], special=special, field=field)
+def word_element(alg, word, coeff=1) -> GAElement:
+    return normal_form(alg, [(coeff, word)])
 
 
 def T_operator(a: GAElement, x: GAElement) -> GAElement:
@@ -608,8 +608,7 @@ def _longest_real(kind, max_len, hi):
     return max(0, min(max_len, hi)) if kind == PATH else max_len
 
 
-def enumerate_ga_monomials(graph, kind, max_len, *, degrees=None,
-                           special=None, source=None):
+def enumerate_ga_monomials(alg, max_len, *, degrees=None, source=None):
     """Normal-form monomials with both parts of length <= max_len, sorted.
 
     `degrees` restricts the degree to an inclusive window (a, b); `source`
@@ -620,7 +619,7 @@ def enumerate_ga_monomials(graph, kind, max_len, *, degrees=None,
     are walked in sorted order and each one's ghosts by ascending length,
     each bucket in sorted order, so the monomials come out sorted.
     """
-    alg = Algebra(kind, graph, special)
+    graph, kind = alg.graph, alg.kind
     lo, hi = _window_lengths(max_len, degrees)
     paths = all_paths_up_to(graph, _longest_real(kind, max_len, hi))
     longest_ghost = 0 if kind == PATH else paths[-1].length  # sorted by length
@@ -640,7 +639,7 @@ def enumerate_ga_monomials(graph, kind, max_len, *, degrees=None,
     return out
 
 
-def count_ga_monomials(graph, kind, max_len, *, degrees=None, special=None):
+def count_ga_monomials(alg, max_len, *, degrees=None):
     """len(enumerate_ga_monomials(...)), computed without building a monomial.
 
     counts[v][L], the number of paths of length L ending at v, comes from a
@@ -652,7 +651,7 @@ def count_ga_monomials(graph, kind, max_len, *, degrees=None, special=None):
     length make the count O(E·L + V·L); the program stops at the first
     length no path reaches.
     """
-    special = Algebra(kind, graph, special).special
+    graph, kind = alg.graph, alg.kind
     lo, hi = _window_lengths(max_len, degrees)
     counts = {v: [1] for v in graph.vertices}
     arrows = [(counts[graph.src[e]], graph.rng[e]) for e in graph.edges]
@@ -682,7 +681,7 @@ def count_ga_monomials(graph, kind, max_len, *, degrees=None, special=None):
     if kind == LEAVITT:
         # both parts end in the special edge at v: drop that last edge
         total -= sum(pairs(counts[v], max_len - 1, max_len - 1)
-                     for v, _ in special.pairs)
+                     for v, _ in alg.special.pairs)
     return total
 
 
@@ -703,11 +702,11 @@ def monomial_cap():
     return cap
 
 
-def check_window_cap(g: Graph, kind, max_len, degrees):
+def check_window_cap(alg, max_len, degrees):
     """Raise ResourceCapExceeded when the window holds more candidate
     monomials than the cap, counted exactly without building a monomial."""
     cap = monomial_cap()
-    needed = count_ga_monomials(g, kind, max_len, degrees=degrees)
+    needed = count_ga_monomials(alg, max_len, degrees=degrees)
     if needed > cap:
         try:
             text = str(needed)
@@ -720,7 +719,7 @@ def check_window_cap(g: Graph, kind, max_len, degrees):
         )
 
 
-def fixed_point_subspace(graph, kind, c: Path, max_len, *, special=None, field=QQ):
+def fixed_point_subspace(alg, c: Path, max_len):
     """Exact basis of the degree-zero fixed points of T_c in a bounded span.
 
     c must be a closed path based at some vertex u; candidates are the
@@ -730,18 +729,16 @@ def fixed_point_subspace(graph, kind, c: Path, max_len, *, special=None, field=Q
     """
     if c.source != c.target:
         raise GraphError("T_c needs a closed path")
-    alg = Algebra(kind, graph, special, field)
     u = c.source
-    candidates = enumerate_ga_monomials(graph, kind, max_len, degrees=(0, 0),
-                                        special=alg.special, source=u)
-    c_el = alg.monomial(GMonomial(c, Path.vertex(graph, u)))
+    candidates = enumerate_ga_monomials(alg, max_len, degrees=(0, 0), source=u)
+    c_el = alg.monomial(GMonomial(c, Path.vertex(alg.graph, u)))
     rows = {}
     for j, m in enumerate(candidates):
         m_el = alg.monomial(m)
         image = T_operator(c_el, m_el) - m_el
         for rm, coeff in image.coeffs.items():
             rows.setdefault(rm, {})[j] = coeff
-    basis = sparse_nullspace(rows.values(), len(candidates), field)
+    basis = sparse_nullspace(rows.values(), len(candidates), alg.field)
     out = []
     for vec in basis:
         coeffs = {candidates[j]: c for j, c in vec.items()}

@@ -45,6 +45,11 @@ solve to the columns still alive.
 `CentralSubspace.candidate_count` and the cap (`check_window_cap`, in
 `graph_algebra` with the centrality checks) still count every candidate
 of the window, diagonal or not.
+
+One solve builds one `Algebra`: the candidate listing and the cap count
+take it, and the `CentralSubspace` records it beside its window.  The
+verifiers take that subspace and read graph, field and window from it, so
+a claim about another algebra raises AmbientError instead of passing.
 """
 
 from __future__ import annotations
@@ -59,11 +64,9 @@ from .graph_algebra import (
     Algebra,
     GAElement,
     centrality_witness,
-    check_central,
     check_window_cap,
     enumerate_ga_monomials,
     heads_index,
-    monomial_cap,
     mul_monomials,
     starting_with,
 )
@@ -104,8 +107,11 @@ class OracleWindow:
 
 @dataclass(frozen=True)
 class CentralSubspace:
+    """The exact central basis of `window`, solved in `algebra`."""
+
     basis: tuple
     window: OracleWindow
+    algebra: Algebra
     candidate_count: int = 0
 
     @property
@@ -113,19 +119,18 @@ class CentralSubspace:
         return len(self.basis)
 
 
-def enumerate_candidates(g: Graph, window: OracleWindow):
-    """Window candidates, checked against the configured resource cap.
+def enumerate_candidates(alg: Algebra, window: OracleWindow):
+    """The window's candidates in `alg`, checked against the resource cap.
 
     The cap is checked on the exact count before any monomial is built."""
-    check_window_cap(g, window.kind, window.max_len, window.degrees)
-    return enumerate_ga_monomials(g, window.kind, window.max_len,
-                                  degrees=window.degrees)
+    check_window_cap(alg, window.max_len, window.degrees)
+    return enumerate_ga_monomials(alg, window.max_len, degrees=window.degrees)
 
 
 def central_subspace(g: Graph, window: OracleWindow, *, field=QQ) -> CentralSubspace:
     """Exact basis of all window elements commuting with every generator."""
     alg = Algebra(window.kind, g, field=field)
-    candidates = enumerate_candidates(g, window)
+    candidates = enumerate_candidates(alg, window)
     # only Peirce-diagonal candidates can carry weight (see module docstring)
     diagonal = [m for m in candidates if m.source == m.target]
     by_real = heads_index(m.real for m in diagonal)
@@ -174,7 +179,7 @@ def central_subspace(g: Graph, window: OracleWindow, *, field=QQ) -> CentralSubs
             raise InvariantViolation(
                 f"oracle solver produced a non-central vector (witness {witness[0]})"
             )
-    return CentralSubspace(tuple(basis), window, len(candidates))
+    return CentralSubspace(tuple(basis), window, alg, len(candidates))
 
 
 def graded_center_component(g: Graph, kind, n: int, max_len: int, *,
@@ -245,38 +250,29 @@ class VerificationReport:
     notes: tuple = ()
 
 
-def solved_subspace(g: Graph, window: OracleWindow, subspace=None, *,
-                    field=QQ) -> CentralSubspace:
-    """`subspace` when the caller already solved `window`, else a fresh solve."""
-    if subspace is None:
-        return central_subspace(g, window, field=field)
-    if subspace.window != window:
-        raise InvariantViolation(
-            f"subspace was solved for {subspace.window}, not for {window}")
-    return subspace
-
-
-def verify_structure(claim, g: Graph, window: OracleWindow, *, field=QQ,
-                     subspace=None) -> VerificationReport:
-    """Cross-check a structural center claim against the oracle.
+def verify_structure(claim, subspace: CentralSubspace) -> VerificationReport:
+    """Cross-check a structural center claim against the oracle's solved
+    `subspace`, in its algebra and window.
 
     (a) every claimed generator must commute with every algebra generator;
     (b) the oracle's window basis must lie in the span of the claim's
         truncated powers; mismatches are reported with the offending data.
 
-    `subspace`, when given, is the `CentralSubspace` already solved for
-    `window`; it is used instead of solving the window again.
+    AmbientError when a claimed generator lives in another algebra.
     """
+    alg = subspace.algebra
     failures = []
     for piece in _claim_structures(claim):
         for gen in piece.generators:
+            if gen.algebra != alg:
+                raise AmbientError("the claim and the oracle's solve are in "
+                                   "different algebras")
             witness = centrality_witness(gen)
             if witness is not None:
                 failures.append((repr(gen), witness[0]))
 
-    subspace = solved_subspace(g, window, subspace, field=field)
-    span = LinearSpan(field)
-    for el in structural_truncation(claim, window):
+    span = LinearSpan(alg.field)
+    for el in structural_truncation(claim, subspace.window):
         span.add(element_vector(el))
     outside = []
     for el in subspace.basis:

@@ -10,34 +10,17 @@ from __future__ import annotations
 
 from .errors import GraphError
 from .graph import Graph, Path, all_paths_up_to
-from .graph_algebra import PATH, Algebra, GAElement, GMonomial
+from .graph_algebra import GAElement
 from .linalg import sparse_nullspace
 from .scalars import QQ
 
 
 class KEElement:
-    """Constructors of KE elements, each a `GAElement` of kind PATH."""
+    """A stub: KE elements are `GAElement`s of `Algebra(PATH, graph)`."""
 
-    # KE has no product of its own; the name stays on this class for code
-    # that looks the KE product up here.
+    # perfbench/tracing.py wraps this name; the benchmark change that drops
+    # its always-zero metric deletes both
     __mul__ = GAElement.__mul__
-
-    @staticmethod
-    def zero(graph, field=QQ):
-        return Algebra(PATH, graph, field=field).zero()
-
-    @staticmethod
-    def from_path(graph, path: Path, coeff=1, field=QQ):
-        m = GMonomial(path, Path.vertex(graph, path.target))
-        return Algebra(PATH, graph, field=field).monomial(m, coeff)
-
-    @staticmethod
-    def vertex(graph, v, coeff=1, field=QQ):
-        return KEElement.from_path(graph, Path.vertex(graph, v), coeff, field)
-
-    @staticmethod
-    def one(graph, field=QQ):
-        return Algebra(PATH, graph, field=field).one()
 
 
 def left_annihilator_test(g: Graph, mu: Path, v, w, max_len: int, field=QQ) -> bool:

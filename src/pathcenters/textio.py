@@ -16,7 +16,6 @@ import re
 from .errors import GraphError, ParseError, WordError
 from .graph import Graph, Path
 from .graph_algebra import Algebra
-from .scalars import QQ
 
 _ID_RE = re.compile(r"[A-Za-z0-9_]+\Z")
 _EDGE_LINE_RE = re.compile(
@@ -107,10 +106,10 @@ def _parse_path_part(g: Graph, text: str) -> Path:
         raise ParseError(str(exc)) from exc
 
 
-def parse_element(text: str, g: Graph, kind: str, *, special=None, field=QQ):
-    """Parse element text into a `GAElement` of the given algebra kind."""
+def parse_element(text: str, alg: Algebra):
+    """Parse element text into a `GAElement` of `alg`."""
     text = text.strip()
-    alg = Algebra(kind, g, special, field)
+    g, field = alg.graph, alg.field
     terms = []
     for term in [] if text == "0" else text.split("+"):
         term = term.strip()

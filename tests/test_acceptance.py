@@ -13,7 +13,6 @@ from pathcenters import (
     Algebra,
     COHN,
     CenterStructure,
-    KEElement,
     LEAVITT,
     OracleWindow,
     PATH,
@@ -77,7 +76,7 @@ def test_criterion_01_cycle_centers():
             problems.append(f"n={n}: structural center is not K[x] on the "
                             f"rotation sum")
         sub = central_subspace(g, OracleWindow(PATH, 2 * n))
-        expected = [KEElement.one(g), gen, cycle_rotation_sum(g, cyc, 2)]
+        expected = [Algebra(PATH, g).one(), gen, cycle_rotation_sum(g, cyc, 2)]
         if sub.dim != 3 or not _same_span(sub.basis, expected):
             problems.append(f"n={n}: oracle window L={2*n} is not exactly "
                             f"span(1, sum c_i, sum c_i^2)")
@@ -91,10 +90,10 @@ def test_criterion_02_noncycle_ke_centers():
               rose_graph(2), rose_graph(3)]
     for g in graphs:
         cs = center_structure_KE(g)
-        if cs.kind != SCALAR or cs.generators != (KEElement.one(g),):
+        if cs.kind != SCALAR or cs.generators != (Algebra(PATH, g).one(),):
             problems.append(f"{g.vertices}: structural KE center is not K.1")
         sub = central_subspace(g, OracleWindow(PATH, 3))
-        if sub.dim != 1 or not _same_span(sub.basis, [KEElement.one(g)]):
+        if sub.dim != 1 or not _same_span(sub.basis, [Algebra(PATH, g).one()]):
             problems.append(f"{g.vertices}: oracle L=3 found more than span(1)")
     _finish(2, "non-cycle path algebras have center K.1", problems)
 
@@ -136,7 +135,7 @@ def test_criterion_04_prime_leavitt_classification():
         cs = center_prime_leavitt(g)
         if cs.kind != expected_kind:
             problems.append(f"{name}: structural center is {cs.describe()}")
-        rep = verify_structure(cs, g, window)
+        rep = verify_structure(cs, central_subspace(g, window))
         if not rep.ok:
             problems.append(f"{name}: oracle disagrees with the claim")
         if rep.oracle_dim != expected_dim or rep.span_dim != expected_dim:
@@ -223,7 +222,7 @@ def test_criterion_08_center_bounds():
     if lb.describe_lower() != "K[x,x^-1] (+) K[x,x^-1]":
         problems.append(f"two-loops lower bound {lb.describe_lower()}")
     for name, g in (("toeplitz", toeplitz_graph()), ("two_loops", two_loops())):
-        res = verify_bounds(g, window=OracleWindow(LEAVITT, 4, (-4, 4)))
+        res = verify_bounds(central_subspace(g, OracleWindow(LEAVITT, 4, (-4, 4))))
         if not res.ok:
             problems.append(f"{name}: oracle window inconsistent: {res.notes}")
     _finish(8, "molecula bounds with window-exact oracle consistency",
@@ -244,8 +243,8 @@ def test_criterion_09_rewriting_integrity():
         rng = random.Random(name)
         for i in range(1000):
             word = random_word(g, rng, max_len=8)
-            det = normal_form(g, LEAVITT, [(1, word)])
-            rnd = normal_form(g, LEAVITT, [(1, word)],
+            det = normal_form(Algebra(LEAVITT, g), [(1, word)])
+            rnd = normal_form(Algebra(LEAVITT, g), [(1, word)],
                               rng=random.Random(i))
             if det != rnd:
                 problems.append(f"{name}: word {word} reduced differently")
@@ -254,16 +253,16 @@ def test_criterion_09_rewriting_integrity():
             for f in g.edges:
                 rel = (Algebra(LEAVITT, g).edge(e, ghost=True)
                        * Algebra(LEAVITT, g).edge(f))
-                expect = (word_element(g, LEAVITT, [g.rng[e]]) if e == f
+                expect = (word_element(Algebra(LEAVITT, g), [g.rng[e]]) if e == f
                           else Algebra(LEAVITT, g).zero())
                 if rel != expect:
                     problems.append(f"{name}: CK1 failed on {e}, {f}")
         for v in g.vertices:
             if not g.is_regular(v):
                 continue
-            acc = word_element(g, LEAVITT, [v])
+            acc = word_element(Algebra(LEAVITT, g), [v])
             for e in g.out_edges(v):
-                acc = acc - word_element(g, LEAVITT, [e, f"{e}*"])
+                acc = acc - word_element(Algebra(LEAVITT, g), [e, f"{e}*"])
             if acc:
                 problems.append(f"{name}: CK2 relation nonzero at {v}")
     # associativity on 1000 randomized bounded triples
@@ -271,7 +270,7 @@ def test_criterion_09_rewriting_integrity():
 
     for name, g in fixtures:
         rng = random.Random("assoc" + name)
-        monos = enumerate_ga_monomials(g, LEAVITT, 2)
+        monos = enumerate_ga_monomials(Algebra(LEAVITT, g), 2)
 
         def rand_el():
             out = Algebra(LEAVITT, g).zero()
@@ -302,8 +301,9 @@ def test_criterion_10_negative_controls(tmp_path, monkeypatch):
 
     problems = []
     g = rose_graph(2)
-    bogus = CenterStructure(SCALAR, (word_element(g, LEAVITT, ["f1"]),))
-    rep = verify_structure(bogus, g, OracleWindow(LEAVITT, 2, (-2, 2)))
+    bogus = CenterStructure(SCALAR, (word_element(Algebra(LEAVITT, g), ["f1"]),))
+    rep = verify_structure(
+        bogus, central_subspace(g, OracleWindow(LEAVITT, 2, (-2, 2))))
     if rep.ok:
         problems.append("corrupted claim was accepted")
     if not rep.generator_failures or rep.generator_failures[0][1] != "f2":

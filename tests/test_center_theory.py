@@ -5,13 +5,17 @@ import pytest
 
 from pathcenters import (
     Algebra,
+    AmbientError,
     COHN,
     Graph,
     HypothesisNotMet,
     LEAVITT,
+    OracleWindow,
+    PATH,
     center_bounds,
     center_prime_cohn,
     center_prime_leavitt,
+    central_subspace,
     check_central,
     classify_prime_leavitt,
     cycle_graph,
@@ -33,6 +37,8 @@ from pathcenters.graph import (
 )
 
 from conftest import cycle_feeds_loop, feeder_loop, fork_sink_loop, two_loops
+
+BOUNDS_WINDOW = OracleWindow(LEAVITT, 4, (-4, 4))
 
 ALL_FIXTURES = [
     ("rose_0", rose_graph(0)),
@@ -95,14 +101,14 @@ def test_center_prime_leavitt_laurent_cases():
     r1 = rose_graph(1)
     cs = center_prime_leavitt(r1)
     assert cs.kind == LAURENT
-    assert cs.generators[1] == word_element(r1, LEAVITT, ["f1"])
+    assert cs.generators[1] == word_element(Algebra(LEAVITT, r1), ["f1"])
 
     fl = feeder_loop()
     cs = center_prime_leavitt(fl)
     assert cs.kind == LAURENT
     z = cs.generators[1]
-    assert z == (word_element(fl, LEAVITT, ["c"])
-                 + word_element(fl, LEAVITT, ["f", "c", "f*"]))
+    alg = Algebra(LEAVITT, fl)
+    assert z == word_element(alg, ["c"]) + word_element(alg, ["f", "c", "f*"])
     assert check_central(z)
     one = Algebra(LEAVITT, fl).one()
     assert z * z.involution() == one
@@ -281,8 +287,19 @@ def test_bounds_fork_mixed_patterns():
 
 def test_verify_bounds_on_fixtures():
     for name, g in ALL_FIXTURES:
-        res = verify_bounds(g)
+        res = verify_bounds(central_subspace(g, BOUNDS_WINDOW))
         assert res.ok, (name, res.notes)
+
+
+def test_verify_bounds_refuses_a_subspace_of_another_algebra():
+    # a path-algebra solve said nothing about the Leavitt bounds, yet it
+    # used to pass as a check of them
+    g = two_loops()
+    with pytest.raises(AmbientError):
+        verify_bounds(central_subspace(g, OracleWindow(PATH, 2, (0, 2))))
+    with pytest.raises(AmbientError):
+        verify_bounds(central_subspace(g, OracleWindow(COHN, 2, (0, 2))))
+    assert verify_bounds(central_subspace(g, OracleWindow(LEAVITT, 2, (0, 2)))).ok
 
 
 def test_quotients_of_records_are_downward_directed():
@@ -301,7 +318,7 @@ def test_quotient_projection_is_a_homomorphism():
     g = toeplitz_graph()
     h = frozenset({"v"})
     q = quotient_graph(g, h)
-    monos = enumerate_ga_monomials(g, LEAVITT, 2)
+    monos = enumerate_ga_monomials(Algebra(LEAVITT, g), 2)
     els = [Algebra(LEAVITT, g).monomial(m) for m in monos]
     qalg = Algebra(LEAVITT, q)
     for x, y in itertools.islice(itertools.product(els, els), 0, None, 7):
@@ -316,7 +333,7 @@ def test_verify_bounds_on_disconnected_mixed_fixture():
     b = center_bounds(g)
     by_h = {tuple(sorted(r.H)): u for r, u in zip(b.records, b.upper)}
     assert by_h == {("v",): "K[x,x^-1]", ("u1", "u2"): "K"}
-    assert verify_bounds(g).ok
+    assert verify_bounds(central_subspace(g, BOUNDS_WINDOW)).ok
 
 
 def test_undecidable_ideal_pattern_is_tagged_for_the_oracle():
@@ -358,4 +375,5 @@ def test_theory_uses_the_oracle_only_to_verify_its_bounds():
     inside = {id(node) for node in ast.walk(verify)}
     used_outside = {node.id for node in ast.walk(tree)
                     if isinstance(node, ast.Name) and id(node) not in inside}
-    assert from_oracle and not from_oracle & used_outside
+    assert from_oracle == {"element_vector", "structural_truncation"}
+    assert not from_oracle & used_outside

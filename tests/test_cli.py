@@ -12,6 +12,7 @@ from pathcenters import (
     COHN,
     Graph,
     LEAVITT,
+    PATH,
     ParseError,
     element_to_text,
     emit_graph,
@@ -22,7 +23,6 @@ from pathcenters import (
 )
 from pathcenters.cli import main
 from pathcenters.graph_algebra import enumerate_ga_monomials
-from pathcenters.path_algebra import KEElement
 from pathcenters.report import load_schema
 
 from conftest import fixture_path
@@ -77,43 +77,43 @@ def test_graph_round_trip():
 def test_element_text_spec_shape():
     g = parse_graph("vertices: u v\nedge e1: u -> v\nedge e2: v -> v\n"
                     "edge e3: v -> v\n")
-    el = parse_element("3/2 e1.e2|e3 + -1 @u", g, COHN)
+    el = parse_element("3/2 e1.e2|e3 + -1 @u", Algebra(COHN, g))
     assert element_to_text(el) == "-1 @u + 3/2 e1.e2|e3"
-    again = parse_element(element_to_text(el), g, COHN)
+    again = parse_element(element_to_text(el), Algebra(COHN, g))
     assert again == el
 
 
 def test_element_text_round_trip_random():
     rng = random.Random(31)
     g = toeplitz_graph()
-    monos = enumerate_ga_monomials(g, LEAVITT, 2)
+    monos = enumerate_ga_monomials(Algebra(LEAVITT, g), 2)
     for _ in range(50):
         el = Algebra(LEAVITT, g).zero()
         for _ in range(rng.randint(0, 4)):
             el = el + Algebra(LEAVITT, g).monomial(
                 rng.choice(monos), rng.choice([1, -1, 3, -2]))
         text = element_to_text(el)
-        assert parse_element(text, g, LEAVITT) == el
-        assert element_to_text(parse_element(text, g, LEAVITT)) == text
+        assert parse_element(text, Algebra(LEAVITT, g)) == el
+        assert element_to_text(parse_element(text, Algebra(LEAVITT, g))) == text
 
 
 def test_element_text_ke_and_zero():
-    g = rose_graph(1)
-    assert element_to_text(KEElement.zero(g)) == "0"
-    assert parse_element("0", g, "path") == KEElement.zero(g)
-    el = parse_element("2 f1.f1 + 1/3 @v", g, "path")
+    ke = Algebra(PATH, rose_graph(1))
+    assert element_to_text(ke.zero()) == "0"
+    assert parse_element("0", ke) == ke.zero()
+    el = parse_element("2 f1.f1 + 1/3 @v", ke)
     assert element_to_text(el) == "1/3 @v + 2 f1.f1"
     with pytest.raises(ParseError):
-        parse_element("1 f1|f1", g, "path")  # no ghosts in KE
+        parse_element("1 f1|f1", ke)  # no ghosts in KE
     with pytest.raises(ParseError):
-        parse_element("1 zz", g, "path")
+        parse_element("1 zz", ke)
     with pytest.raises(ParseError):
-        parse_element("f1", g, "path")  # scalar is required
+        parse_element("f1", ke)  # scalar is required
 
 
 def test_parse_element_normalizes_leavitt_junction():
     r1 = rose_graph(1)
-    el = parse_element("1 f1|f1", r1, LEAVITT)
+    el = parse_element("1 f1|f1", Algebra(LEAVITT, r1))
     assert element_to_text(el) == "1 @v"
 
 
@@ -295,7 +295,7 @@ def test_rewrite_step_budget_is_a_resource_cap(monkeypatch):
     monkeypatch.setattr(graph_algebra, "_MAX_REWRITE_STEPS", 2)
     g = rose_graph(2)
     with pytest.raises(ResourceCapExceeded):
-        normal_form(g, LEAVITT, [(1, ["f1", "f1", "f1*", "f1*"])])
+        normal_form(Algebra(LEAVITT, g), [(1, ["f1", "f1", "f1*", "f1*"])])
 
 
 def test_empty_graph_is_a_parse_error(tmp_path):
@@ -312,7 +312,7 @@ def test_empty_graph_is_a_parse_error(tmp_path):
 
 @pytest.mark.parametrize("value", ["-5", "abc"])
 def test_invalid_monomial_cap_is_a_usage_error(monkeypatch, value):
-    from pathcenters.oracle import monomial_cap
+    from pathcenters.graph_algebra import monomial_cap
 
     monkeypatch.setenv("PATHCENTERS_MAX_MONOMIALS", value)
     with pytest.raises(ValueError, match="PATHCENTERS_MAX_MONOMIALS"):

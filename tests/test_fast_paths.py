@@ -57,6 +57,7 @@ from pathcenters.graph_algebra import (
     GAElement,
     GMonomial,
     SpecialEdgeChoice,
+    check_central,
     count_ga_monomials,
     enumerate_ga_monomials,
     mul_monomials,
@@ -68,7 +69,6 @@ from pathcenters.oracle import (
     OracleWindow,
     central_subspace,
     centrality_witness,
-    check_central,
     enumerate_candidates,
     graded_center_component,
 )
@@ -311,7 +311,7 @@ def central_subspace_by_all_pairs(g, window, field):
     """Multiply every candidate by every generator on both sides and solve
     over every candidate column."""
     alg = Algebra(window.kind, g, field=field)
-    candidates = enumerate_candidates(g, window)
+    candidates = enumerate_candidates(alg, window)
     gen_monomials = [next(iter(gel.coeffs)) for _, gel in alg.generators]
 
     rows = {}
@@ -332,7 +332,7 @@ def central_subspace_by_all_pairs(g, window, field):
     vectors = sparse_nullspace((r for r in cleaned if r), len(candidates), field)
     basis = tuple(GAElement(alg, {candidates[j]: c for j, c in vec.items()})
                   for vec in vectors)
-    return CentralSubspace(basis, window, len(candidates))
+    return CentralSubspace(basis, window, alg, len(candidates))
 
 
 def product_by_all_pairs(x, y):
@@ -623,7 +623,7 @@ def test_windowed_enumeration_matches_all_pairs_on_fixtures(kind):
                     continue
                 for source in (None, *g.vertices):
                     assert enumerate_ga_monomials(
-                        g, kind, max_len, degrees=degrees, source=source
+                        Algebra(kind, g), max_len, degrees=degrees, source=source
                     ) == monomials_by_all_pairs(
                         g, kind, max_len, degrees=degrees, source=source
                     ), (path.name, max_len, degrees, source)
@@ -636,7 +636,7 @@ def test_windowed_enumeration_matches_all_pairs(data, g):
     max_len = data.draw(st.integers(0, 3))
     degrees = data.draw(windows(max_len))
     source = data.draw(st.none() | st.sampled_from(g.vertices))
-    assert enumerate_ga_monomials(g, kind, max_len, degrees=degrees,
+    assert enumerate_ga_monomials(Algebra(kind, g), max_len, degrees=degrees,
                                   source=source) == \
         monomials_by_all_pairs(g, kind, max_len, degrees=degrees,
                                source=source)
@@ -648,8 +648,9 @@ def test_count_matches_enumeration(data, g):
     kind = data.draw(st.sampled_from(ALGEBRA_KINDS))
     max_len = data.draw(st.integers(0, 3))
     degrees = data.draw(windows(max_len))
-    assert count_ga_monomials(g, kind, max_len, degrees=degrees) == \
-        len(enumerate_ga_monomials(g, kind, max_len, degrees=degrees))
+    alg = Algebra(kind, g)
+    assert count_ga_monomials(alg, max_len, degrees=degrees) == \
+        len(enumerate_ga_monomials(alg, max_len, degrees=degrees))
 
 
 @settings(max_examples=150, deadline=None)
@@ -663,18 +664,18 @@ def test_direct_straightening_matches_the_word_rewriter(data, g):
              for a in paths for b in paths if a.target == b.target]
     terms = data.draw(st.lists(st.tuples(st.integers(-3, 3),
                                          st.sampled_from(pairs)), max_size=5))
-    expected = normal_form(g, kind, [(c, word_of(a, b)) for c, (a, b) in terms])
     alg = Algebra(kind, g)
+    expected = normal_form(alg, [(c, word_of(a, b)) for c, (a, b) in terms])
     assert alg.sum_of((QQ.coerce(c), a, b) for c, (a, b) in terms) == expected
     text = " + ".join(f"{c} {a!r}|{b!r}" for c, (a, b) in terms) or "0"
-    assert parse_element(text, g, kind) == expected
+    assert parse_element(text, alg) == expected
 
     h = data.draw(st.sampled_from(enumerate_hereditary_saturated(g)[:-1]))
     q = quotient_graph(g, h)
     kept = [(c, word_of(m.real, m.ghost)) for m, c in expected.coeffs.items()
             if m.real.target not in h]
     assert (project_to_quotient(expected, h, Algebra(kind, q))
-            == normal_form(q, kind, kept))
+            == normal_form(Algebra(kind, q), kept))
 
     leavitt = Algebra(LEAVITT, g)
     for c in cycles_without_exits(g):
@@ -683,12 +684,12 @@ def test_direct_straightening_matches_the_word_rewriter(data, g):
             words = [(1, word_of(t.concat(c.rotation_based_at(g, t.target)), t))
                      for t in feeding]
             assert _corner_sum(leavitt, feeding, c) == \
-                normal_form(g, LEAVITT, words)
+                normal_form(leavitt, words)
     for v in g.vertices:
         feeding = paths_into(g, frozenset({v})) if g.is_sink(v) else None
         if feeding is not None:
             assert _corner_sum(leavitt, feeding) == \
-                normal_form(g, LEAVITT, [(1, word_of(t, t)) for t in feeding])
+                normal_form(leavitt, [(1, word_of(t, t)) for t in feeding])
 
 
 @settings(max_examples=200, deadline=None)
@@ -844,7 +845,7 @@ def test_junction_assembly_matches_all_pairs_on_fixtures(kind, field):
        kind=st.sampled_from(ALGEBRA_KINDS), field=st.sampled_from(ASSEMBLY_FIELDS))
 def test_junction_assembly_matches_all_pairs(data, g, kind, field):
     max_len = data.draw(st.integers(0, 3))
-    while max_len and count_ga_monomials(g, kind, max_len) > 400:
+    while max_len and count_ga_monomials(Algebra(kind, g), max_len) > 400:
         max_len -= 1
     window = OracleWindow(kind, max_len, data.draw(windows(max_len)))
     check_central_subspace_against_all_pairs(g, window, field)
@@ -856,7 +857,7 @@ def dead_columns_by_all_pairs(g, window, field):
     one entry once the columns killed by earlier generators are struck out
     kills that entry's column.  Every product is formed."""
     alg = Algebra(window.kind, g, field=field)
-    diagonal = [m for m in enumerate_candidates(g, window) if m.source == m.target]
+    diagonal = [m for m in enumerate_candidates(alg, window) if m.source == m.target]
     minus_one = field.neg(field.one)
     dead = set()
     for _, gel in alg.generators:
@@ -900,7 +901,7 @@ def window_sums(draw, g, kind, field, central):
     alg = Algebra(kind, g, field=field)
     window = OracleWindow(kind, 2)
     out = alg.zero()
-    for m in draw(st.lists(st.sampled_from(enumerate_candidates(g, window)),
+    for m in draw(st.lists(st.sampled_from(enumerate_candidates(alg, window)),
                            max_size=4)):
         out = out + alg.monomial(m, draw(st.integers(-2, 2)))
     for z in central:

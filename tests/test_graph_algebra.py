@@ -36,7 +36,7 @@ from conftest import feeder_loop
 
 
 def we(g, kind, *word):
-    return word_element(g, kind, word)
+    return word_element(Algebra(kind, g), word)
 
 
 # --- CK1 and CK2 ---------------------------------------------------------------
@@ -101,7 +101,7 @@ def test_cohn_idempotent_display():
     g = rose_graph(2)
     q = we(g, COHN, "v") - we(g, COHN, "f1", "f1*") - we(g, COHN, "f2", "f2*")
     assert q * q == q
-    for m in enumerate_ga_monomials(g, COHN, 2):
+    for m in enumerate_ga_monomials(Algebra(COHN, g), 2):
         mid = Algebra(COHN, g).monomial(m)
         prod = q * mid * q
         if prod:
@@ -113,7 +113,7 @@ def test_cohn_primeness_obstruction_kaw1():
     g = cycle_graph(2)
     qu = we(g, COHN, "u1") - we(g, COHN, "f1", "f1*")
     qv = we(g, COHN, "u2") - we(g, COHN, "f2", "f2*")
-    for m in enumerate_ga_monomials(g, COHN, 3):
+    for m in enumerate_ga_monomials(Algebra(COHN, g), 3):
         mid = Algebra(COHN, g).monomial(m)
         assert not (qu * mid * qv)
 
@@ -131,7 +131,7 @@ def test_vertex_multiplication():
 def test_ck2_sum_acts_like_vertex():
     g = toeplitz_graph()
     s = we(g, LEAVITT, "e", "e*") + we(g, LEAVITT, "f", "f*")
-    for m in enumerate_ga_monomials(g, LEAVITT, 2):
+    for m in enumerate_ga_monomials(Algebra(LEAVITT, g), 2):
         if m.source != "u":
             continue
         el = Algebra(LEAVITT, g).monomial(m)
@@ -152,7 +152,7 @@ def test_involution_examples():
 def test_involution_is_antimultiplicative():
     rng = random.Random(3)
     g = toeplitz_graph()
-    monos = enumerate_ga_monomials(g, LEAVITT, 2)
+    monos = enumerate_ga_monomials(Algebra(LEAVITT, g), 2)
 
     def rand_el():
         out = Algebra(LEAVITT, g).zero()
@@ -201,7 +201,7 @@ def test_T_vertex_is_corner_projection():
 def test_T_composition_rule():
     rng = random.Random(11)
     g = rose_graph(2)
-    monos = enumerate_ga_monomials(g, LEAVITT, 2)
+    monos = enumerate_ga_monomials(Algebra(LEAVITT, g), 2)
     for _ in range(50):
         a = Algebra(LEAVITT, g).monomial(rng.choice(monos))
         b = Algebra(LEAVITT, g).monomial(rng.choice(monos))
@@ -230,16 +230,17 @@ def test_fixed_point_subspace_examples():
     r1 = rose_graph(1)
     loop = Path.from_edges(r1, ("f1",))
     for kind in (COHN, LEAVITT):
-        fp = fixed_point_subspace(r1, kind, loop, 3)
+        fp = fixed_point_subspace(Algebra(kind, r1), loop, 3)
         assert len(fp) == 1
         assert fp[0] == we(r1, kind, "v")
     g = cycle_graph(2)
-    fp = fixed_point_subspace(g, COHN, Path.from_edges(g, ("f1", "f2")), 4)
+    fp = fixed_point_subspace(Algebra(COHN, g), Path.from_edges(g, ("f1", "f2")),
+                              4)
     assert [repr(b) for b in fp] == ["1 @u1"]
-    fp0 = fixed_point_subspace(r1, COHN, loop, 0)
+    fp0 = fixed_point_subspace(Algebra(COHN, r1), loop, 0)
     assert [repr(b) for b in fp0] == ["1 @v"]
     with pytest.raises(GraphError):
-        fixed_point_subspace(line_graph(2), COHN,
+        fixed_point_subspace(Algebra(COHN, line_graph(2)),
                              Path.from_edges(line_graph(2), ("f1",)), 2)
 
 
@@ -278,9 +279,9 @@ def test_normal_form_invariant_under_rule_order(maker):
     for _ in range(150):
         word = random_word(g, rng)
         for kind in (COHN, LEAVITT):
-            det = normal_form(g, kind, [(1, word)])
+            det = normal_form(Algebra(kind, g), [(1, word)])
             for seed in (1, 2):
-                rnd = normal_form(g, kind, [(1, word)],
+                rnd = normal_form(Algebra(kind, g), [(1, word)],
                                   rng=random.Random(seed))
                 assert rnd == det
 
@@ -289,17 +290,18 @@ def test_normal_form_is_idempotent():
     g = toeplitz_graph()
     rng = random.Random(5)
     for _ in range(100):
-        el = normal_form(g, LEAVITT, [(1, random_word(g, rng))])
+        el = normal_form(Algebra(LEAVITT, g), [(1, random_word(g, rng))])
         for m in el.coeffs:
             word = list(m.real.edges) + [e + "*" for e in reversed(m.ghost.edges)]
-            again = normal_form(g, LEAVITT, [(1, word or [m.real.source])])
+            again = normal_form(Algebra(LEAVITT, g),
+                                [(1, word or [m.real.source])])
             assert list(again.coeffs) == [m]
             assert again.coeffs[m] == QQ.one
 
 
 def test_monomial_products_agree_with_word_reduction():
     g = toeplitz_graph()
-    monos = enumerate_ga_monomials(g, LEAVITT, 2)
+    monos = enumerate_ga_monomials(Algebra(LEAVITT, g), 2)
     for m1 in monos:
         for m2 in monos:
             via_mul = (Algebra(LEAVITT, g).monomial(m1)
@@ -308,7 +310,7 @@ def test_monomial_products_agree_with_word_reduction():
             w2 = list(m2.real.edges) + [e + "*" for e in reversed(m2.ghost.edges)]
             word = (w1 or [m1.real.source]) + (w2 or [m2.real.source])
             try:
-                via_word = normal_form(g, LEAVITT, [(1, word)])
+                via_word = normal_form(Algebra(LEAVITT, g), [(1, word)])
             except WordError:
                 via_word = Algebra(LEAVITT, g).zero()
             assert via_mul == via_word
@@ -329,7 +331,7 @@ def test_word_errors():
 def test_associativity_on_random_bounded_triples():
     rng = random.Random(23)
     g = toeplitz_graph()
-    monos = enumerate_ga_monomials(g, LEAVITT, 2)
+    monos = enumerate_ga_monomials(Algebra(LEAVITT, g), 2)
 
     def rand_el():
         out = Algebra(LEAVITT, g).zero()
@@ -354,9 +356,10 @@ def test_special_edge_choice_is_part_of_the_element():
     with pytest.raises(AmbientError):
         a * b
     # the basis really differs: f2 f2* collapses under the alternative choice
-    el = word_element(g, LEAVITT, ["f2", "f2*"], special=alt)
-    assert el == (word_element(g, LEAVITT, ["v"], special=alt)
-                  - word_element(g, LEAVITT, ["f1", "f1*"], special=alt))
+    alt_alg = Algebra(LEAVITT, g, special=alt)
+    el = word_element(alt_alg, ["f2", "f2*"])
+    assert el == (word_element(alt_alg, ["v"])
+                  - word_element(alt_alg, ["f1", "f1*"]))
 
 
 def test_special_edge_choice_validation():
@@ -400,8 +403,8 @@ def test_cohn_to_leavitt_graph_shapes():
 
 def test_reduce_word_respects_scalars():
     g = rose_graph(1)
-    el = normal_form(g, LEAVITT, [(2, ["f1", "f1*"]), (-1, ["v"])])
-    assert el == word_element(g, LEAVITT, ["v"])  # 2v - v
+    el = normal_form(Algebra(LEAVITT, g), [(2, ["f1", "f1*"]), (-1, ["v"])])
+    assert el == word_element(Algebra(LEAVITT, g), ["v"])  # 2v - v
 
 
 # --- one algebra value per element ---------------------------------------------
@@ -437,6 +440,35 @@ def test_equal_algebras_built_apart_mix():
     f1 = Algebra(LEAVITT, g).edge("f1")
     assert alg.one() * f1 == f1 == f1 + Algebra(LEAVITT, g).zero()
     assert (f1.kind, f1.field) == (LEAVITT, QQ)
+
+
+def test_only_the_algebra_constructor_takes_a_special_edge_choice():
+    # the special edges travel inside an `Algebra` value, never beside it
+    import importlib
+    import inspect
+    import pkgutil
+
+    import pathcenters
+
+    seen, threading = set(), []
+    for info in pkgutil.iter_modules(pathcenters.__path__):
+        module = importlib.import_module(f"pathcenters.{info.name}")
+        for name, obj in vars(module).items():
+            defined_here = getattr(obj, "__module__", None) == module.__name__
+            if name.startswith("_") or not defined_here:
+                continue
+            members = [(name, obj)]
+            if inspect.isclass(obj):
+                members = [(f"{name}.{attr}", getattr(obj, attr))
+                           for attr in vars(obj)
+                           if not attr.startswith("_") or attr == "__init__"]
+            for label, fn in members:
+                if inspect.isfunction(fn) or inspect.ismethod(fn):
+                    seen.add(label)
+                    if "special" in inspect.signature(fn).parameters:
+                        threading.append(f"{module.__name__}.{label}")
+    assert {"Algebra.__init__", "normal_form", "GAElement.scale"} <= seen
+    assert threading == ["pathcenters.graph_algebra.Algebra.__init__"]
 
 
 def test_long_special_suffix_straightens_without_recursion():

@@ -5,11 +5,9 @@ from pathcenters import (
     AmbientError,
     CenterStructure,
     COHN,
-    KEElement,
     LEAVITT,
     OracleWindow,
     PATH,
-    Path,
     PrimeField,
     ResourceCapExceeded,
     central_subspace,
@@ -30,7 +28,6 @@ from pathcenters.graph import find_cycles, reachable_from
 from pathcenters.graph_algebra import mul_monomials
 from pathcenters.linalg import LinearSpan
 from pathcenters.oracle import element_vector, enumerate_candidates
-from pathcenters.path_algebra import KEElement as KE
 from pathcenters.scalars import QQ
 
 from conftest import cycle_feeds_loop, feeder_loop, two_loops
@@ -63,23 +60,25 @@ def test_window_validation():
 def test_check_central_examples():
     r1 = rose_graph(1)
     assert check_central(Algebra(LEAVITT, r1).one())
-    assert check_central(word_element(r1, LEAVITT, ["f1"]))  # L(R_1) is commutative
+    # L(R_1) is commutative
+    assert check_central(word_element(Algebra(LEAVITT, r1), ["f1"]))
     r2 = rose_graph(2)
-    e = word_element(r2, LEAVITT, ["f1"])
+    e = word_element(Algebra(LEAVITT, r2), ["f1"])
     assert not check_central(e)
     label, _ = centrality_witness(e)
     assert label == "f2"
     tg = toeplitz_graph()
-    assert check_central(KEElement.one(tg))
-    assert not check_central(KEElement.vertex(tg, "u"))
+    assert check_central(Algebra(PATH, tg).one())
+    assert not check_central(Algebra(PATH, tg).vertex("u"))
 
 
 def test_central_subspace_ke_cycle():
     g = cycle_graph(2)
     sub = central_subspace(g, OracleWindow(PATH, 4, (0, 4)))
-    c1 = KE.from_path(g, Path.from_edges(g, ("f1", "f2")))
-    c2 = KE.from_path(g, Path.from_edges(g, ("f2", "f1")))
-    expected = [KE.one(g), c1 + c2, c1 * c1 + c2 * c2]
+    ke = Algebra(PATH, g)
+    c1 = ke.edge("f1") * ke.edge("f2")
+    c2 = ke.edge("f2") * ke.edge("f1")
+    expected = [ke.one(), c1 + c2, c1 * c1 + c2 * c2]
     assert sub.dim == 3
     span = LinearSpan(sub.basis[0].field)
     for el in sub.basis:
@@ -196,30 +195,31 @@ def test_prime_field_mode():
 def test_verify_teoro_claim_on_cycle():
     g = cycle_graph(3)
     claim = center_structure_KE(g)
-    rep = verify_structure(claim, g, OracleWindow(PATH, 6, (0, 6)))
+    rep = verify_structure(claim, central_subspace(g, OracleWindow(PATH, 6, (0, 6))))
     assert rep.ok
     assert rep.oracle_dim == 3  # 1, the rotation sum, and its square
 
 
 def test_verify_atomo_claim_on_roses():
-    rep = verify_structure(center_prime_leavitt(rose_graph(2)), rose_graph(2),
-                           OracleWindow(LEAVITT, 3, (-3, 3)))
+    rep = verify_structure(center_prime_leavitt(rose_graph(2)), central_subspace(
+        rose_graph(2), OracleWindow(LEAVITT, 3, (-3, 3))))
     assert rep.ok and rep.oracle_dim == 1
-    rep = verify_structure(center_prime_leavitt(rose_graph(1)), rose_graph(1),
-                           OracleWindow(LEAVITT, 4, (-4, 4)))
+    rep = verify_structure(center_prime_leavitt(rose_graph(1)), central_subspace(
+        rose_graph(1), OracleWindow(LEAVITT, 4, (-4, 4))))
     assert rep.ok and rep.oracle_dim == 9
 
 
 def test_verify_cohn_claim():
-    rep = verify_structure(center_prime_cohn(rose_graph(2)), rose_graph(2),
-                           OracleWindow(COHN, 2, (-2, 2)))
+    rep = verify_structure(center_prime_cohn(rose_graph(2)), central_subspace(
+        rose_graph(2), OracleWindow(COHN, 2, (-2, 2))))
     assert rep.ok and rep.oracle_dim == 1
 
 
 def test_verify_rejects_corrupted_claim():
     g = rose_graph(2)
-    bogus = CenterStructure(SCALAR, (word_element(g, LEAVITT, ["f1"]),))
-    rep = verify_structure(bogus, g, OracleWindow(LEAVITT, 2, (-2, 2)))
+    bogus = CenterStructure(SCALAR, (word_element(Algebra(LEAVITT, g), ["f1"]),))
+    rep = verify_structure(
+        bogus, central_subspace(g, OracleWindow(LEAVITT, 2, (-2, 2))))
     assert not rep.ok
     assert rep.generator_failures and rep.generator_failures[0][1] == "f2"
     assert rep.outside_span  # the true center escapes the corrupted span
@@ -228,15 +228,15 @@ def test_verify_rejects_corrupted_claim():
 def test_verify_structure_on_disconnected_sum():
     g = two_loops()
     # the center is K[c,c^-1] (+) K[d,d^-1]; describe it as a sum claim
-    c = word_element(g, LEAVITT, ["c"])
-    d = word_element(g, LEAVITT, ["d"])
-    u1 = word_element(g, LEAVITT, ["u1"])
-    u2 = word_element(g, LEAVITT, ["u2"])
+    alg = Algebra(LEAVITT, g)
+    c, d = word_element(alg, ["c"]), word_element(alg, ["d"])
+    u1, u2 = word_element(alg, ["u1"]), word_element(alg, ["u2"])
     claim = CenterStructure("sum", (), (
         CenterStructure("laurent", (u1, c)),
         CenterStructure("laurent", (u2, d)),
     ))
-    rep = verify_structure(claim, g, OracleWindow(LEAVITT, 3, (-3, 3)))
+    rep = verify_structure(
+        claim, central_subspace(g, OracleWindow(LEAVITT, 3, (-3, 3))))
     assert rep.ok and rep.oracle_dim == 14
 
 
@@ -280,30 +280,23 @@ def test_verify_ke_sum_claim_on_disconnected():
 
     g = disjoint_union(cycle_graph(2), rose_graph(0))
     claim = center_structure_KE(g)
-    rep = verify_structure(claim, g, OracleWindow(PATH, 4, (0, 4)))
+    rep = verify_structure(claim, central_subspace(g, OracleWindow(PATH, 4, (0, 4))))
     assert rep.ok
     assert rep.oracle_dim == 4  # 1, x, x^2 on the cycle block plus K on v
 
 
-def test_verify_reuses_a_given_subspace_and_guards_its_window():
-    from pathcenters import InvariantViolation, verify_bounds
-
+def test_verify_structure_refuses_a_claim_in_another_algebra():
+    # a path-algebra solve said nothing about the Leavitt claim, yet it
+    # used to pass as a check of it
     g = rose_graph(1)
-    window = OracleWindow(LEAVITT, 3, (-3, 3))
-    other = OracleWindow(LEAVITT, 2, (-2, 2))
     claim = center_prime_leavitt(g)
-    sub = central_subspace(g, window)
-    assert (verify_structure(claim, g, window, subspace=sub)
-            == verify_structure(claim, g, window))
-    with pytest.raises(InvariantViolation):
-        verify_structure(claim, g, other, subspace=sub)
-
-    g = two_loops()
-    sub = central_subspace(g, window)
-    assert (verify_bounds(g, window=window, subspace=sub)
-            == verify_bounds(g, window=window))
-    with pytest.raises(InvariantViolation):
-        verify_bounds(g, window=other, subspace=sub)
+    with pytest.raises(AmbientError):
+        verify_structure(claim, central_subspace(g, OracleWindow(PATH, 3, (0, 3))))
+    with pytest.raises(AmbientError):  # same kind and graph, another field
+        verify_structure(claim, central_subspace(
+            g, OracleWindow(LEAVITT, 3, (0, 3)), field=PrimeField(7)))
+    rep = verify_structure(claim, central_subspace(g, OracleWindow(LEAVITT, 3, (0, 3))))
+    assert rep.ok and rep.oracle_dim == 4
 
 
 def test_one_solve_and_its_recheck_build_the_generators_once(monkeypatch):
@@ -352,7 +345,8 @@ def test_assembly_forms_no_zero_product(monkeypatch, name, g, kind):
 def junction_bucket_size(g, window):
     """How many products the junction buckets hold: each diagonal candidate
     m = λμ* against each edge and ghost edge whose junction it meets."""
-    diagonal = [m for m in enumerate_candidates(g, window) if m.source == m.target]
+    candidates = enumerate_candidates(Algebra(window.kind, g), window)
+    diagonal = [m for m in candidates if m.source == m.target]
 
     def meets(part, e):  # the part starts with e or is trivial at s(e)
         return part.edges[:1] == (e,) or (part.is_trivial and part.source == g.src[e])

@@ -7,8 +7,8 @@ from pathcenters import (
     Algebra,
     AmbientError,
     Graph,
+    GMonomial,
     GraphError,
-    KEElement,
     PATH,
     Path,
     T_operator,
@@ -27,12 +27,18 @@ from pathcenters.graph import all_paths_up_to, find_cycles
 from pathcenters.graph_algebra import COHN, enumerate_ga_monomials
 
 
+def ke_monomial(g, path, coeff=1):
+    """coeff·path in KE, the algebra `Algebra(PATH, g)`."""
+    m = GMonomial(path, Path.vertex(g, path.target))
+    return Algebra(PATH, g).monomial(m, coeff)
+
+
 def ke_path(g, *edges):
-    return KEElement.from_path(g, Path.from_edges(g, edges))
+    return ke_monomial(g, Path.from_edges(g, edges))
 
 
 def ke_vertex(g, v):
-    return KEElement.vertex(g, v)
+    return Algebra(PATH, g).vertex(v)
 
 
 def test_vertices_are_orthogonal_idempotents():
@@ -72,7 +78,7 @@ def test_peirce_components():
     assert e.peirce_component("u1", "u2") == e
     assert not e.peirce_component("u2", "u1")
     mixed = u + e
-    total = KEElement.zero(g)
+    total = Algebra(PATH, g).zero()
     for a in g.vertices:
         for b in g.vertices:
             total = total + mixed.peirce_component(a, b)
@@ -92,10 +98,10 @@ def test_associativity_on_random_bounded_triples():
     paths = all_paths_up_to(g, 3)
 
     def rand_el():
-        out = KEElement.zero(g)
+        out = Algebra(PATH, g).zero()
         for _ in range(rng.randint(1, 3)):
-            out = out + KEElement.from_path(g, rng.choice(paths),
-                                            rng.choice([1, -1, 2]))
+            out = out + ke_monomial(g, rng.choice(paths),
+                                    rng.choice([1, -1, 2]))
         return out
 
     for _ in range(200):
@@ -135,7 +141,7 @@ def test_center_of_cycle_graph_is_polynomial_on_rotation_sum():
         + ke_path(g, "f3", "f1", "f2")
     )
     assert cs.generators[1] == expected
-    assert cs.generators[0] == KEElement.one(g)
+    assert cs.generators[0] == Algebra(PATH, g).one()
 
 
 def test_center_of_non_cycle_graphs_is_scalar():
@@ -143,7 +149,7 @@ def test_center_of_non_cycle_graphs_is_scalar():
               rose_graph(2), rose_graph(3)):
         cs = center_structure_KE(g)
         assert cs.kind == SCALAR
-        assert cs.generators == (KEElement.one(g),)
+        assert cs.generators == (Algebra(PATH, g).one(),)
 
 
 def test_center_of_disconnected_graph_is_direct_sum():
@@ -160,7 +166,7 @@ def test_center_of_disconnected_graph_is_direct_sum():
 
 def test_cycle_center_evaluate():
     g = cycle_graph(2)
-    assert cycle_center_evaluate(g, [1]) == KEElement.one(g)
+    assert cycle_center_evaluate(g, [1]) == Algebra(PATH, g).one()
     c1, c2 = ke_path(g, "f1", "f2"), ke_path(g, "f2", "f1")
     assert cycle_center_evaluate(g, [0, 1]) == c1 + c2
     assert cycle_center_evaluate(g, [0, 0, 1]) == c1 * c1 + c2 * c2
@@ -227,9 +233,9 @@ def test_shared_engine_product_matches_path_concatenation(data):
     g, a, b = data
 
     def element(combo):
-        out = KEElement.zero(g)
+        out = Algebra(PATH, g).zero()
         for p, c in combo.items():
-            out = out + KEElement.from_path(g, p, c)
+            out = out + ke_monomial(g, p, c)
         return out
 
     prod = element(a) * element(b)
@@ -241,9 +247,9 @@ def test_shared_engine_product_matches_path_concatenation(data):
 def test_path_kind_has_no_ghosts_and_no_involution():
     g = rose_graph(1)
     with pytest.raises(WordError):
-        normal_form(g, PATH, [(1, ["f1*"])])
+        normal_form(Algebra(PATH, g), [(1, ["f1*"])])
     with pytest.raises(WordError):
-        normal_form(g, PATH, [(1, ["f1*", "f1"])])  # CK1 would erase the ghost
+        normal_form(Algebra(PATH, g), [(1, ["f1*", "f1"])])  # CK1 would erase the ghost
     with pytest.raises(GraphError):
         Algebra(PATH, g).edge("f1", ghost=True)
     with pytest.raises(AmbientError):
@@ -255,6 +261,6 @@ def test_path_kind_has_no_ghosts_and_no_involution():
 def test_path_monomials_are_the_ghost_free_cohn_monomials():
     for g in (rose_graph(2), cycle_graph(3), line_graph(3)):
         for kwargs in ({}, {"degrees": (1, 2)}, {"source": g.vertices[0]}):
-            cohn = enumerate_ga_monomials(g, COHN, 3, **kwargs)
-            assert enumerate_ga_monomials(g, PATH, 3, **kwargs) == [
+            cohn = enumerate_ga_monomials(Algebra(COHN, g), 3, **kwargs)
+            assert enumerate_ga_monomials(Algebra(PATH, g), 3, **kwargs) == [
                 m for m in cohn if m.ghost.is_trivial]
