@@ -33,12 +33,12 @@ class HypothesisNotMet(PathcentersError):
 
 class InvariantViolation(PathcentersError):
     """An internal consistency check failed: a theorem, a constructed
-    generator or a rewrite disagreed with what the mathematics guarantees."""
+    generator or the oracle disagreed with what the mathematics guarantees."""
 
 
 class ResourceCapExceeded(PathcentersError):
-    """A configured resource cap (candidate monomials, vertex count, rewrite
-    steps) was hit."""
+    """A configured resource cap (candidate monomials, vertex count, cycles,
+    hereditary saturated sets) was hit."""
 
     def __init__(self, message, needed=None, cap=None):
         self.needed = needed

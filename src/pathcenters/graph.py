@@ -318,21 +318,6 @@ def exit_free_cycle_vertices(g: Graph) -> frozenset:
     return frozenset(out)
 
 
-def reachable_from(g: Graph, v) -> frozenset:
-    """Vertices reachable from v along directed paths (v included)."""
-    g.check_vertex(v)
-    seen = {v}
-    queue = deque([v])
-    while queue:
-        x = queue.popleft()
-        for e in g.out_edges(x):
-            w = g.rng[e]
-            if w not in seen:
-                seen.add(w)
-                queue.append(w)
-    return frozenset(seen)
-
-
 def strongly_connected_components(g: Graph):
     """The strongly connected components, each a frozenset, by an iterative
     Tarjan walk.  A generator: each component is yielded once it is
@@ -396,19 +381,6 @@ def is_downward_directed(g: Graph) -> bool:
     vertex reaches the first terminal component found."""
     terminal = next(strongly_connected_components(g), frozenset())
     return len(reaching(g, terminal)) == len(g.vertices)
-
-
-def is_hereditary(g: Graph, s) -> bool:
-    return all(g.rng[e] in s for e in g.edges if g.src[e] in s)
-
-
-def is_saturated(g: Graph, s) -> bool:
-    for v in g.vertices:
-        if v in s or not g.is_regular(v):
-            continue
-        if all(g.rng[e] in s for e in g.out_edges(v)):
-            return False
-    return True
 
 
 def hereditary_saturated_closure(g: Graph, seed) -> frozenset:

@@ -5,8 +5,9 @@ graph, its scalar field and, for Leavitt, the special-edge choice that fixes
 the basis.  Every element holds one, and products, generators and
 straightening read everything they need from it.
 
-Raw words over the extended graph are rewritten into the canonical basis of
-monomials (real path)·(ghost path)*.  The path algebra KE is the span of the
+Products land in the canonical basis of monomials (real path)·(ghost path)*,
+and a raw word over the extended graph is read into it by multiplying its
+symbols out (`normal_form`).  The path algebra KE is the span of the
 monomials with a trivial ghost part, closed under the same product, so one
 engine serves all three kinds.  Two rules do all the work:
 
@@ -15,22 +16,22 @@ engine serves all three kinds.  Two rules do all the work:
 
 where e_v is the designated special edge at the regular vertex v.  CK2 is
 oriented as an elimination of the special pair, never as an expansion of a
-vertex, which is what makes the rewriting terminate.  In the Leavitt basis a
+vertex, which is what makes straightening terminate.  In the Leavitt basis a
 monomial is in normal form exactly when its real and ghost parts do not both
 end with the same special edge.
 """
 
 from __future__ import annotations
 
+import operator
 import os
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import accumulate, chain
 
 from .errors import (
     AmbientError,
     GraphError,
-    InvariantViolation,
     ResourceCapExceeded,
     WordError,
 )
@@ -43,7 +44,6 @@ COHN = "cohn"
 LEAVITT = "leavitt"
 ALGEBRA_KINDS = (PATH, COHN, LEAVITT)
 
-_MAX_REWRITE_STEPS = 200_000
 DEFAULT_MONOMIAL_CAP = 20_000
 MONOMIAL_CAP_ENV = "PATHCENTERS_MAX_MONOMIALS"
 
@@ -312,16 +312,14 @@ def centrality_witness(a):
     return None
 
 
-# --- the raw-word rewrite engine -------------------------------------------
+# --- raw words ---------------------------------------------------------------
 
 _V, _E, _G = "v", "e", "g"
 
 
 def _classify_symbol(g: Graph, sym: str):
-    if sym.endswith("*"):
-        base = sym[:-1]
-        g.check_edge(base)
-        return (_G, base)
+    if sym.endswith("*") and sym[:-1] in g.src:
+        return (_G, sym[:-1])
     if sym in g.src:
         return (_E, sym)
     if sym in g._out:
@@ -349,107 +347,6 @@ def parse_word(g: Graph, word):
                 f"symbols {a[1]!r} and {b[1]!r} do not compose in the extended graph"
             )
     return tuple(syms)
-
-
-def _find_redexes(alg, word):
-    redexes = []
-    n = len(word)
-    for i, sym in enumerate(word):
-        if sym[0] == _V and n > 1:
-            redexes.append(("absorb", i))
-    for i in range(n - 1):
-        a, b = word[i], word[i + 1]
-        if a[0] == _G and b[0] == _E:
-            redexes.append(("ck1", i))
-        elif (
-            alg.kind == LEAVITT
-            and a[0] == _E
-            and b[0] == _G
-            and a[1] == b[1]
-            and alg.special.edge_at(alg.graph.src[a[1]]) == a[1]
-        ):
-            redexes.append(("ck2", i))
-    return redexes
-
-
-def _apply_redex(alg, word, redex, coeff):
-    """Returns the list of (coeff, word) replacing the given redex."""
-    g = alg.graph
-    rule, i = redex
-    if rule == "absorb":
-        return [(coeff, word[:i] + word[i + 1:])]
-    if rule == "ck1":
-        e, f = word[i][1], word[i + 1][1]
-        if e != f:
-            return []
-        repl = ((_V, g.rng[e]),)
-        return [(coeff, word[:i] + repl + word[i + 2:])]
-    # ck2: e e* -> v - sum of f f* over the other edges at v
-    e = word[i][1]
-    v = g.src[e]
-    out = [(coeff, word[:i] + ((_V, v),) + word[i + 2:])]
-    for f in g.out_edges(v):
-        if f == e:
-            continue
-        out.append((alg.field.neg(coeff),
-                    word[:i] + ((_E, f), (_G, f)) + word[i + 2:]))
-    return out
-
-
-def _finish_word(g, word) -> GMonomial:
-    reals, ghosts = [], []
-    for tag, x in word:
-        if tag == _E:
-            if ghosts:
-                raise InvariantViolation("unreduced word: real edge after ghost")
-            reals.append(x)
-        elif tag == _G:
-            ghosts.append(x)
-        else:
-            if len(word) != 1:
-                raise InvariantViolation("unreduced word: vertex not absorbed")
-            p = Path.vertex(g, x)
-            return GMonomial(p, p)
-    real = Path.from_edges(g, reals) if reals else None
-    ghost = Path.from_edges(g, tuple(reversed(ghosts))) if ghosts else None
-    if real is None:
-        real = Path.vertex(g, ghost.target)
-    if ghost is None:
-        ghost = Path.vertex(g, real.target)
-    return GMonomial(real, ghost)
-
-
-def reduce_word(alg, word, coeff=None, rng=None):
-    """Rewrite one parsed word to a dict of normal monomials.
-
-    The deterministic strategy runs absorb/CK1 to a fixpoint before each CK2
-    step; with `rng` given, an applicable redex is picked at random instead,
-    which is how the confluence tests drive the engine.
-    """
-    field = alg.field
-    coeff = field.one if coeff is None else coeff
-    out = {}
-    work = [(coeff, word)]
-    steps = 0
-    while work:
-        c, w = work.pop()
-        redexes = _find_redexes(alg, w)
-        if not redexes:
-            _accumulate(out, _finish_word(alg.graph, w), c, field)
-            continue
-        if rng is None:
-            ck12 = [r for r in redexes if r[0] != "ck2"]
-            redex = min(ck12 or redexes, key=lambda r: r[1])
-        else:
-            redex = redexes[rng.randrange(len(redexes))]
-        work.extend(_apply_redex(alg, w, redex, c))
-        steps += 1
-        if steps > _MAX_REWRITE_STEPS:
-            raise ResourceCapExceeded(
-                f"rewriting exceeded the step budget of {_MAX_REWRITE_STEPS}",
-                needed=steps, cap=_MAX_REWRITE_STEPS,
-            )
-    return out
 
 
 class GAElement:
@@ -573,18 +470,18 @@ class GAElement:
                            if m.source == u and m.target == v})
 
 
-def normal_form(alg, terms, *, rng=None) -> GAElement:
-    """Reduce scalar-weighted raw words over the extended graph to basis form."""
-    field = alg.field
-    out = {}
+def normal_form(alg, terms) -> GAElement:
+    """Σ coeff·word over scalar-weighted raw words of the extended graph, in
+    basis form: each word's symbols are multiplied out by the product."""
+    out = alg.zero()
     for coeff, word in terms:
         parsed = parse_word(alg.graph, word)
         if alg.kind == PATH and any(tag == _G for tag, _ in parsed):
             raise WordError("path algebra elements have no ghost part")
-        reduced = reduce_word(alg, parsed, field.coerce(coeff), rng=rng)
-        for m, c in reduced.items():
-            _accumulate(out, m, c, field)
-    return GAElement(alg, out)
+        factors = [alg.vertex(x) if tag == _V else alg.edge(x, ghost=tag == _G)
+                   for tag, x in parsed]
+        out = out + reduce(operator.mul, factors).scale(coeff)
+    return out
 
 
 def word_element(alg, word, coeff=1) -> GAElement:

@@ -288,16 +288,6 @@ def test_invariant_violation_exits_four_without_traceback(monkeypatch, module,
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
-def test_rewrite_step_budget_is_a_resource_cap(monkeypatch):
-    from pathcenters import LEAVITT, ResourceCapExceeded, normal_form
-    from pathcenters import graph_algebra
-
-    monkeypatch.setattr(graph_algebra, "_MAX_REWRITE_STEPS", 2)
-    g = rose_graph(2)
-    with pytest.raises(ResourceCapExceeded):
-        normal_form(Algebra(LEAVITT, g), [(1, ["f1", "f1", "f1*", "f1*"])])
-
-
 def test_empty_graph_is_a_parse_error(tmp_path):
     with pytest.raises(ParseError, match="at least one vertex") as exc:
         parse_graph("# nothing\nvertices:\n")

@@ -43,7 +43,6 @@ from pathcenters.graph import (
     is_downward_directed,
     paths_into,
     quotient_graph,
-    reachable_from,
     reaching,
     rose_graph,
     strongly_connected_components,
@@ -57,11 +56,15 @@ from pathcenters.graph_algebra import (
     GAElement,
     GMonomial,
     SpecialEdgeChoice,
+    _E,
+    _G,
+    _V,
     check_central,
     count_ga_monomials,
     enumerate_ga_monomials,
     mul_monomials,
     normal_form,
+    parse_word,
 )
 from pathcenters.linalg import sparse_nullspace
 from pathcenters.oracle import (
@@ -78,6 +81,34 @@ from pathcenters.textio import element_to_text, parse_element, parse_graph
 from conftest import FIXTURES, fixture_path, solver_calls
 
 FIELDS = [QQ, PrimeField(65521)]
+
+
+def reachable_from(g, v):
+    """Vertices reachable from v along directed paths (v included)."""
+    g.check_vertex(v)
+    seen = {v}
+    queue = deque([v])
+    while queue:
+        x = queue.popleft()
+        for e in g.out_edges(x):
+            w = g.rng[e]
+            if w not in seen:
+                seen.add(w)
+                queue.append(w)
+    return frozenset(seen)
+
+
+def is_hereditary(g, s):
+    return all(g.rng[e] in s for e in g.edges if g.src[e] in s)
+
+
+def is_saturated(g, s):
+    for v in g.vertices:
+        if v in s or not g.is_regular(v):
+            continue
+        if all(g.rng[e] in s for e in g.out_edges(v)):
+            return False
+    return True
 
 
 def closure_by_fixed_point(g, seed):
@@ -389,9 +420,96 @@ def centrality_witness_by_all_generators(a):
     return None
 
 
+REWRITE_STEP_BOUND = 200_000
+
+
+def _redexes(alg, word):
+    """(rule, i) for each rule that applies to the parsed word at position i:
+    absorb a vertex beside another symbol, CK1 on e*·f and, for Leavitt,
+    CK2 on e·e* with e special."""
+    g, special = alg.graph, alg.special  # special is None unless Leavitt
+    out = [("absorb", i) for i, (tag, _) in enumerate(word)
+           if tag == _V and len(word) > 1]
+    for i, ((ta, a), (tb, b)) in enumerate(zip(word, word[1:])):
+        if ta == _G and tb == _E:
+            out.append(("ck1", i))
+        elif (ta == _E and tb == _G and a == b
+              and special is not None and special.edge_at(g.src[a]) == a):
+            out.append(("ck2", i))
+    return out
+
+
+def _apply_redex(alg, word, redex, coeff):
+    """The (coeff, word) terms that replace the redex."""
+    g = alg.graph
+    rule, i = redex
+    if rule == "absorb":
+        return [(coeff, word[:i] + word[i + 1:])]
+    e = word[i][1]
+    if rule == "ck1":  # e*·f -> delta_{e,f} r(e)
+        if e != word[i + 1][1]:
+            return []
+        return [(coeff, word[:i] + ((_V, g.rng[e]),) + word[i + 2:])]
+    # ck2: e·e* -> v - sum of f·f* over the other edges f at v = s(e)
+    v = g.src[e]
+    minus = alg.field.neg(coeff)
+    return [(coeff, word[:i] + ((_V, v),) + word[i + 2:])] + [
+        (minus, word[:i] + ((_E, f), (_G, f)) + word[i + 2:])
+        for f in g.out_edges(v) if f != e]
+
+
+def _finished_monomial(g, word):
+    """The basis monomial of a word no rule applies to: one vertex, or real
+    edges followed by ghost edges."""
+    tag, x = word[0]
+    if tag == _V:
+        return GMonomial.at_vertex(g, x)
+    reals = tuple(x for tag, x in word if tag == _E)
+    ghosts = tuple(x for tag, x in reversed(word) if tag == _G)
+    real = Path.from_edges(g, reals) if reals else Path.vertex(g, g.rng[ghosts[-1]])
+    ghost = Path.from_edges(g, ghosts) if ghosts else Path.vertex(g, real.target)
+    return GMonomial(real, ghost)
+
+
+def rewrite_words(alg, terms, rng):
+    """Σ coeff·word over raw words, in normal form by the rewrite rules
+    alone, each step applying a redex picked by `rng`.  The rules are
+    confluent, so every order gives the same element; the step bound makes
+    a runaway rewrite fail quickly."""
+    field = alg.field
+    work = [(field.coerce(c), parse_word(alg.graph, w)) for c, w in terms]
+    out = {}
+    steps = 0
+    while work:
+        c, w = work.pop()
+        redexes = _redexes(alg, w)
+        if not redexes:
+            m = _finished_monomial(alg.graph, w)
+            out[m] = field.add(out.get(m, field.zero), c)
+            continue
+        work.extend(_apply_redex(alg, w, rng.choice(redexes), c))
+        steps += 1
+        assert steps <= REWRITE_STEP_BOUND, "the rewrite ran past its step bound"
+    return GAElement(alg, out)
+
+
 def word_of(real, ghost):
     """The raw word real·ghost* that the rewriter reads."""
     return list(real.edges) + [e + "*" for e in reversed(ghost.edges)] or [real.source]
+
+
+@st.composite
+def raw_words(draw, g, ghosts=True, max_len=8):
+    """A composable raw word: a walk in the extended graph of vertex, edge
+    and (with `ghosts`) ghost-edge symbols."""
+    syms = [(v, v, v) for v in g.vertices]
+    syms += [(e, g.src[e], g.rng[e]) for e in g.edges]
+    if ghosts:
+        syms += [(f"{e}*", g.rng[e], g.src[e]) for e in g.edges]
+    word = [draw(st.sampled_from(syms))]
+    for _ in range(draw(st.integers(0, max_len - 1))):
+        word.append(draw(st.sampled_from([s for s in syms if s[1] == word[-1][2]])))
+    return [name for name, _, _ in word]
 
 
 @st.composite
@@ -665,7 +783,8 @@ def test_direct_straightening_matches_the_word_rewriter(data, g):
     terms = data.draw(st.lists(st.tuples(st.integers(-3, 3),
                                          st.sampled_from(pairs)), max_size=5))
     alg = Algebra(kind, g)
-    expected = normal_form(alg, [(c, word_of(a, b)) for c, (a, b) in terms])
+    rng = data.draw(st.randoms(use_true_random=False))
+    expected = rewrite_words(alg, [(c, word_of(a, b)) for c, (a, b) in terms], rng)
     assert alg.sum_of((QQ.coerce(c), a, b) for c, (a, b) in terms) == expected
     text = " + ".join(f"{c} {a!r}|{b!r}" for c, (a, b) in terms) or "0"
     assert parse_element(text, alg) == expected
@@ -675,7 +794,7 @@ def test_direct_straightening_matches_the_word_rewriter(data, g):
     kept = [(c, word_of(m.real, m.ghost)) for m, c in expected.coeffs.items()
             if m.real.target not in h]
     assert (project_to_quotient(expected, h, Algebra(kind, q))
-            == normal_form(Algebra(kind, q), kept))
+            == rewrite_words(Algebra(kind, q), kept, rng))
 
     leavitt = Algebra(LEAVITT, g)
     for c in cycles_without_exits(g):
@@ -684,12 +803,30 @@ def test_direct_straightening_matches_the_word_rewriter(data, g):
             words = [(1, word_of(t.concat(c.rotation_based_at(g, t.target)), t))
                      for t in feeding]
             assert _corner_sum(leavitt, feeding, c) == \
-                normal_form(leavitt, words)
+                rewrite_words(leavitt, words, rng)
     for v in g.vertices:
         feeding = paths_into(g, frozenset({v})) if g.is_sink(v) else None
         if feeding is not None:
             assert _corner_sum(leavitt, feeding) == \
-                normal_form(leavitt, [(1, word_of(t, t)) for t in feeding])
+                rewrite_words(leavitt, [(1, word_of(t, t)) for t in feeding], rng)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), g=graphs(max_vertices=4, max_edges=7),
+       kind=st.sampled_from(ALGEBRA_KINDS), field=st.sampled_from([QQ, PrimeField(3)]))
+def test_normal_form_matches_the_word_rewriter(data, g, kind, field):
+    """normal_form multiplies each word's symbols out; rewriting the words
+    in a random rule order gives the same element under any special-edge
+    choice and over any field."""
+    special = SpecialEdgeChoice.from_mapping(g, {
+        v: data.draw(st.sampled_from(g.out_edges(v)))
+        for v in g.vertices if g.is_regular(v)}) if kind == LEAVITT else None
+    alg = Algebra(kind, g, special, field)
+    terms = data.draw(st.lists(st.tuples(st.integers(-3, 3),
+                                         raw_words(g, ghosts=kind != PATH)),
+                               max_size=4))
+    rng = data.draw(st.randoms(use_true_random=False))
+    assert normal_form(alg, terms) == rewrite_words(alg, terms, rng)
 
 
 @settings(max_examples=200, deadline=None)

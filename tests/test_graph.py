@@ -29,16 +29,10 @@ from pathcenters import (
     rose_graph,
     toeplitz_graph,
 )
-from pathcenters.graph import (
-    all_paths_up_to,
-    count_paths_into,
-    is_hereditary,
-    is_saturated,
-    paths_into,
-    reachable_from,
-)
+from pathcenters.graph import all_paths_up_to, count_paths_into, paths_into
 
 from conftest import cycle_feeds_loop, feeder_loop, two_loops
+from test_fast_paths import is_hereditary, is_saturated, reachable_from
 
 
 @st.composite

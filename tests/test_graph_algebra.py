@@ -25,14 +25,11 @@ from pathcenters import (
     toeplitz_graph,
     word_element,
 )
-from pathcenters.graph_algebra import (
-    enumerate_ga_monomials,
-    parse_word,
-    reduce_word,
-)
+from pathcenters.graph_algebra import enumerate_ga_monomials, parse_word
 from pathcenters.scalars import QQ
 
 from conftest import feeder_loop
+from test_fast_paths import rewrite_words
 
 
 def we(g, kind, *word):
@@ -244,7 +241,7 @@ def test_fixed_point_subspace_examples():
                              Path.from_edges(line_graph(2), ("f1",)), 2)
 
 
-# --- the rewrite engine: confluence and errors ---------------------------------------
+# --- raw words: the rewrite rules in any order, and errors ------------------------
 
 
 def random_word(g, rng, max_len=8):
@@ -281,8 +278,8 @@ def test_normal_form_invariant_under_rule_order(maker):
         for kind in (COHN, LEAVITT):
             det = normal_form(Algebra(kind, g), [(1, word)])
             for seed in (1, 2):
-                rnd = normal_form(Algebra(kind, g), [(1, word)],
-                                  rng=random.Random(seed))
+                rnd = rewrite_words(Algebra(kind, g), [(1, word)],
+                                    random.Random(seed))
                 assert rnd == det
 
 
@@ -301,6 +298,7 @@ def test_normal_form_is_idempotent():
 
 def test_monomial_products_agree_with_word_reduction():
     g = toeplitz_graph()
+    rng = random.Random(11)
     monos = enumerate_ga_monomials(Algebra(LEAVITT, g), 2)
     for m1 in monos:
         for m2 in monos:
@@ -310,7 +308,7 @@ def test_monomial_products_agree_with_word_reduction():
             w2 = list(m2.real.edges) + [e + "*" for e in reversed(m2.ghost.edges)]
             word = (w1 or [m1.real.source]) + (w2 or [m2.real.source])
             try:
-                via_word = normal_form(Algebra(LEAVITT, g), [(1, word)])
+                via_word = rewrite_words(Algebra(LEAVITT, g), [(1, word)], rng)
             except WordError:
                 via_word = Algebra(LEAVITT, g).zero()
             assert via_mul == via_word
@@ -324,6 +322,10 @@ def test_word_errors():
         parse_word(g, ["u1", "u2"])
     with pytest.raises(WordError):
         parse_word(g, ["zz"])
+    with pytest.raises(WordError):
+        parse_word(g, ["zz*"])
+    with pytest.raises(WordError):
+        parse_word(g, ["u1*"])  # a vertex has no ghost
     with pytest.raises(WordError):
         parse_word(g, [])
 

@@ -24,7 +24,7 @@ from pathcenters import (
     word_element,
 )
 from pathcenters.center_theory import SCALAR, center_prime_cohn
-from pathcenters.graph import find_cycles, reachable_from
+from pathcenters.graph import find_cycles
 from pathcenters.graph_algebra import mul_monomials
 from pathcenters.linalg import LinearSpan
 from pathcenters.oracle import element_vector, enumerate_candidates
