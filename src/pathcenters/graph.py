@@ -7,7 +7,7 @@ their own identity: parallel edges and loops are fully supported.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import deque, namedtuple
 from dataclasses import dataclass
 
 from .errors import GraphError, ResourceCapExceeded
@@ -87,13 +87,13 @@ class Graph:
         return [(e, self.src[e], self.rng[e]) for e in self.edges]
 
 
-@dataclass(frozen=True)
-class Path:
-    """A composable edge sequence, or a trivial path sitting at a vertex."""
+class Path(namedtuple("Path", "source target edges")):
+    """A composable edge sequence, or a trivial path sitting at a vertex.
 
-    source: str
-    target: str
-    edges: tuple
+    An immutable tuple (source, target, edges): fields are read by C
+    getters, and hash and equality are the tuple's."""
+
+    __slots__ = ()
 
     @classmethod
     def vertex(cls, g: Graph, v) -> "Path":
@@ -124,13 +124,6 @@ class Path:
         if self.target != other.source:
             raise GraphError("paths do not compose")
         return Path(self.source, other.target, self.edges + other.edges)
-
-    def starts_with(self, prefix: "Path") -> bool:
-        return (
-            len(prefix.edges) <= len(self.edges)
-            and self.edges[: len(prefix.edges)] == prefix.edges
-            and self.source == prefix.source
-        )
 
     def sort_key(self):
         return (len(self.edges), self.source, self.edges)

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import operator
 import os
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import accumulate, chain
@@ -48,22 +49,18 @@ DEFAULT_MONOMIAL_CAP = 20_000
 MONOMIAL_CAP_ENV = "PATHCENTERS_MAX_MONOMIALS"
 
 
-@dataclass(frozen=True)
-class GMonomial:
-    """A basis monomial: real part times the star of the ghost part."""
+class GMonomial(namedtuple("GMonomial", "real ghost")):
+    """A basis monomial: real part times the star of the ghost part.
 
-    real: Path
-    ghost: Path
+    An immutable tuple (real, ghost) of paths; hash and equality are the
+    tuple's."""
 
-    def __post_init__(self):
-        if self.real.target != self.ghost.target:
+    __slots__ = ()
+
+    def __new__(cls, real: Path, ghost: Path):
+        if real.target != ghost.target:
             raise GraphError("real and ghost parts must share their range")
-
-    def __hash__(self):
-        # a path is fixed by its source and edges; hashing those directly
-        # skips two Path.__hash__ calls on every dict access
-        return hash((self.real.source, self.real.edges,
-                     self.ghost.source, self.ghost.edges))
+        return tuple.__new__(cls, (real, ghost))
 
     @classmethod
     def at_vertex(cls, g: Graph, v) -> "GMonomial":
@@ -196,8 +193,7 @@ class Algebra:
         for coeff, real, ghost in terms:
             if self.kind == PATH and ghost.edges:
                 raise WordError("path algebra elements have no ghost part")
-            for m, c in _straighten(self, real, ghost, coeff).items():
-                _accumulate(out, m, c, self.field)
+            _add_into(out, _straighten(self, real, ghost, coeff), self.field)
         return GAElement(self, out)
 
     @cached_property
@@ -224,8 +220,10 @@ def _straighten(alg, real, ghost, coeff):
     """
     special, g = alg.special, alg.graph  # special is None unless Leavitt
     lam, mu = real.edges, ghost.edges
+    if special is None or not lam or not mu or lam[-1] != mu[-1]:
+        return {GMonomial(real, ghost): coeff}
     k = 0
-    while (special is not None and k < len(lam) and k < len(mu)
+    while (k < len(lam) and k < len(mu)
            and lam[-1 - k] == mu[-1 - k]
            and special.edge_at(g.src[lam[-1 - k]]) == lam[-1 - k]):
         k += 1
@@ -244,27 +242,35 @@ def _straighten(alg, real, ghost, coeff):
     return out
 
 
-def _accumulate(out, m, coeff, field):
-    old = out.get(m)
-    if old is not None:
-        coeff = field.add(old, coeff)
-    if not coeff:
-        out.pop(m, None)
-    else:
-        out[m] = coeff
+def _add_into(out, terms, field):
+    """out += terms, both dicts of normal monomials to nonzero scalars; a
+    sum that cancels leaves `out`."""
+    for m, c in terms.items():
+        old = out.get(m)
+        if old is None:
+            out[m] = c
+            continue
+        c = field.add(old, c)
+        if c:
+            out[m] = c
+        else:
+            del out[m]
 
 
 def mul_monomials(alg, m1: GMonomial, m2: GMonomial, coeff):
     """coeff·m1·m2 for normal monomials and a nonzero coeff, as a dict of
-    normal monomials."""
-    real1, mu1, lam2, ghost2 = m1.real, m1.ghost, m2.real, m2.ghost
-    if lam2.starts_with(mu1):
-        real = Path(real1.source, lam2.target,
-                    real1.edges + lam2.edges[len(mu1.edges):])
+    normal monomials.  By CK1 it is nonzero exactly when ghost(m1) and
+    real(m2) start at one vertex and one is a prefix of the other."""
+    real1, mu1 = m1
+    lam2, ghost2 = m2
+    if mu1.source != lam2.source:
+        return {}
+    mu, lam = mu1.edges, lam2.edges
+    if lam[:len(mu)] == mu:
+        real = Path(real1.source, lam2.target, real1.edges + lam[len(mu):])
         return _straighten(alg, real, ghost2, coeff)
-    if mu1.starts_with(lam2):
-        ghost = Path(ghost2.source, mu1.target,
-                     ghost2.edges + mu1.edges[len(lam2.edges):])
+    if mu[:len(lam)] == lam:
+        ghost = Path(ghost2.source, mu1.target, ghost2.edges + mu[len(lam):])
         return _straighten(alg, real1, ghost, coeff)
     return {}
 
@@ -302,11 +308,10 @@ def centrality_witness(a):
         (gmon,) = gel.coeffs  # every generator is one monomial, coefficient 1
         right, left = {}, {}
         for j in starting_with(g, gmon.real, by_ghost):
-            for m, c in mul_monomials(alg, terms[j][0], gmon, terms[j][1]).items():
-                _accumulate(right, m, c, field)
+            _add_into(right, mul_monomials(alg, terms[j][0], gmon, terms[j][1]),
+                      field)
         for j in starting_with(g, gmon.ghost, by_real):
-            for m, c in mul_monomials(alg, gmon, *terms[j]).items():
-                _accumulate(left, m, c, field)
+            _add_into(left, mul_monomials(alg, gmon, *terms[j]), field)
         if right != left:
             return label, gel
     return None
@@ -409,19 +414,34 @@ class GAElement:
         alg = self.algebra
         field = alg.field
         one = field.one
-        # m1·m2 needs ghost(m1) and real(m2) to start together, so m2 is
-        # found by the head of its real part: its first edge, or its vertex
+        # m1·m2 needs ghost(m1) and real(m2) to start at one vertex, one a
+        # prefix of the other.  Each real part is indexed whole, and by its
+        # prefixes of the lengths the ghosts have; each ghost looks itself
+        # up, and its prefixes of the lengths the real parts have.
         partners = list(other.coeffs.items())
-        index = heads_index(m2.real for m2, _ in partners)
+        ghost_lengths = {m1.ghost.length for m1 in self.coeffs}
+        real_lengths = sorted({m2.real.length for m2, _ in partners})
+        whole, by_prefix = {}, {}
+        for j, (m2, _) in enumerate(partners):
+            s, lam = m2.real.source, m2.real.edges
+            whole.setdefault((s, lam), []).append(j)
+            for k in ghost_lengths:
+                if k < len(lam):
+                    by_prefix.setdefault((s, lam[:k]), []).append(j)
         out = {}
         for m1, a in self.coeffs.items():
+            s, mu = m1.ghost.source, m1.ghost.edges
+            meets = list(by_prefix.get((s, mu), ()))
+            for k in real_lengths:
+                if k > len(mu):
+                    break
+                meets += whole.get((s, mu[:k]), ())
             # generators have coefficient 1; skip field.mul for them
             a_is_one = a == one
-            for j in starting_with(alg.graph, m1.ghost, index):
+            for j in sorted(meets):
                 m2, b = partners[j]
                 ab = b if a_is_one else a if b == one else field.mul(a, b)
-                for m, c in mul_monomials(alg, m1, m2, ab).items():
-                    _accumulate(out, m, c, field)
+                _add_into(out, mul_monomials(alg, m1, m2, ab), field)
         return self._make(out)
 
     def __eq__(self, other):
@@ -445,10 +465,7 @@ class GAElement:
         """(real·ghost*)* = ghost·real*, extended linearly over the scalars."""
         if self.kind == PATH:
             raise AmbientError("the path algebra has no involution")
-        out = {}
-        for m, c in self.coeffs.items():
-            _accumulate(out, m.star(), c, self.field)
-        return self._make(out)
+        return self._make({m.star(): c for m, c in self.coeffs.items()})
 
     def support(self):
         return sorted(self.coeffs, key=GMonomial.sort_key)

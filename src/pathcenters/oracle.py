@@ -24,9 +24,9 @@ solve to the columns still alive.
   bucketed under its junction: λμ*·e needs μ to start with e or to be
   trivial at s(e); e·λμ* needs s(λ) = r(e); λμ*·e* needs s(μ) = r(e); and
   e*·λμ* needs λ to start with e or to be trivial at s(e), because e* runs
-  from r(e) to s(e).  The index is `graph_algebra`'s, shared with the
-  element product and `centrality_witness`, which checks the vertices too:
-  λμ*·v needs s(μ) = v, and v·λμ* needs s(λ) = v.
+  from r(e) to s(e).  The index is `graph_algebra`'s, shared with
+  `centrality_witness`, which checks the vertices too: λμ*·v needs
+  s(μ) = v, and v·λμ* needs s(λ) = v.
 * Dead columns.  The rows are assembled one generator at a time; a row of
   that generator with exactly one nonzero entry {j: c} forces x_j = 0 in
   every solution, so later generators skip column j (no product, no row
@@ -151,7 +151,10 @@ def central_subspace(g: Graph, window: OracleWindow, *, field=QQ) -> CentralSubs
         gen_rows = {}
         for j, product in products:
             for rm, c in product.items():
-                row = gen_rows.setdefault(rm, {})
+                row = gen_rows.get(rm)
+                if row is None:
+                    gen_rows[rm] = {j: c}
+                    continue
                 old = row.get(j)
                 row[j] = c if old is None else field.add(old, c)
         # kill columns only once this generator's rows are summed and cleaned

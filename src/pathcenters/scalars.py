@@ -2,10 +2,13 @@
 
 All equalities between scalars are decidable and exact; nothing in this
 package ever touches floating point.  A field object bundles the operations;
-the scalar values themselves are plain hashable Python objects (Fraction for
-the rationals, small ints for F_p) so they can live in coefficient dicts.
-Either way a scalar is zero exactly when it is falsy, and the hot loops test
-it that way.
+the scalar values themselves are plain hashable Python objects so they can
+live in coefficient dicts: a rational is an int when it is integral (the
+field's zero, one and coerced ints, and the sums and products of ints),
+otherwise a Fraction, and inversion and division always build a Fraction,
+so no value is ever a float; an element of F_p is a small int.  Either way
+a scalar is zero exactly when it is falsy, and the hot loops test it that
+way.
 """
 
 from __future__ import annotations
@@ -50,14 +53,14 @@ class RationalField:
     """The field of exact rationals with arbitrary-precision arithmetic."""
 
     name = "Q"
-    zero = Fraction(0)
-    one = Fraction(1)
+    zero = 0
+    one = 1
 
     def coerce(self, x):
+        if isinstance(x, int):
+            return int(x)  # a bool becomes 0 or 1
         if isinstance(x, Fraction):
             return x
-        if isinstance(x, int):
-            return Fraction(x)
         raise TypeError(f"cannot coerce {x!r} into {self.name}")
 
     def add(self, a, b):
@@ -73,10 +76,10 @@ class RationalField:
         return -a
 
     def inv(self, a):
-        return 1 / a
+        return Fraction(1, a)
 
     def div(self, a, b):
-        return a / b
+        return Fraction(a, b)
 
     def parse(self, text):
         text = text.strip()

@@ -1076,3 +1076,23 @@ def test_centrality_checks_form_no_zero_product(monkeypatch):
         products.clear()
         assert check_central(z)
         assert products and all(products)
+
+
+def test_element_products_form_no_zero_product(monkeypatch):
+    """GAElement.__mul__ pairs a term only with the partners whose real
+    part meets its ghost part: one a prefix of the other."""
+    products = []
+
+    def recorded(*args):
+        products.append(mul_monomials(*args))
+        return products[-1]
+
+    monkeypatch.setattr(graph_algebra, "mul_monomials", recorded)
+    cycles = [parse_graph(fixture_path(f"cycle_{n}").read_text()) for n in (2, 3, 4)]
+    for g in [ladder_graph(4)] + cycles:
+        z = laurent_generator(Algebra(LEAVITT, g), classify_prime_leavitt(g).cycle)
+        zi = z.involution()
+        for a, b in ((z, zi), (zi, z)):
+            products.clear()
+            assert a * b == product_by_all_pairs(a, b)
+            assert products and all(products)

@@ -1,3 +1,4 @@
+import hashlib
 import operator
 import random
 
@@ -25,10 +26,16 @@ from pathcenters import (
     toeplitz_graph,
     word_element,
 )
-from pathcenters.graph_algebra import enumerate_ga_monomials, parse_word
+from pathcenters.graph import all_paths_up_to
+from pathcenters.graph_algebra import (
+    ALGEBRA_KINDS,
+    enumerate_ga_monomials,
+    parse_word,
+)
 from pathcenters.scalars import QQ
+from pathcenters.textio import parse_graph
 
-from conftest import feeder_loop
+from conftest import FIXTURES, feeder_loop
 from test_fast_paths import rewrite_words
 
 
@@ -479,3 +486,57 @@ def test_long_special_suffix_straightens_without_recursion():
     alg = Algebra(LEAVITT, g)
     p = Path.from_edges(g, tuple(f"f{i}" for i in range(1, 1201)))
     assert alg.sum_of([(1, p, p)]) == alg.vertex("u1")
+
+
+# --- paths and monomials are values ---------------------------------------------
+
+
+def test_paths_and_monomials_cannot_be_assigned_to():
+    g = toeplitz_graph()
+    p = Path.from_edges(g, ("e", "f"))
+    m = GMonomial(p, Path.vertex(g, "v"))
+    with pytest.raises(AttributeError):
+        p.edges = ("e",)
+    with pytest.raises(AttributeError):
+        m.real = Path.vertex(g, "v")
+    assert p.edges == ("e", "f") and m.real == p
+
+
+def test_monomial_parts_must_share_their_range():
+    g = toeplitz_graph()
+    with pytest.raises(GraphError):
+        GMonomial(Path.from_edges(g, ("f",)), Path.vertex(g, "u"))
+    with pytest.raises(GraphError):
+        GMonomial(Path.vertex(g, "u"), Path.vertex(g, "v"))
+
+
+def test_a_path_is_its_source_target_and_edges():
+    for path in sorted(FIXTURES.glob("*.graph")):
+        g = parse_graph(path.read_text())
+        for p in all_paths_up_to(g, 3):
+            q = Path(p.source, p.target, p.edges)
+            assert q == p and hash(q) == hash(p)
+            if p.edges:
+                built = Path.from_edges(g, p.edges)
+                assert built == q and hash(built) == hash(q)
+
+
+def test_monomial_text_and_order_are_unchanged_on_the_fixtures():
+    g = toeplitz_graph()
+    e, f = Path.from_edges(g, ("e",)), Path.from_edges(g, ("f",))
+    u, v = Path.vertex(g, "u"), Path.vertex(g, "v")
+    ef = Path.from_edges(g, ("e", "f"))
+    assert [repr(m) for m in (GMonomial(u, u), GMonomial(e, u), GMonomial(v, f),
+                              GMonomial(f, ef))] == ["@u", "e", "@v|f", "f|e.f"]
+    assert GMonomial(f, ef).sort_key() == ((1, "u", ("f",)), (2, "u", ("e", "f")))
+    # every window monomial of length <= 2 of every fixture, each kind: the
+    # digest was taken when paths and monomials were frozen dataclasses
+    lines = []
+    for path in sorted(FIXTURES.glob("*.graph")):
+        fixture = parse_graph(path.read_text())
+        for kind in ALGEBRA_KINDS:
+            for m in enumerate_ga_monomials(Algebra(kind, fixture), 2):
+                lines.append(f"{path.stem} {kind} {m!r} {m.sort_key()!r}")
+    assert len(lines) == 2866
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
+        "aa8cc282d57ee6f0ab206d74cf7cccc782b3c49cd39bef695ada08bca7a7d3fb")

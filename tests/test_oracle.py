@@ -29,8 +29,9 @@ from pathcenters.graph_algebra import mul_monomials
 from pathcenters.linalg import LinearSpan
 from pathcenters.oracle import element_vector, enumerate_candidates
 from pathcenters.scalars import QQ
+from pathcenters.textio import parse_graph
 
-from conftest import cycle_feeds_loop, feeder_loop, two_loops
+from conftest import cycle_feeds_loop, feeder_loop, fixture_path, two_loops
 
 PRIME_LEAVITT_FIXTURES = [
     ("rose_1", rose_graph(1)),
@@ -377,3 +378,24 @@ def test_assembly_skips_columns_forced_to_zero(monkeypatch, name, kind):
     sub = central_subspace(g, window)
     assert 0 < len(products) < junction_bucket_size(g, window), name
     assert sub.basis == central_subspace_by_all_pairs(g, window, QQ).basis
+
+
+@pytest.mark.parametrize("name, max_len, calls", [("rose_2", 3, 345),
+                                                  ("toeplitz", 4, 101)])
+def test_a_solve_forms_a_fixed_number_of_products(monkeypatch, name, max_len, calls):
+    """The monomial products one Leavitt solve forms, the post-solve recheck
+    included.  A speed-up must make each product cheaper: one that skips
+    products changes this count."""
+    from pathcenters import graph_algebra, oracle
+
+    formed = []
+
+    def counted(*args):
+        formed.append(args)
+        return mul_monomials(*args)
+
+    for module in (oracle, graph_algebra):
+        monkeypatch.setattr(module, "mul_monomials", counted)
+    g = parse_graph(fixture_path(name).read_text())
+    sub = central_subspace(g, OracleWindow(LEAVITT, max_len))
+    assert sub.dim == 1 and len(formed) == calls

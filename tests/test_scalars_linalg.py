@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pathcenters.linalg import LinearSpan, sparse_nullspace
 from pathcenters.scalars import QQ, PrimeField, field_from_characteristic
@@ -95,3 +96,45 @@ def test_prime_field_decides_primality_by_miller_rabin():
         composite.update(range(d * d, 5000, d))
     assert [n for n in range(2, 5000) if _is_prime(n)] == [
         n for n in range(2, 5000) if n not in composite]
+
+
+def _exact(values):
+    return all(type(v) in (int, Fraction) for v in values)
+
+
+def test_integral_rationals_are_ints_and_inverses_fractions():
+    assert QQ.zero == 0 and type(QQ.zero) is int
+    assert QQ.one == 1 and type(QQ.one) is int
+    assert QQ.coerce(True) == 1 and type(QQ.coerce(True)) is int
+    assert QQ.text(QQ.coerce(True)) == "1"
+    for value in (QQ.inv(2), QQ.div(1, 2)):
+        assert value == Fraction(1, 2) and type(value) is Fraction
+    assert QQ.inv(Fraction(2, 3)) == Fraction(3, 2)
+    assert QQ.text(QQ.mul(3, 2)) == QQ.text(Fraction(6)) == "6"
+    with pytest.raises(ZeroDivisionError):
+        QQ.inv(0)
+
+
+MIXED_SCALARS = st.integers(-3, 3) | st.builds(Fraction, st.integers(-3, 3),
+                                               st.integers(1, 3))
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.lists(st.dictionaries(st.integers(0, 4), MIXED_SCALARS, max_size=4),
+                     max_size=5))
+def test_mixed_int_and_fraction_systems_solve_exactly(rows):
+    """Rows mixing ints and Fractions give no float and the same answers as
+    the all-Fraction system."""
+    rows = [{c: v for c, v in row.items() if v} for row in rows]
+    as_fractions = [{c: Fraction(v) for c, v in row.items()} for row in rows]
+    basis = sparse_nullspace([dict(r) for r in rows], 5, QQ)
+    assert basis == sparse_nullspace(as_fractions, 5, QQ)
+    assert _exact(v for vec in basis for v in vec.values())
+    span, fraction_span = LinearSpan(QQ), LinearSpan(QQ)
+    for row, fractions in zip(rows, as_fractions):
+        assert span.add(row) == fraction_span.add(fractions)
+    assert span.dim == fraction_span.dim
+    assert _exact(v for row in span._pivots.values() for v in row.values())
+    for vec in basis:
+        residue = span.residue(vec)
+        assert residue == fraction_span.residue(vec) and _exact(residue.values())
