@@ -207,6 +207,14 @@ class Algebra:
             gens += [(f"{e}*", self.edge(e, ghost=True)) for e in g.edges]
         return tuple(gens)
 
+    @cached_property
+    def generator_symbols(self):
+        """Each generator, in `generators` order, as the raw symbol the
+        commutator kernel reads: (_V, v), (_E, e), or (_G, e) for e*."""
+        return tuple((_G, ghost.edges[0]) if ghost.edges
+                     else (_E, real.edges[0]) if real.edges else (_V, real.source)
+                     for _, gel in self.generators for real, ghost in gel.coeffs)
+
 
 def _straighten(alg, real, ghost, coeff):
     """coeff * real·ghost* in normal form, as a dict of normal monomials.
@@ -275,21 +283,100 @@ def mul_monomials(alg, m1: GMonomial, m2: GMonomial, coeff):
     return {}
 
 
-def heads_index(parts):
-    """The positions of the paths `parts` by head: the first edge, or the
-    vertex of a trivial path (edge and vertex ids never coincide)."""
-    index = {}
-    for j, p in enumerate(parts):
-        index.setdefault(p.edges[0] if p.edges else p.source, []).append(j)
-    return index
+class CommutatorKernel:
+    """The terms of cols[j]·g and -g·cols[j] for normal monomials `cols`
+    and a generator symbol g, by the one-edge rules of CK1:
 
+      λμ*·e  = (λe, r(e)) if μ is trivial at s(e), (λ, μ') if μ = eμ'
+      e·λμ*  = (eλ, μ) if s(λ) = r(e);     λμ*·e* = (λ, eμ) if s(μ) = r(e)
+      e*·λμ* = (r(e), μe) if λ is trivial at s(e), (λ', μ) if λ = eλ'
+      λμ*·v  = λμ* if s(μ) = v;            v·λμ*  = λμ* if s(λ) = v
 
-def starting_with(g: Graph, p: Path, index):
-    """The positions in `index` of the paths that start together with p
-    (trivial at s(p), or headed by p's first edge, any edge at s(p) when p
-    is trivial): m1·m2 is nonzero only if ghost(m1), real(m2) do so."""
-    heads = p.edges[:1] or g.out_edges(p.source)
-    return chain(index.get(p.source, ()), *(index.get(e, ()) for e in heads))
+    A monomial is read as its raw key (s(λ), λ, s(μ), μ) and indexed by
+    the head (first edge, or vertex of a trivial part; edge and vertex ids
+    never coincide) and the source of each part, so each side forms one
+    nonzero product per column it meets and builds no Path, GMonomial or
+    dict.  Only e·(r(e))μ* with μ ending in e, and λ·e* with λ ending in e,
+    can leave the basis (e special); those go through `_straighten`, the
+    one home of CK2.
+    """
+
+    __slots__ = ("alg", "raw", "real_heads", "ghost_heads", "real_sources",
+                 "ghost_sources", "specials")
+
+    def __init__(self, alg, cols):
+        self.alg = alg
+        self.raw = [(real.source, real.edges, ghost.source, ghost.edges)
+                    for real, ghost in cols]
+        self.real_heads, self.ghost_heads = {}, {}
+        self.real_sources, self.ghost_sources = {}, {}
+        for j, (rs, lam, gs, mu) in enumerate(self.raw):
+            self.real_heads.setdefault(lam[0] if lam else rs, []).append(j)
+            self.ghost_heads.setdefault(mu[0] if mu else gs, []).append(j)
+            self.real_sources.setdefault(rs, []).append(j)
+            self.ghost_sources.setdefault(gs, []).append(j)
+        special = alg.special
+        self.specials = frozenset(e for _, e in special.pairs) if special else ()
+
+    def commutator(self, symbol, skip=()):
+        """(j, key, c) for the terms of cols[j]·g - g·cols[j], c = ±1, the
+        columns in `skip` left out."""
+        return chain(self.right(symbol, skip), self.left(symbol, skip))
+
+    def right(self, symbol, skip=()):
+        """(j, key, c) for the terms of cols[j]·g."""
+        raw, g, c = self.raw, self.alg.graph, self.alg.field.one
+        tag, x = symbol
+        if tag == _V:
+            return [(j, raw[j], c) for j in self.ghost_sources.get(x, ())
+                    if j not in skip]
+        s, r, e = g.src[x], g.rng[x], (x,)
+        if tag == _E:
+            return [(j, (rs, lam + e, r, ()), c)
+                    for j in self.ghost_heads.get(s, ()) if j not in skip
+                    for rs, lam, _, _ in [raw[j]]] + \
+                   [(j, (rs, lam, r, mu[1:]), c)
+                    for j in self.ghost_heads.get(x, ()) if j not in skip
+                    for rs, lam, _, mu in [raw[j]]]
+        out = []
+        for j in self.ghost_sources.get(r, ()):
+            if j not in skip:
+                rs, lam, _, mu = raw[j]
+                if not mu and lam[-1:] == e and x in self.specials:
+                    out += self._straightened(j, Path(rs, r, lam), Path(s, r, e), c)
+                else:
+                    out.append((j, (rs, lam, s, e + mu), c))
+        return out
+
+    def left(self, symbol, skip=()):
+        """(j, key, c) for the terms of -g·cols[j]."""
+        raw, g, field = self.raw, self.alg.graph, self.alg.field
+        c = field.neg(field.one)
+        tag, x = symbol
+        if tag == _V:
+            return [(j, raw[j], c) for j in self.real_sources.get(x, ())
+                    if j not in skip]
+        s, r, e = g.src[x], g.rng[x], (x,)
+        if tag == _G:
+            return [(j, (r, (), gs, mu + e), c)
+                    for j in self.real_heads.get(s, ()) if j not in skip
+                    for _, _, gs, mu in [raw[j]]] + \
+                   [(j, (r, lam[1:], gs, mu), c)
+                    for j in self.real_heads.get(x, ()) if j not in skip
+                    for _, lam, gs, mu in [raw[j]]]
+        out = []
+        for j in self.real_sources.get(r, ()):
+            if j not in skip:
+                _, lam, gs, mu = raw[j]
+                if not lam and mu[-1:] == e and x in self.specials:
+                    out += self._straightened(j, Path(s, r, e), Path(gs, r, mu), c)
+                else:
+                    out.append((j, (s, e + lam, gs, mu), c))
+        return out
+
+    def _straightened(self, j, real, ghost, c):
+        return [(j, (lam.source, lam.edges, mu.source, mu.edges), k)
+                for (lam, mu), k in _straighten(self.alg, real, ghost, c).items()]
 
 
 def check_central(a) -> bool:
@@ -298,21 +385,19 @@ def check_central(a) -> bool:
 
 def centrality_witness(a):
     """The first generator, in `a.algebra.generators` order, that fails to
-    commute with `a`, or None; only products whose parts meet are formed."""
+    commute with `a`, or None: the commutator kernel's terms, weighted by
+    a's coefficients, summed per monomial."""
     alg = a.algebra
-    g, field = alg.graph, alg.field
-    terms = list(a.coeffs.items())
-    by_real = heads_index(m.real for m, _ in terms)
-    by_ghost = heads_index(m.ghost for m, _ in terms)
-    for label, gel in alg.generators:
-        (gmon,) = gel.coeffs  # every generator is one monomial, coefficient 1
-        right, left = {}, {}
-        for j in starting_with(g, gmon.real, by_ghost):
-            _add_into(right, mul_monomials(alg, terms[j][0], gmon, terms[j][1]),
-                      field)
-        for j in starting_with(g, gmon.ghost, by_real):
-            _add_into(left, mul_monomials(alg, gmon, *terms[j]), field)
-        if right != left:
+    field = alg.field
+    one = field.one
+    kernel = CommutatorKernel(alg, a.coeffs)
+    coeffs = list(a.coeffs.values())
+    for (label, gel), symbol in zip(alg.generators, alg.generator_symbols):
+        total = {}
+        for j, key, c in kernel.commutator(symbol):
+            c = coeffs[j] if c == one else field.neg(coeffs[j])
+            total[key] = field.add(total[key], c) if key in total else c
+        if any(total.values()):
             return label, gel
     return None
 

@@ -19,14 +19,17 @@ solve to the columns still alive.
   basis is the one of the diagonal columns alone.  Only those are solver
   columns (in window order), and the vertex rows, which cancel on them, are
   not formed.
-* Junction index.  λμ*·g and g·λμ* can be nonzero only when the parts meet
-  at the junction, so each generator is multiplied only by the candidates
-  bucketed under its junction: λμ*·e needs μ to start with e or to be
-  trivial at s(e); e·λμ* needs s(λ) = r(e); λμ*·e* needs s(μ) = r(e); and
-  e*·λμ* needs λ to start with e or to be trivial at s(e), because e* runs
-  from r(e) to s(e).  The index is `graph_algebra`'s, shared with
-  `centrality_witness`, which checks the vertices too: λμ*·v needs
-  s(μ) = v, and v·λμ* needs s(λ) = v.
+* Commutator kernel.  λμ*·g and g·λμ* can be nonzero only when the parts
+  meet at the junction, and then each appends or strips one edge, so
+  `graph_algebra.CommutatorKernel` indexes the candidates by the head and
+  the source of each part and reads the row terms of each generator off
+  its one-edge rules: λμ*·e needs μ to start with e or to be trivial at
+  s(e); e·λμ* needs s(λ) = r(e); λμ*·e* needs s(μ) = r(e); and e*·λμ*
+  needs λ to start with e or to be trivial at s(e), because e* runs from
+  r(e) to s(e).  No product object is built; the two products that can
+  leave the Leavitt basis go through `_straighten`, the one home of CK2.
+  `centrality_witness` reads the same kernel, vertices included:
+  λμ*·v needs s(μ) = v, and v·λμ* needs s(λ) = v.
 * Dead columns.  The rows are assembled one generator at a time; a row of
   that generator with exactly one nonzero entry {j: c} forces x_j = 0 in
   every solution, so later generators skip column j (no product, no row
@@ -55,20 +58,18 @@ a claim about another algebra raises AmbientError instead of passing.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 
 from .errors import AmbientError, InvariantViolation
 from .graph import Graph
 from .graph_algebra import (
     ALGEBRA_KINDS,
     Algebra,
+    CommutatorKernel,
     GAElement,
+    _V,
     centrality_witness,
     check_window_cap,
     enumerate_ga_monomials,
-    heads_index,
-    mul_monomials,
-    starting_with,
 )
 from .linalg import LinearSpan, sparse_nullspace
 from .scalars import QQ
@@ -133,37 +134,29 @@ def central_subspace(g: Graph, window: OracleWindow, *, field=QQ) -> CentralSubs
     candidates = enumerate_candidates(alg, window)
     # only Peirce-diagonal candidates can carry weight (see module docstring)
     diagonal = [m for m in candidates if m.source == m.target]
-    by_real = heads_index(m.real for m in diagonal)
-    by_ghost = heads_index(m.ghost for m in diagonal)
+    kernel = CommutatorKernel(alg, diagonal)
     rows, dead = [], set()
-    one, minus_one = field.one, field.neg(field.one)
-    for _, gel in alg.generators:
-        (gmon,) = gel.coeffs  # every generator is one monomial, coefficient 1
-        if gmon.is_vertex:
+    for tag, x in alg.generator_symbols:
+        if tag == _V:
             continue  # its rows cancel on Peirce-diagonal columns
-        # the row of rm holds the coefficient of rm in m·g - g·m
-        products = chain(
-            ((j, mul_monomials(alg, diagonal[j], gmon, one))
-             for j in starting_with(g, gmon.real, by_ghost) if j not in dead),
-            ((j, mul_monomials(alg, gmon, diagonal[j], minus_one))
-             for j in starting_with(g, gmon.ghost, by_real) if j not in dead),
-        )
+        # the row of a monomial holds its coefficient in m·g - g·m
         gen_rows = {}
-        for j, product in products:
-            for rm, c in product.items():
-                row = gen_rows.get(rm)
-                if row is None:
-                    gen_rows[rm] = {j: c}
-                    continue
-                old = row.get(j)
-                row[j] = c if old is None else field.add(old, c)
+        for j, key, c in kernel.commutator((tag, x), dead):
+            row = gen_rows.get(key)
+            if row is None:
+                gen_rows[key] = {j: c}
+                continue
+            old = row.get(j)
+            row[j] = c if old is None else field.add(old, c)
         # kill columns only once this generator's rows are summed and cleaned
         for row in gen_rows.values():
-            row = {j: c for j, c in row.items() if c}
-            if len(row) == 1:
-                dead.update(row)
-            elif row:
+            if len(row) > 1:
+                row = {j: c for j, c in row.items() if c}
+            if len(row) > 1:
                 rows.append(row)
+            elif all(row.values()):
+                dead.update(row)
+    del kernel
     # solve on the live columns only, renumbered in window order
     live = [j for j in range(len(diagonal)) if j not in dead]
     renumber = {j: i for i, j in enumerate(live)}

@@ -4,6 +4,8 @@ from unittest.mock import patch
 import pytest
 
 from pathcenters import Graph, oracle
+from pathcenters.graph import Path
+from pathcenters.graph_algebra import CommutatorKernel, GMonomial, mul_monomials
 from pathcenters.linalg import sparse_nullspace
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
@@ -56,3 +58,63 @@ def solver_calls(g, window, field):
     with patch.object(oracle, "sparse_nullspace", recording):
         sub = oracle.central_subspace(g, window, field=field)
     return sub, calls
+
+
+def raw_key(m):
+    """A monomial as the commutator kernel's raw key."""
+    return (m.real.source, m.real.edges, m.ghost.source, m.ghost.edges)
+
+
+def from_raw(g, key):
+    rs, lam, gs, mu = key
+    r = g.rng[lam[-1]] if lam else rs
+    return GMonomial(Path(rs, r, lam), Path(gs, r, mu))
+
+
+def product_by_mul_monomials(alg, m, symbol, side):
+    """m·g ("right") or -g·m ("left") for the generator with this raw
+    symbol, formed by `mul_monomials` and read as raw keys."""
+    (_, gel), = [gen for gen, s in zip(alg.generators, alg.generator_symbols)
+                 if s == symbol]
+    (gmon,) = gel.coeffs
+    one = alg.field.one
+    out = (mul_monomials(alg, m, gmon, one) if side == "right"
+           else mul_monomials(alg, gmon, m, alg.field.neg(one)))
+    return {raw_key(rm): c for rm, c in out.items()}
+
+
+def record_kernel_products(monkeypatch, *modules):
+    """Swap a recording commutator kernel into `modules`.  Every product it
+    forms, one per (column, side) of a generator, is appended to the
+    returned list as (algebra, column monomial, symbol, side, terms), the
+    terms a dict of raw keys to coefficients."""
+    products = []
+
+    class Recording(CommutatorKernel):
+        __slots__ = ()
+
+        def _recorded(self, terms, symbol, side):
+            terms = list(terms)
+            by_column = {}
+            for j, key, c in terms:
+                by_column.setdefault(j, {})[key] = c
+            for j, got in by_column.items():
+                m = from_raw(self.alg.graph, self.raw[j])
+                products.append((self.alg, m, symbol, side, got))
+            return iter(terms)
+
+        def right(self, symbol, skip=()):
+            return self._recorded(super().right(symbol, skip), symbol, "right")
+
+        def left(self, symbol, skip=()):
+            return self._recorded(super().left(symbol, skip), symbol, "left")
+
+    for module in modules:
+        monkeypatch.setattr(module, "CommutatorKernel", Recording)
+    return products
+
+
+def formed_only_nonzero_products(products):
+    """Each recorded product is the nonzero one `mul_monomials` forms."""
+    return all(terms and terms == product_by_mul_monomials(alg, m, symbol, side)
+               for alg, m, symbol, side, terms in products)

@@ -14,6 +14,8 @@ from pathcenters import (
     LEAVITT,
     PATH,
     ParseError,
+    PrimeField,
+    QQ,
     element_to_text,
     emit_graph,
     parse_element,
@@ -22,7 +24,9 @@ from pathcenters import (
     toeplitz_graph,
 )
 from pathcenters.cli import main
+from pathcenters.errors import InvariantViolation
 from pathcenters.graph_algebra import enumerate_ga_monomials
+from pathcenters.linalg import sparse_nullspace
 from pathcenters.report import load_schema
 
 from conftest import fixture_path
@@ -285,6 +289,32 @@ def test_invariant_violation_exits_four_without_traceback(monkeypatch, module,
     code, out, err = run_cli(command, str(fixture_path(fixture)), *rest)
     assert code == 4 and out == ""
     assert err.startswith("pathcenters: internal invariant violated:")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def corrupted_nullspace(rows, ncols, field):
+    """A wrong solve: the true nullspace basis, its first vector (the unit)
+    plus a live column it leaves out, a monomial that is not central."""
+    first, *rest = sparse_nullspace(rows, ncols, field)
+    column = min(set(range(ncols)) - set(first))
+    return [{**first, column: field.one}, *rest]
+
+
+@pytest.mark.parametrize("char", [None, 65521], ids=["QQ", "F65521"])
+def test_a_wrong_solve_is_caught_by_the_recheck_and_exits_four(monkeypatch, char):
+    from pathcenters import oracle
+
+    monkeypatch.setattr(oracle, "sparse_nullspace", corrupted_nullspace)
+    field = QQ if char is None else PrimeField(char)
+    with pytest.raises(InvariantViolation, match=r"non-central vector \(witness \S+\)"):
+        oracle.central_subspace(toeplitz_graph(), oracle.OracleWindow(LEAVITT, 3),
+                                field=field)
+    prime = () if char is None else ("--char", str(char))
+    code, out, err = run_cli("oracle", str(fixture_path("toeplitz")), "--algebra",
+                             "leavitt", "--max-len", "3", "--verify", *prime)
+    assert code == 4 and out == ""
+    assert err.startswith("pathcenters: internal invariant violated:")
+    assert "(witness " in err
     assert err.count("\n") == 1 and "Traceback" not in err
 
 

@@ -53,6 +53,7 @@ from pathcenters.graph_algebra import (
     LEAVITT,
     PATH,
     Algebra,
+    CommutatorKernel,
     GAElement,
     GMonomial,
     SpecialEdgeChoice,
@@ -78,7 +79,14 @@ from pathcenters.oracle import (
 from pathcenters.scalars import QQ, PrimeField
 from pathcenters.textio import element_to_text, parse_element, parse_graph
 
-from conftest import FIXTURES, fixture_path, solver_calls
+from conftest import (
+    FIXTURES,
+    fixture_path,
+    formed_only_nonzero_products,
+    product_by_mul_monomials,
+    record_kernel_products,
+    solver_calls,
+)
 
 FIELDS = [QQ, PrimeField(65521)]
 
@@ -1061,21 +1069,62 @@ def test_junction_products_match_all_pairs(data, g, kind, field):
 
 
 def test_centrality_checks_form_no_zero_product(monkeypatch):
-    products = []
-
-    def recorded(*args):
-        products.append(mul_monomials(*args))
-        return products[-1]
-
-    for module in (oracle, graph_algebra):
-        monkeypatch.setattr(module, "mul_monomials", recorded)
+    products = record_kernel_products(monkeypatch, oracle, graph_algebra)
     ladder = ladder_graph(4)
     cycles = [parse_graph(fixture_path(f"cycle_{n}").read_text()) for n in (2, 3, 4)]
     for g in [ladder] + cycles:
         z = laurent_generator(Algebra(LEAVITT, g), classify_prime_leavitt(g).cycle)
         products.clear()
         assert check_central(z)
-        assert products and all(products)
+        assert products and formed_only_nonzero_products(products)
+
+
+def kernel_pairs_match_products(alg, cols):
+    """The kernel's terms for every column and every generator, on both
+    sides, against `mul_monomials`; the number of products CK2 straightened
+    (the ones with more than one term)."""
+    kernel = CommutatorKernel(alg, cols)
+    straightened = 0
+    for symbol in alg.generator_symbols:
+        for side in ("right", "left"):
+            got = [{} for _ in cols]
+            for j, key, c in getattr(kernel, side)(symbol):
+                assert key not in got[j]
+                got[j][key] = c
+            assert got == [product_by_mul_monomials(alg, m, symbol, side)
+                           for m in cols], (symbol, side)
+            straightened += sum(len(terms) > 1 for terms in got)
+    return straightened
+
+
+def kernel_window(alg, max_len=3, cap=400):
+    """The normal monomials of the longest window up to `max_len` that
+    holds at most `cap` of them."""
+    while max_len and count_ga_monomials(alg, max_len) > cap:
+        max_len -= 1
+    return enumerate_ga_monomials(alg, max_len)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), g=graphs(max_vertices=4, max_edges=5),
+       kind=st.sampled_from(ALGEBRA_KINDS), field=st.sampled_from([QQ, PrimeField(2)]))
+def test_commutator_kernel_matches_mul_monomials(data, g, kind, field):
+    """Every window-3 normal monomial against every generator, a random
+    special-edge choice deciding where CK2 applies; over F_2, -1 == 1."""
+    special = SpecialEdgeChoice.from_mapping(g, {
+        v: data.draw(st.sampled_from(g.out_edges(v)))
+        for v in g.vertices if g.is_regular(v)}) if kind == LEAVITT else None
+    alg = Algebra(kind, g, special, field)
+    kernel_pairs_match_products(alg, kernel_window(alg))
+
+
+@pytest.mark.parametrize("kind", ALGEBRA_KINDS)
+def test_commutator_kernel_matches_mul_monomials_on_fixtures(kind):
+    straightened = 0
+    for path in sorted(FIXTURES.glob("*.graph")):
+        alg = Algebra(kind, parse_graph(path.read_text()))
+        straightened += kernel_pairs_match_products(alg, kernel_window(alg, cap=2000))
+    assert bool(straightened) == (kind == LEAVITT)
 
 
 def test_element_products_form_no_zero_product(monkeypatch):

@@ -25,13 +25,19 @@ from pathcenters import (
 )
 from pathcenters.center_theory import SCALAR, center_prime_cohn
 from pathcenters.graph import find_cycles
-from pathcenters.graph_algebra import mul_monomials
 from pathcenters.linalg import LinearSpan
 from pathcenters.oracle import element_vector, enumerate_candidates
 from pathcenters.scalars import QQ
 from pathcenters.textio import parse_graph
 
-from conftest import cycle_feeds_loop, feeder_loop, fixture_path, two_loops
+from conftest import (
+    cycle_feeds_loop,
+    feeder_loop,
+    fixture_path,
+    formed_only_nonzero_products,
+    record_kernel_products,
+    two_loops,
+)
 
 PRIME_LEAVITT_FIXTURES = [
     ("rose_1", rose_graph(1)),
@@ -329,17 +335,10 @@ def test_one_solve_and_its_recheck_build_the_generators_once(monkeypatch):
 def test_assembly_forms_no_zero_product(monkeypatch, name, g, kind):
     from pathcenters import oracle
 
-    products = []
-
-    def counted(*args):
-        out = mul_monomials(*args)
-        products.append(out)
-        return out
-
-    monkeypatch.setattr(oracle, "mul_monomials", counted)
+    products = record_kernel_products(monkeypatch, oracle)
     sub = central_subspace(g, OracleWindow(kind, 3))
     all_pairs = 2 * sub.candidate_count * len(Algebra(kind, g).generators)
-    assert products and all(products), name
+    assert products and formed_only_nonzero_products(products), name
     assert len(products) < all_pairs, name
 
 
@@ -366,15 +365,8 @@ def test_assembly_skips_columns_forced_to_zero(monkeypatch, name, kind):
     from test_fast_paths import central_subspace_by_all_pairs
 
     g = {"rose_2": rose_graph(2), "toeplitz": toeplitz_graph()}[name]
-    products = []
-
-    def counted(*args):
-        out = mul_monomials(*args)
-        products.append(out)
-        return out
-
     window = OracleWindow(kind, 3)
-    monkeypatch.setattr(oracle, "mul_monomials", counted)
+    products = record_kernel_products(monkeypatch, oracle)
     sub = central_subspace(g, window)
     assert 0 < len(products) < junction_bucket_size(g, window), name
     assert sub.basis == central_subspace_by_all_pairs(g, window, QQ).basis
@@ -383,19 +375,12 @@ def test_assembly_skips_columns_forced_to_zero(monkeypatch, name, kind):
 @pytest.mark.parametrize("name, max_len, calls", [("rose_2", 3, 345),
                                                   ("toeplitz", 4, 101)])
 def test_a_solve_forms_a_fixed_number_of_products(monkeypatch, name, max_len, calls):
-    """The monomial products one Leavitt solve forms, the post-solve recheck
-    included.  A speed-up must make each product cheaper: one that skips
-    products changes this count."""
+    """The monomial products one Leavitt solve forms, one per (column, side)
+    of a generator, the post-solve recheck included.  A speed-up must make
+    each product cheaper: one that skips products changes this count."""
     from pathcenters import graph_algebra, oracle
 
-    formed = []
-
-    def counted(*args):
-        formed.append(args)
-        return mul_monomials(*args)
-
-    for module in (oracle, graph_algebra):
-        monkeypatch.setattr(module, "mul_monomials", counted)
+    formed = record_kernel_products(monkeypatch, oracle, graph_algebra)
     g = parse_graph(fixture_path(name).read_text())
     sub = central_subspace(g, OracleWindow(LEAVITT, max_len))
     assert sub.dim == 1 and len(formed) == calls

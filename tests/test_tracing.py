@@ -48,16 +48,18 @@ def test_tracer_installs_over_the_package_and_sees_an_oracle_request():
     code, out, tracer = _traced(tracing, argv)
     assert code == 0 and "ok: True" in out
     metrics = tracing.per_layer(tracer)
-    assert metrics["graph_algebra.mul_monomials.calls"]["value"] > 0
     assert metrics["oracle.centrality_witness.calls"]["value"] > 0
     assert metrics["oracle.central_subspace.calls"]["value"] == 1
-    # rose_2's claim is a scalar, so its check multiplies no two elements;
-    # cycle_2's Laurent powers and unitary check do
+    # rose_2's claim is a scalar, so its check multiplies no two elements
+    # and the commutator kernel forms every product; cycle_2's Laurent
+    # powers and unitary check multiply elements through `mul_monomials`
     argv = ["oracle", str(fixture_path("cycle_2")), "--algebra", "leavitt",
             "--max-len", "2", "--verify"]
     code, out, tracer = _traced(tracing, argv)
     assert code == 0 and "ok: True" in out
     assert tracer.calls["graph_algebra.GAElement.mul"] > 0
+    metrics = tracing.per_layer(tracer)
+    assert metrics["graph_algebra.mul_monomials.calls"]["value"] > 0
 
 
 def test_tracer_sees_graded_primes_without_hereditary_sets():
