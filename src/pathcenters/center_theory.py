@@ -13,7 +13,7 @@ independent.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import AmbientError, GraphError, HypothesisNotMet, InvariantViolation
 from .graph import (
@@ -59,8 +59,8 @@ _KIND_NAMES = {
 }
 
 
-@dataclass(frozen=True)
-class CenterStructure:
+class CenterStructure(namedtuple("CenterStructure", "kind generators components",
+                                 defaults=((), ()))):
     """Structural description of a center: 0, K, K[x] or K[x,x^-1], with
     explicit generators when constructible, or a direct sum of such pieces.
 
@@ -68,9 +68,7 @@ class CenterStructure:
     Laurent pieces it holds the identity followed by the ring generator.
     """
 
-    kind: str
-    generators: tuple = ()
-    components: tuple = ()
+    __slots__ = ()
 
     def describe(self) -> str:
         if self.kind == SUM:
@@ -158,13 +156,11 @@ def center_prime_cohn(g: Graph, field=QQ) -> CenterStructure:
     return CenterStructure(SCALAR, (Algebra(COHN, g, field=field).one(),))
 
 
-@dataclass(frozen=True)
-class PrimeLeavittClassification:
-    scalar: bool
-    reason: str  # "condition_L" | "infinite_feeding" | "finite_cycle"
-    cycle: Cycle | None = None
-    path_count: object = None  # int, or math.inf
-    base_count: object = None
+# reason: "condition_L" | "infinite_feeding" | "finite_cycle"; cycle: the
+# exit-free Cycle or None; path_count, base_count: int, math.inf or None
+PrimeLeavittClassification = namedtuple(
+    "PrimeLeavittClassification", "scalar reason cycle path_count base_count",
+    defaults=(None, None, None))
 
 
 def classify_prime_leavitt(g: Graph) -> PrimeLeavittClassification:
@@ -216,13 +212,11 @@ def center_prime_leavitt(g: Graph, field=QQ, cls=None) -> CenterStructure:
 # --- orthogonality of exit-free cycles ---------------------------------------
 
 
-@dataclass(frozen=True)
-class ExitFreeUniquenessReport:
-    exit_free_cycles: tuple
-    prime: bool
-    unique_for_prime: object  # bool, or None when not applicable
-    pairs_checked: int
-    cross_products_zero: object  # bool, or None when < 2 cycles
+# unique_for_prime: bool, or None when not prime; cross_products_zero:
+# bool, or None when there are fewer than two exit-free cycles
+ExitFreeUniquenessReport = namedtuple(
+    "ExitFreeUniquenessReport",
+    "exit_free_cycles prime unique_for_prime pairs_checked cross_products_zero")
 
 
 def _ideal_monomials(alg, vertex_set, max_len):
@@ -266,14 +260,9 @@ def uniqueness_check_exit_free(g: Graph, max_len: int = 3, *,
 # --- graded prime ideals and the center bounds -------------------------------
 
 
-@dataclass(frozen=True)
-class GradedPrimeRecord:
-    """A graded prime ideal I(H) together with its quotient's classification."""
-
-    H: frozenset
-    quotient: Graph
-    flavor: str  # "I" | "J"
-    cls: PrimeLeavittClassification
+# a graded prime ideal I(H), flavor "I" or "J", with its quotient E/H and
+# the quotient's PrimeLeavittClassification
+GradedPrimeRecord = namedtuple("GradedPrimeRecord", "H quotient flavor cls")
 
 
 def graded_prime_ideals(g: Graph):
@@ -293,21 +282,16 @@ def graded_prime_ideals(g: Graph):
     return sorted(records, key=lambda r: (len(r.H), sorted(r.H)))
 
 
-@dataclass(frozen=True)
-class PieceContribution:
-    kind: str  # "zero" | "scalar" | "laurent" | "unknown"
-    detail: str
-    generator: GAElement | None = None
+# kind: "zero" | "scalar" | "laurent" | "unknown"; generator: a GAElement or None
+PieceContribution = namedtuple("PieceContribution", "kind detail generator",
+                               defaults=(None,))
 
 
-@dataclass(frozen=True)
-class LowerSummand:
+class LowerSummand(namedtuple("LowerSummand",
+                              "record_index ideal_vertices improper pieces")):
     """Z(W_P) for W_P the intersection of the other graded primes."""
 
-    record_index: int
-    ideal_vertices: frozenset
-    improper: bool
-    pieces: tuple
+    __slots__ = ()
 
     def describe(self) -> str:
         kinds = [p.kind for p in self.pieces]
@@ -321,12 +305,12 @@ class LowerSummand:
         return " (+) ".join(parts)
 
 
-@dataclass(frozen=True)
-class CenterBounds:
-    records: tuple
-    upper: tuple  # "K" / "K[x,x^-1]" aligned with records
-    lower: tuple  # LowerSummand per record
-    radical_vertices: frozenset  # intersection of all H_P; empty means B_gr = 0
+class CenterBounds(namedtuple("CenterBounds",
+                              "records upper lower radical_vertices")):
+    """Per graded-prime record, the upper factor ("K" or "K[x,x^-1]") and the
+    LowerSummand; `radical_vertices`, the meet of all H_P, is empty iff B_gr = 0."""
+
+    __slots__ = ()
 
     def describe_upper(self) -> str:
         return " x ".join(self.upper) if self.upper else "(no graded primes)"
@@ -450,14 +434,9 @@ def center_bounds(g: Graph, *, field=QQ) -> CenterBounds:
     return CenterBounds(records, upper, tuple(lower), radical)
 
 
-@dataclass(frozen=True)
-class BoundsVerification:
-    ok: bool
-    oracle_dim: int
-    upper_ok: bool
-    lower_ok: bool
-    radical_empty: bool
-    notes: tuple = ()
+BoundsVerification = namedtuple(
+    "BoundsVerification", "ok oracle_dim upper_ok lower_ok radical_empty notes",
+    defaults=((),))
 
 
 def project_to_quotient(el: GAElement, h, qalg: Algebra):

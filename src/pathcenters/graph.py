@@ -3,12 +3,14 @@
 Graphs are immutable after construction and every operation here is a pure
 function, so shared instances are safe under concurrent use.  Edges carry
 their own identity: parallel edges and loops are fully supported.
+
+The package's records are `namedtuple`s; one with derived state (a
+`Graph`'s edge maps) keeps it in its `__dict__` and is `Frozen`.
 """
 
 from __future__ import annotations
 
 from collections import deque, namedtuple
-from dataclasses import dataclass
 
 from .errors import GraphError, ResourceCapExceeded
 
@@ -17,14 +19,21 @@ DEFAULT_VERTEX_CAP = 16
 CYCLE_CAP = 20_000
 
 
-@dataclass(frozen=True, eq=True)
-class Graph:
-    """A finite directed multigraph (vertices, edges, source map, range map)."""
+class Frozen:
+    """Mixin for a tuple record with a `__dict__`: any assignment raises
+    AttributeError, so its derived state is set with object.__setattr__."""
 
-    vertices: tuple
-    edges: tuple
-    src: dict
-    rng: dict
+    __slots__ = ()
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+
+class Graph(Frozen, namedtuple("Graph", "vertices edges src rng")):
+    """A finite directed multigraph (vertices, edges, source map, range map);
+    `build` adds the edge maps `_out` and `_in`.  Unhashable: maps are dicts."""
 
     __hash__ = None
 
@@ -134,15 +143,14 @@ class Path(namedtuple("Path", "source target edges")):
         return ".".join(self.edges)
 
 
-@dataclass(frozen=True)
-class Cycle:
+class Cycle(namedtuple("Cycle", "path")):
     """A closed path with pairwise distinct edge sources, in canonical rotation.
 
     Canonical form rotates the edge list so the lexicographically least edge
     id leads; that gives a unique representative per rotation class.
     """
 
-    path: Path
+    __slots__ = ()
 
     @classmethod
     def from_edges(cls, g: Graph, edges) -> "Cycle":
@@ -181,28 +189,15 @@ class Cycle:
         return f"Cycle({'.'.join(self.edges)})"
 
 
-@dataclass(frozen=True)
-class VertexClassification:
-    sink: bool
-    source: bool
-    regular: bool
+VertexClassification = namedtuple("VertexClassification", "sink source regular")
 
-
-@dataclass(frozen=True)
-class ExtendedGraph:
-    """The extended graph: one ghost edge e* reversing each edge e."""
-
-    graph: Graph
-    ghost_of: dict
+# the extended graph: one ghost edge e* reversing each edge e
+ExtendedGraph = namedtuple("ExtendedGraph", "graph ghost_of")
 
 
 def classify_vertex(g: Graph, v) -> VertexClassification:
     g.check_vertex(v)
-    return VertexClassification(
-        sink=g.is_sink(v),
-        source=g.is_source(v),
-        regular=g.is_regular(v),
-    )
+    return VertexClassification(g.is_sink(v), g.is_source(v), g.is_regular(v))
 
 
 def _undirected_adjacency(g: Graph):

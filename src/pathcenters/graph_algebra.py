@@ -26,7 +26,6 @@ from __future__ import annotations
 import operator
 import os
 from collections import namedtuple
-from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import accumulate, chain
 
@@ -36,7 +35,7 @@ from .errors import (
     ResourceCapExceeded,
     WordError,
 )
-from .graph import Graph, Path, all_paths_up_to
+from .graph import Frozen, Graph, Path, all_paths_up_to
 from .linalg import sparse_nullspace
 from .scalars import QQ
 
@@ -96,14 +95,13 @@ class GMonomial(namedtuple("GMonomial", "real ghost")):
         return f"{self.real!r}|{self.ghost!r}"
 
 
-@dataclass(frozen=True)
-class SpecialEdgeChoice:
+class SpecialEdgeChoice(Frozen, namedtuple("SpecialEdgeChoice", "pairs")):
     """One chosen edge per regular vertex; fixes the Leavitt basis."""
 
-    pairs: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "_edge", dict(self.pairs))
+    def __new__(cls, pairs):
+        self = tuple.__new__(cls, (pairs,))
+        object.__setattr__(self, "_edge", dict(pairs))
+        return self
 
     @classmethod
     def lex_default(cls, g: Graph) -> "SpecialEdgeChoice":
@@ -129,27 +127,20 @@ class SpecialEdgeChoice:
         return self._edge.get(v)
 
 
-@dataclass(frozen=True)
-class Algebra:
+class Algebra(Frozen, namedtuple("Algebra", "kind graph special field")):
     """The path, Cohn or Leavitt path algebra of a graph over a field.
 
     For Leavitt, `special` (default: the least edge at each regular vertex)
     fixes the normal-form basis, so it is part of the value; for the other
-    kinds it is None.
+    kinds it is None.  The generator tables are cached in its `__dict__`.
     """
 
-    kind: str
-    graph: Graph
-    special: SpecialEdgeChoice | None = None
-    field: object = QQ
-
-    def __post_init__(self):
-        if self.kind not in ALGEBRA_KINDS:
-            raise AmbientError(f"unknown algebra kind {self.kind!r}")
-        special = None
-        if self.kind == LEAVITT:
-            special = self.special or SpecialEdgeChoice.lex_default(self.graph)
-        object.__setattr__(self, "special", special)
+    def __new__(cls, kind, graph, special=None, field=QQ):
+        if kind not in ALGEBRA_KINDS:
+            raise AmbientError(f"unknown algebra kind {kind!r}")
+        special = (special or SpecialEdgeChoice.lex_default(graph)
+                   if kind == LEAVITT else None)
+        return tuple.__new__(cls, (kind, graph, special, field))
 
     def is_normal(self, m: GMonomial) -> bool:
         """Whether m is a basis monomial of this algebra."""
@@ -214,6 +205,19 @@ class Algebra:
         return tuple((_G, ghost.edges[0]) if ghost.edges
                      else (_E, real.edges[0]) if real.edges else (_V, real.source)
                      for _, gel in self.generators for real, ghost in gel.coeffs)
+
+    @cached_property
+    def generators_meeting(self):
+        """(starting, ending): the positions in `generators` of those that
+        start, and that end, at each vertex, as extended-graph paths.  A
+        monomial λμ* runs from s(λ) to s(μ), so λμ*·g = 0 unless g starts at
+        s(μ), and g·λμ* = 0 unless g ends at s(λ)."""
+        starting, ending = {}, {}
+        for i, symbol in enumerate(self.generator_symbols):
+            s, r = _sym_endpoints(self.graph, symbol)
+            starting.setdefault(s, []).append(i)
+            ending.setdefault(r, []).append(i)
+        return starting, ending
 
 
 def _straighten(alg, real, ghost, coeff):
@@ -386,19 +390,24 @@ def check_central(a) -> bool:
 def centrality_witness(a):
     """The first generator, in `a.algebra.generators` order, that fails to
     commute with `a`, or None: the commutator kernel's terms, weighted by
-    a's coefficients, summed per monomial."""
+    a's coefficients, summed per monomial, over the generators that can
+    meet one of a's monomials (`Algebra.generators_meeting`)."""
     alg = a.algebra
     field = alg.field
     one = field.one
     kernel = CommutatorKernel(alg, a.coeffs)
     coeffs = list(a.coeffs.values())
-    for (label, gel), symbol in zip(alg.generators, alg.generator_symbols):
+    starting, ending = alg.generators_meeting
+    touched = set()
+    for real, ghost in a.coeffs:
+        touched.update(starting[ghost.source], ending[real.source])
+    for i in sorted(touched):
         total = {}
-        for j, key, c in kernel.commutator(symbol):
+        for j, key, c in kernel.commutator(alg.generator_symbols[i]):
             c = coeffs[j] if c == one else field.neg(coeffs[j])
             total[key] = field.add(total[key], c) if key in total else c
         if any(total.values()):
-            return label, gel
+            return alg.generators[i]
     return None
 
 

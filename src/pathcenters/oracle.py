@@ -29,7 +29,8 @@ solve to the columns still alive.
   r(e) to s(e).  No product object is built; the two products that can
   leave the Leavitt basis go through `_straighten`, the one home of CK2.
   `centrality_witness` reads the same kernel, vertices included:
-  λμ*·v needs s(μ) = v, and v·λμ* needs s(λ) = v.
+  λμ*·v needs s(μ) = v, and v·λμ* needs s(λ) = v.  It visits only the
+  generators that can meet the element's monomials.
 * Dead columns.  The rows are assembled one generator at a time; a row of
   that generator with exactly one nonzero entry {j: c} forces x_j = 0 in
   every solution, so later generators skip column j (no product, no row
@@ -57,7 +58,7 @@ a claim about another algebra raises AmbientError instead of passing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import AmbientError, InvariantViolation
 from .graph import Graph
@@ -75,28 +76,26 @@ from .linalg import LinearSpan, sparse_nullspace
 from .scalars import QQ
 
 
-@dataclass(frozen=True)
-class OracleWindow:
+class OracleWindow(namedtuple("OracleWindow", "kind max_len degrees")):
     """Bounded search space: both monomial parts of length <= max_len,
-    optionally filtered to a degree window."""
+    optionally filtered to a degree window (a pair, or None)."""
 
-    kind: str
-    max_len: int
-    degrees: tuple | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.kind not in ALGEBRA_KINDS:
-            raise AmbientError(f"unknown algebra kind {self.kind!r}")
-        if self.max_len < 0:
+    def __new__(cls, kind, max_len, degrees=None):
+        if kind not in ALGEBRA_KINDS:
+            raise AmbientError(f"unknown algebra kind {kind!r}")
+        if max_len < 0:
             raise AmbientError("window length bound must be >= 0")
-        if self.degrees is not None:
-            a, b = self.degrees
+        if degrees is not None:
+            a, b = degrees
             if a > b:
                 raise AmbientError("empty degree window")
-            if max(abs(a), abs(b)) > self.max_len:
+            if max(abs(a), abs(b)) > max_len:
                 raise AmbientError(
                     "degree filter inconsistent with the length bound"
                 )
+        return tuple.__new__(cls, (kind, max_len, degrees))
 
     @classmethod
     def single_degree(cls, kind, max_len, n):
@@ -106,14 +105,11 @@ class OracleWindow:
         return self.degrees is None or self.degrees[0] <= d <= self.degrees[1]
 
 
-@dataclass(frozen=True)
-class CentralSubspace:
+class CentralSubspace(namedtuple("CentralSubspace", "basis window algebra "
+                                 "candidate_count", defaults=(0,))):
     """The exact central basis of `window`, solved in `algebra`."""
 
-    basis: tuple
-    window: OracleWindow
-    algebra: Algebra
-    candidate_count: int = 0
+    __slots__ = ()
 
     @property
     def dim(self):
@@ -236,14 +232,10 @@ def structural_truncation(claim, window):
     return out
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    ok: bool
-    generator_failures: tuple = ()
-    outside_span: tuple = ()
-    oracle_dim: int = 0
-    span_dim: int = 0
-    notes: tuple = ()
+VerificationReport = namedtuple(
+    "VerificationReport",
+    "ok generator_failures outside_span oracle_dim span_dim notes",
+    defaults=((), (), 0, 0, ()))
 
 
 def verify_structure(claim, subspace: CentralSubspace) -> VerificationReport:

@@ -9,6 +9,7 @@ from __future__ import annotations
 import json
 import math
 from importlib import resources
+from json.encoder import encode_basestring_ascii as _quote
 
 from .center_theory import CenterBounds, CenterStructure, SUM
 from .graph import (
@@ -188,7 +189,33 @@ def add_notice(report, text):
 
 
 def render_json(report) -> str:
-    return json.dumps(report, indent=2) + "\n"
+    """`json.dumps(report, indent=2)` and a newline, byte for byte, without the
+    pure-Python encoder that `indent` selects: strings are quoted in C."""
+    out = []
+    _write_json(report, "\n", out)
+    return "".join(out) + "\n"
+
+
+def _write_json(value, pad, out):
+    """Append `value` as json.dumps(…, indent=2) writes it after `pad`."""
+    if isinstance(value, str):
+        out.append(_quote(value))
+    elif isinstance(value, dict) and value:
+        inner, sep = pad + "  ", "{"
+        for k, v in value.items():
+            out.append(f"{sep}{inner}{_quote(k)}: ")
+            _write_json(v, inner, out)
+            sep = ","
+        out.append(pad + "}")
+    elif isinstance(value, (list, tuple)) and value:
+        inner, sep = pad + "  ", "["
+        for v in value:
+            out.append(sep + inner)
+            _write_json(v, inner, out)
+            sep = ","
+        out.append(pad + "]")
+    else:
+        out.append(json.dumps(value))
 
 
 def _is_scalar_list(v):

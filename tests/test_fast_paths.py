@@ -428,6 +428,23 @@ def centrality_witness_by_all_generators(a):
     return None
 
 
+def centrality_witness_by_every_kernel_row(a):
+    """The first generator whose commutator-kernel terms, weighted by a's
+    coefficients, do not cancel, or None: every generator is visited."""
+    alg = a.algebra
+    field = alg.field
+    kernel = CommutatorKernel(alg, a.coeffs)
+    coeffs = list(a.coeffs.values())
+    for gen, symbol in zip(alg.generators, alg.generator_symbols):
+        total = {}
+        for j, key, c in kernel.commutator(symbol):
+            c = coeffs[j] if c == field.one else field.neg(coeffs[j])
+            total[key] = field.add(total.get(key, field.zero), c)
+        if any(total.values()):
+            return gen
+    return None
+
+
 REWRITE_STEP_BOUND = 200_000
 
 
@@ -1066,6 +1083,15 @@ def test_junction_products_match_all_pairs(data, g, kind, field):
     assert (witness and witness[0]) == (expected and expected[0])
     assert a * b == product_by_all_pairs(a, b)
     assert b * a == product_by_all_pairs(b, a)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), g=graphs(max_vertices=4, max_edges=6),
+       kind=st.sampled_from(ALGEBRA_KINDS), field=st.sampled_from(LOWER_FIELDS))
+def test_touched_generator_witness_matches_every_generator(data, g, kind, field):
+    central = central_subspace(g, OracleWindow(kind, 2), field=field).basis
+    a = data.draw(window_sums(g, kind, field, central))
+    assert centrality_witness(a) is centrality_witness_by_every_kernel_row(a)
 
 
 def test_centrality_checks_form_no_zero_product(monkeypatch):

@@ -470,14 +470,14 @@ def test_only_the_algebra_constructor_takes_a_special_edge_choice():
             if inspect.isclass(obj):
                 members = [(f"{name}.{attr}", getattr(obj, attr))
                            for attr in vars(obj)
-                           if not attr.startswith("_") or attr == "__init__"]
+                           if not attr.startswith("_") or attr == "__new__"]
             for label, fn in members:
                 if inspect.isfunction(fn) or inspect.ismethod(fn):
                     seen.add(label)
                     if "special" in inspect.signature(fn).parameters:
                         threading.append(f"{module.__name__}.{label}")
-    assert {"Algebra.__init__", "normal_form", "GAElement.scale"} <= seen
-    assert threading == ["pathcenters.graph_algebra.Algebra.__init__"]
+    assert {"Algebra.__new__", "normal_form", "GAElement.scale"} <= seen
+    assert threading == ["pathcenters.graph_algebra.Algebra.__new__"]
 
 
 def test_long_special_suffix_straightens_without_recursion():

@@ -1,0 +1,223 @@
+"""The package's records are tuple records: fields, defaults, equality,
+hash, immutability, repr and validation, and an import that pulls in no
+`dataclasses`."""
+
+import json
+import pathlib
+import subprocess
+import sys
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from pathcenters.center_theory import (
+    SCALAR,
+    BoundsVerification,
+    CenterBounds,
+    CenterStructure,
+    ExitFreeUniquenessReport,
+    GradedPrimeRecord,
+    LowerSummand,
+    PieceContribution,
+    PrimeLeavittClassification,
+)
+from pathcenters.errors import AmbientError
+from pathcenters.graph import (
+    Cycle,
+    ExtendedGraph,
+    Graph,
+    VertexClassification,
+    classify_vertex,
+    extended_graph,
+    toeplitz_graph,
+)
+from pathcenters.graph_algebra import (
+    COHN,
+    LEAVITT,
+    PATH,
+    Algebra,
+    SpecialEdgeChoice,
+)
+from pathcenters.oracle import (
+    CentralSubspace,
+    OracleWindow,
+    VerificationReport,
+)
+from pathcenters.report import render_json
+from pathcenters.scalars import QQ, field_from_characteristic
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
+HEAVY = ("dataclasses", "inspect", "ast", "dis", "tokenize")
+
+
+def test_cli_import_loads_no_dataclasses_machinery():
+    # a fresh interpreter, so nothing the tests imported is already loaded
+    code = ("import sys; before = set(sys.modules); import pathcenters.cli; "
+            "print(' '.join(sorted(set(sys.modules) - before)))")
+    out = subprocess.run([sys.executable, "-c", code], check=True, text=True,
+                         capture_output=True, env={"PYTHONPATH": str(SRC)})
+    loaded = set(out.stdout.split())
+    assert "pathcenters.cli" in loaded
+    assert not loaded & set(HEAVY)
+
+
+def _toeplitz():
+    return toeplitz_graph()
+
+
+def _cycle():
+    return Cycle.from_edges(_toeplitz(), ("e",))
+
+
+# (name, make, make a different one, hashable): `make` builds a fresh,
+# equal record on every call
+RECORDS = [
+    ("Graph", _toeplitz,
+     lambda: Graph.build(["u", "v"], [("e", "u", "u")]), False),
+    ("Cycle", _cycle,
+     lambda: Cycle.from_edges(Graph.build(["w"], [("d", "w", "w")]), ("d",)), True),
+    ("VertexClassification", lambda: classify_vertex(_toeplitz(), "u"),
+     lambda: classify_vertex(_toeplitz(), "v"), True),
+    ("ExtendedGraph", lambda: extended_graph(_toeplitz()),
+     lambda: extended_graph(Graph.build(["u"], [])), False),
+    ("SpecialEdgeChoice", lambda: SpecialEdgeChoice((("u", "e"),)),
+     lambda: SpecialEdgeChoice((("u", "f"),)), True),
+    ("Algebra", lambda: Algebra(LEAVITT, _toeplitz()),
+     lambda: Algebra(COHN, _toeplitz()), False),
+    ("OracleWindow", lambda: OracleWindow(PATH, 3),
+     lambda: OracleWindow(PATH, 3, (0, 0)), True),
+    ("CentralSubspace", lambda: CentralSubspace((), OracleWindow(PATH, 1),
+                                                Algebra(PATH, _toeplitz())),
+     lambda: CentralSubspace((), OracleWindow(PATH, 2), Algebra(PATH, _toeplitz())),
+     False),
+    ("VerificationReport", lambda: VerificationReport(True),
+     lambda: VerificationReport(False), True),
+    ("CenterStructure", lambda: CenterStructure(SCALAR),
+     lambda: CenterStructure("zero"), True),
+    ("PrimeLeavittClassification",
+     lambda: PrimeLeavittClassification(True, "condition_L"),
+     lambda: PrimeLeavittClassification(True, "infinite_feeding"), True),
+    ("ExitFreeUniquenessReport",
+     lambda: ExitFreeUniquenessReport((), True, True, 0, None),
+     lambda: ExitFreeUniquenessReport((), False, None, 0, None), True),
+    ("GradedPrimeRecord",
+     lambda: GradedPrimeRecord(frozenset(), _toeplitz(), "I",
+                               PrimeLeavittClassification(True, "condition_L")),
+     lambda: GradedPrimeRecord(frozenset("v"), _toeplitz(), "I",
+                               PrimeLeavittClassification(True, "condition_L")),
+     False),
+    ("PieceContribution", lambda: PieceContribution("zero", "no corner"),
+     lambda: PieceContribution("scalar", "no corner"), True),
+    ("LowerSummand", lambda: LowerSummand(0, frozenset("u"), False, ()),
+     lambda: LowerSummand(1, frozenset("u"), False, ()), True),
+    ("CenterBounds", lambda: CenterBounds((), ("K",), (), frozenset()),
+     lambda: CenterBounds((), (), (), frozenset()), True),
+    ("BoundsVerification", lambda: BoundsVerification(True, 1, True, True, True),
+     lambda: BoundsVerification(False, 1, True, True, True), True),
+]
+
+
+def test_the_table_covers_every_record():
+    assert len({name for name, *_ in RECORDS}) == 17
+
+
+@pytest.mark.parametrize("name,make,other,hashable", RECORDS,
+                         ids=[r[0] for r in RECORDS])
+def test_record_equality_hash_and_immutability(name, make, other, hashable):
+    a, b, c = make(), make(), other()
+    assert type(a).__name__ == name
+    assert a == b and not a != b
+    assert a != c
+    if hashable:
+        assert hash(a) == hash(b)
+        assert len({a, b, c}) == 2
+    else:
+        with pytest.raises(TypeError):
+            hash(a)
+    with pytest.raises(AttributeError):
+        setattr(a, a._fields[0], c)
+    with pytest.raises(AttributeError):
+        a.not_a_field = 1
+    assert a == b
+    assert repr(a).startswith(f"{name}(")
+
+
+def test_records_with_derived_state_refuse_every_assignment():
+    g = _toeplitz()
+    alg = Algebra(LEAVITT, g)
+    for record, attr in ((g, "_out"), (alg.special, "_edge"), (alg, "generators")):
+        getattr(record, attr)
+        with pytest.raises(AttributeError):
+            setattr(record, attr, {})
+        with pytest.raises(AttributeError):
+            delattr(record, attr)
+    assert g.out_edges("u") == ("e", "f")
+    assert alg.special.edge_at("u") == "e" and alg.special.edge_at("v") is None
+
+
+def test_record_defaults():
+    g = _toeplitz()
+    assert Algebra(PATH, g).special is None
+    assert Algebra(PATH, g).field is QQ
+    assert Algebra(COHN, g, SpecialEdgeChoice((("u", "f"),))).special is None
+    assert Algebra(LEAVITT, g).special == SpecialEdgeChoice.lex_default(g)
+    chosen = SpecialEdgeChoice.from_mapping(g, {"u": "f"})
+    assert Algebra(LEAVITT, g, chosen).special is chosen
+    f2 = field_from_characteristic(2)
+    assert Algebra(LEAVITT, g, field=f2) == Algebra(LEAVITT, g, None, f2)
+    assert Algebra(LEAVITT, g, field=f2) != Algebra(LEAVITT, g)
+    assert OracleWindow(PATH, 2).degrees is None
+    assert CentralSubspace((), OracleWindow(PATH, 1), Algebra(PATH, g)).candidate_count == 0
+    assert VerificationReport(True) == VerificationReport(True, (), (), 0, 0, ())
+    assert CenterStructure(SCALAR) == CenterStructure(SCALAR, (), ())
+    assert PrimeLeavittClassification(True, "condition_L")[2:] == (None, None, None)
+    assert PieceContribution("zero", "").generator is None
+    assert BoundsVerification(True, 0, True, True, True).notes == ()
+    assert repr(VerificationReport(True)) == (
+        "VerificationReport(ok=True, generator_failures=(), outside_span=(), "
+        "oracle_dim=0, span_dim=0, notes=())")
+    assert repr(OracleWindow(COHN, 2, (0, 1))) == (
+        "OracleWindow(kind='cohn', max_len=2, degrees=(0, 1))")
+    assert Graph.build(["u"], []) == Graph(("u",), (), {}, {})
+    assert repr(Graph.build(["u"], [])) == "Graph(vertices=('u',), edges=(), src={}, rng={})"
+    assert ExtendedGraph(g, {}) == ExtendedGraph(g, {})
+    assert VertexClassification(sink=True, source=True, regular=False).sink
+
+
+@pytest.mark.parametrize("args,message", [
+    (("ring", 2), "unknown algebra kind"),
+    ((PATH, -1), "length bound must be >= 0"),
+    ((PATH, 2, (1, 0)), "empty degree window"),
+    ((LEAVITT, 2, (-3, 0)), "inconsistent with the length bound"),
+])
+def test_oracle_window_validation(args, message):
+    with pytest.raises(AmbientError, match=message):
+        OracleWindow(*args)
+
+
+def test_algebra_validation():
+    with pytest.raises(AmbientError, match="unknown algebra kind 'ring'"):
+        Algebra("ring", _toeplitz())
+
+
+# --- the JSON writer against json.dumps ----------------------------------
+
+json_scalars = (st.none() | st.booleans() | st.integers(-10**20, 10**20)
+                | st.text(max_size=8))
+json_values = st.recursive(
+    json_scalars,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=20)
+
+
+@settings(max_examples=300, deadline=None)
+@given(value=json_values)
+def test_render_json_matches_json_dumps(value):
+    assert render_json(value) == json.dumps(value, indent=2) + "\n"
+
+
+def test_render_json_on_edge_values():
+    for value in ({}, [], "", {"": []}, {"é": {"ü\n\"\\": ["\x00", "☃"]}},
+                  [[], [{}], ()], {"a": (1, 2.5, -0.0, True, None)}):
+        assert render_json(value) == json.dumps(value, indent=2) + "\n"
