@@ -8,12 +8,16 @@ a general Leavitt path algebra, each lower piece read off its prime's
 record.  Every generator is a closed form checked central by direct
 products, never solved for, so the oracle that cross-checks it stays
 independent.
+The theorems take the caller's `Algebra` (AmbientError for another kind)
+and build their elements in it, so a claim checked against an oracle solve
+lives in the solve's algebra; the graph predicates take graphs.
 """
 
 from __future__ import annotations
 
 import math
 from collections import namedtuple
+from itertools import permutations
 
 from .errors import AmbientError, GraphError, HypothesisNotMet, InvariantViolation
 from .graph import (
@@ -43,7 +47,6 @@ from .graph_algebra import (
 )
 from .linalg import LinearSpan
 from .oracle import element_vector, structural_truncation
-from .scalars import QQ
 
 ZERO = "zero"
 SCALAR = "scalar"
@@ -76,64 +79,61 @@ class CenterStructure(namedtuple("CenterStructure", "kind generators components"
         return _KIND_NAMES[self.kind]
 
 
+def _require_kind(alg: Algebra, kind, name):
+    if alg.kind != kind:
+        raise AmbientError(f"{name} needs a {kind} algebra, "
+                           f"not a {alg.kind} algebra")
+
+
 # --- the path algebra KE -----------------------------------------------------
 
 
-def cycle_rotation_sum(g: Graph, cyc: Cycle, power: int = 1, field=QQ) -> GAElement:
+def cycle_rotation_sum(alg: Algebra, cyc: Cycle, power: int = 1) -> GAElement:
     """Sum over the cycle's vertices of the k-th power of the rotation based
     there; power 1 gives the generator of Z(KE) for a cycle graph."""
-    coeffs = {}
-    for v in sorted(cyc.vertex_set(g)):
-        rot = cyc.rotation_based_at(g, v)
-        p = Path.vertex(g, v)
-        for _ in range(power):
-            p = p.concat(rot)
-        m = GMonomial(p, Path.vertex(g, v))
-        coeffs[m] = field.add(coeffs.get(m, field.zero), field.one)
-    return GAElement(Algebra(PATH, g, field=field), coeffs)
+    _require_kind(alg, PATH, "the rotation sum")
+    g = alg.graph
+    return GAElement(alg, {
+        GMonomial(Path(v, v, cyc.rotation_based_at(g, v).edges * power),
+                  Path.vertex(g, v)): alg.field.one
+        for v in sorted(cyc.vertex_set(g))})
 
 
-def center_structure_KE(g: Graph, field=QQ) -> CenterStructure:
+def center_structure_KE(alg: Algebra) -> CenterStructure:
     """Z(KE): the direct sum over connected components of K on the component
     identity, except that a cycle component contributes K[x] generated by
     the sum of its based rotations."""
-    alg = Algebra(PATH, g, field=field)
+    _require_kind(alg, PATH, "Z(KE)")
+    g = alg.graph
     # a component is a cycle graph exactly when it is an exit-free cycle
     cycles = {c.vertex_set(g): c for c in cycles_without_exits(g)}
     pieces = []
     for comp in connected_components(g):
         one_comp = GAElement(
-            alg, {GMonomial.at_vertex(g, v): field.one for v in sorted(comp)})
+            alg, {GMonomial.at_vertex(g, v): alg.field.one for v in sorted(comp)})
         cyc = cycles.get(comp)
         if cyc is None:
             pieces.append(CenterStructure(SCALAR, (one_comp,)))
         else:
-            gen = cycle_rotation_sum(g, cyc, 1, field)
+            gen = cycle_rotation_sum(alg, cyc)
             pieces.append(CenterStructure(POLY, (one_comp, gen)))
     if len(pieces) == 1:
         return pieces[0]
     return CenterStructure(SUM, (), tuple(pieces))
 
 
-def cycle_center_evaluate(g: Graph, poly_coeffs, field=QQ) -> GAElement:
+def cycle_center_evaluate(alg: Algebra, poly_coeffs) -> GAElement:
     """Evaluate sum_i p(c_i) on a cycle graph; p is a dense coefficient list,
-    low degree first.  The map p -> sum_i p(c_i) is onto the center."""
+    low degree first.  The map p -> sum_i p(c_i) is onto the center; the
+    rotation sums of power 0 sum to the identity."""
+    _require_kind(alg, PATH, "the cycle center")
+    g = alg.graph
     # a cycle graph is one exit-free cycle through every vertex
     cycles = cycles_without_exits(g)
     if not cycles or cycles[0].vertex_set(g) != frozenset(g.vertices):
         raise GraphError("not a cycle graph")
-    cyc = cycles[0]
-    alg = Algebra(PATH, g, field=field)
-    out = alg.zero()
-    for k, a in enumerate(poly_coeffs):
-        a = field.coerce(a)
-        if a == field.zero:
-            continue
-        if k == 0:
-            out = out + alg.one().scale(a)
-        else:
-            out = out + cycle_rotation_sum(g, cyc, k, field).scale(a)
-    return out
+    return sum((cycle_rotation_sum(alg, cycles[0], k).scale(a)
+                for k, a in enumerate(poly_coeffs)), alg.zero())
 
 
 # --- prime Cohn and prime Leavitt algebras ----------------------------------
@@ -149,11 +149,12 @@ def is_prime_cohn(g: Graph) -> bool:
     return len(g.vertices) == 1
 
 
-def center_prime_cohn(g: Graph, field=QQ) -> CenterStructure:
+def center_prime_cohn(alg: Algebra) -> CenterStructure:
     """Z(C_K(E)) = K for a prime Cohn path algebra (the one-vertex rose)."""
-    if not is_prime_cohn(g):
+    _require_kind(alg, COHN, "the prime Cohn center")
+    if not is_prime_cohn(alg.graph):
         raise HypothesisNotMet("Cohn path algebra is not prime: |E^0| != 1")
-    return CenterStructure(SCALAR, (Algebra(COHN, g, field=field).one(),))
+    return CenterStructure(SCALAR, (alg.one(),))
 
 
 # reason: "condition_L" | "infinite_feeding" | "finite_cycle"; cycle: the
@@ -196,14 +197,13 @@ def laurent_generator(alg: Algebra, c: Cycle) -> GAElement:
     return _corner_generator(alg, c.vertex_set(alg.graph), c)
 
 
-def center_prime_leavitt(g: Graph, field=QQ, cls=None) -> CenterStructure:
+def center_prime_leavitt(alg: Algebra, cls=None) -> CenterStructure:
     """Z(L_K(E)) for prime L_K(E): K under Condition (L) or an infinitely-fed
     exit-free cycle; K[x,x^-1] for a finitely-fed exit-free cycle, with the
     degree-l(c) generator constructed explicitly.  `cls` is the graph's
     classification when the caller already has it."""
-    if cls is None:
-        cls = classify_prime_leavitt(g)
-    alg = Algebra(LEAVITT, g, field=field)
+    _require_kind(alg, LEAVITT, "the prime Leavitt center")
+    cls = cls or classify_prime_leavitt(alg.graph)
     if cls.scalar:
         return CenterStructure(SCALAR, (alg.one(),))
     return CenterStructure(LAURENT, (alg.one(), laurent_generator(alg, cls.cycle)))
@@ -230,12 +230,12 @@ def _ideal_monomials(alg, vertex_set, max_len):
     return [el for el in els if el]
 
 
-def uniqueness_check_exit_free(g: Graph, max_len: int = 3, *,
-                               field=QQ) -> ExitFreeUniquenessReport:
+def uniqueness_check_exit_free(alg: Algebra, max_len: int = 3) -> ExitFreeUniquenessReport:
     """For prime graphs, confirm there is at most one exit-free cycle; for
     graphs with several, verify computationally that the bounded spanning
     monomials of their ideals annihilate each other."""
-    alg = Algebra(LEAVITT, g, field=field)
+    _require_kind(alg, LEAVITT, "the exit-free uniqueness check")
+    g = alg.graph
     exit_free = tuple(cycles_without_exits(g))
     prime = is_prime_leavitt(g)
     unique = (len(exit_free) <= 1) if prime else None
@@ -245,15 +245,12 @@ def uniqueness_check_exit_free(g: Graph, max_len: int = 3, *,
         cross_zero = True
         spans = [_ideal_monomials(alg, c.vertex_set(g), max_len)
                  for c in exit_free]
-        for i, left in enumerate(spans):
-            for j, right in enumerate(spans):
-                if i == j:
-                    continue
-                for a in left:
-                    for b in right:
-                        pairs += 1
-                        if a * b:
-                            cross_zero = False
+        for left, right in permutations(spans, 2):
+            for a in left:
+                for b in right:
+                    pairs += 1
+                    if a * b:
+                        cross_zero = False
     return ExitFreeUniquenessReport(exit_free, prime, unique, pairs, cross_zero)
 
 
@@ -401,20 +398,19 @@ def _whole_center_pieces(alg, cls):
     """The whole center, given the classification of the only graded prime:
     one maximal tail means one terminal component, which every vertex
     reaches, so that prime is 0 and `cls` is the prime graph's own."""
-    if cls.scalar:
-        return [PieceContribution("scalar", f"whole center ({cls.reason})",
-                                  alg.one())]
-    return [PieceContribution("laurent", "whole center",
-                              laurent_generator(alg, cls.cycle))]
+    whole = center_prime_leavitt(alg, cls)
+    detail = f"whole center ({cls.reason})" if cls.scalar else "whole center"
+    return [PieceContribution(whole.kind, detail, whole.generators[-1])]
 
 
-def center_bounds(g: Graph, *, field=QQ) -> CenterBounds:
+def center_bounds(alg: Algebra) -> CenterBounds:
     """Theorem-level bounds: the upper bound is one K per I-record and one
     K[x,x^-1] per J-record; the lower bound collects Z(W_P) for W_P the
     intersection of the other graded primes, read off P's record by
     `_lower_pieces`.  A singleton family makes W_P improper, so its lower
     entry degenerates to the whole center and is flagged as such."""
-    alg = Algebra(LEAVITT, g, field=field)
+    _require_kind(alg, LEAVITT, "bounding the center")
+    g = alg.graph
     records = tuple(graded_prime_ideals(g))
     upper = tuple("K" if r.flavor == "I" else "K[x,x^-1]" for r in records)
     lower = []
@@ -456,17 +452,14 @@ def verify_bounds(subspace) -> BoundsVerification:
 
     AmbientError when `subspace` was solved in another kind of algebra."""
     alg, window = subspace.algebra, subspace.window
-    if alg.kind != LEAVITT:
-        raise AmbientError(f"the center bounds are about a Leavitt path "
-                           f"algebra, not a {alg.kind} algebra")
     field = alg.field
-    bounds = center_bounds(alg.graph, field=field)
+    bounds = center_bounds(alg)
     notes = []
 
     upper_ok = True
     for r in bounds.records:
         qalg = Algebra(LEAVITT, r.quotient, field=field)
-        claim_q = center_prime_leavitt(r.quotient, field=field, cls=r.cls)
+        claim_q = center_prime_leavitt(qalg, r.cls)
         span = LinearSpan(field)
         for el in structural_truncation(claim_q, window):
             span.add(element_vector(el))

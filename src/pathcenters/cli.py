@@ -24,6 +24,7 @@ from .errors import (
     WordError,
 )
 from .graph import Graph
+from .graph_algebra import Algebra
 from .oracle import OracleWindow, central_subspace, verify_structure
 from .scalars import field_from_characteristic
 from .textio import parse_graph
@@ -70,26 +71,26 @@ def _leavitt_classification(g):
     return ct.classify_prime_leavitt(g) if ct.is_prime_leavitt(g) else None
 
 
-def _prime_claim(g, algebra, field, cls=None):
-    """The structural center claim when the algebra is prime, else None.
+def _prime_claim(alg, cls=None):
+    """The structural center claim in `alg` when it is prime, else None.
 
     KE always has one; Cohn and Leavitt algebras only when prime.  `cls` is
     the Leavitt classification when the caller already has it."""
-    if algebra == "path":
-        return ct.center_structure_KE(g, field)
-    if algebra == "cohn":
-        return ct.center_prime_cohn(g, field) if ct.is_prime_cohn(g) else None
-    cls = cls or _leavitt_classification(g)
-    return ct.center_prime_leavitt(g, field, cls) if cls else None
+    if alg.kind == "path":
+        return ct.center_structure_KE(alg)
+    if alg.kind == "cohn":
+        return ct.center_prime_cohn(alg) if ct.is_prime_cohn(alg.graph) else None
+    cls = cls or _leavitt_classification(alg.graph)
+    return ct.center_prime_leavitt(alg, cls) if cls else None
 
 
 def cmd_center(args):
     g = _load_graph(args.file)
-    field = field_from_characteristic(args.char)
+    alg = Algebra(args.algebra, g, field=field_from_characteristic(args.char))
     report = rpt.new_report("center", g, args.file)
     code = EXIT_OK
     cls = _leavitt_classification(g) if args.algebra == "leavitt" else None
-    claim = _prime_claim(g, args.algebra, field, cls)
+    claim = _prime_claim(alg, cls)
     if claim is not None:
         block = {"algebra": args.algebra, **rpt.structure_block(claim)}
         if cls is not None:
@@ -103,7 +104,7 @@ def cmd_center(args):
         rpt.add_notice(report, "Leavitt path algebra is not prime "
                                "(not downward directed); reporting the "
                                "center bounds instead")
-        bounds = ct.center_bounds(g, field=field)
+        bounds = ct.center_bounds(alg)
         report["sections"]["graded-primes"] = rpt.graded_primes_section(
             bounds.records)
         report["sections"]["bounds"] = rpt.bounds_section(bounds)
@@ -113,9 +114,9 @@ def cmd_center(args):
 
 def cmd_gprimes(args):
     g = _load_graph(args.file)
-    field = field_from_characteristic(args.char)
+    alg = Algebra("leavitt", g, field=field_from_characteristic(args.char))
     report = rpt.new_report("gprimes", g, args.file)
-    bounds = ct.center_bounds(g, field=field)
+    bounds = ct.center_bounds(alg)
     report["sections"]["graded-primes"] = rpt.graded_primes_section(bounds.records)
     report["sections"]["bounds"] = rpt.bounds_section(bounds)
     return report, EXIT_OK
@@ -139,7 +140,7 @@ def cmd_oracle(args):
     subspace = central_subspace(g, window, field=field)
     section = rpt.oracle_section(subspace)
     if args.verify:
-        claim = _prime_claim(g, args.algebra, field)
+        claim = _prime_claim(subspace.algebra)
         if claim is not None:
             section["verification"] = rpt.verification_block(
                 verify_structure(claim, subspace))

@@ -5,7 +5,7 @@ function, so shared instances are safe under concurrent use.  Edges carry
 their own identity: parallel edges and loops are fully supported.
 
 The package's records are `namedtuple`s; one with derived state (a
-`Graph`'s edge maps) keeps it in its `__dict__` and is `Frozen`.
+`Graph`'s edge maps) or a validating constructor is `Frozen`.
 """
 
 from __future__ import annotations
@@ -20,8 +20,10 @@ CYCLE_CAP = 20_000
 
 
 class Frozen:
-    """Mixin for a tuple record with a `__dict__`: any assignment raises
-    AttributeError, so its derived state is set with object.__setattr__."""
+    """Mixin for a tuple record: any assignment raises AttributeError, so
+    derived state in a `__dict__` is set with object.__setattr__, and
+    `_make` (so `_replace` too) builds through the record's constructor,
+    which validates, instead of `tuple.__new__`."""
 
     __slots__ = ()
 
@@ -29,6 +31,10 @@ class Frozen:
         raise AttributeError(f"{type(self).__name__} is immutable")
 
     __delattr__ = __setattr__
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
 
 class Graph(Frozen, namedtuple("Graph", "vertices edges src rng")):

@@ -47,8 +47,12 @@ ALGEBRA_KINDS = (PATH, COHN, LEAVITT)
 DEFAULT_MONOMIAL_CAP = 20_000
 MONOMIAL_CAP_ENV = "PATHCENTERS_MAX_MONOMIALS"
 
+# raw generator symbols: (_V, v), (_E, e), or (_G, e) for e*; their labels
+_V, _E, _G = "v", "e", "g"
+_LABELS = {_V: "@{}", _E: "{}", _G: "{}*"}
 
-class GMonomial(namedtuple("GMonomial", "real ghost")):
+
+class GMonomial(Frozen, namedtuple("GMonomial", "real ghost")):
     """A basis monomial: real part times the star of the ghost part.
 
     An immutable tuple (real, ghost) of paths; hash and equality are the
@@ -187,28 +191,28 @@ class Algebra(Frozen, namedtuple("Algebra", "kind graph special field")):
             _add_into(out, _straighten(self, real, ghost, coeff), self.field)
         return GAElement(self, out)
 
-    @cached_property
-    def generators(self):
-        """Labelled generating set: vertices, edges, plus ghost edges when the
-        algebra has them.  Sound and complete for centrality checks."""
-        g = self.graph
-        gens = [(f"@{v}", self.vertex(v)) for v in g.vertices]
-        gens += [(e, self.edge(e)) for e in g.edges]
-        if self.kind != PATH:
-            gens += [(f"{e}*", self.edge(e, ghost=True)) for e in g.edges]
-        return tuple(gens)
+    def generator(self, symbol) -> "GAElement":
+        """The generator a raw symbol names: v, e, or e* for (_G, e)."""
+        tag, x = symbol
+        return self.vertex(x) if tag == _V else self.edge(x, ghost=tag == _G)
 
     @cached_property
     def generator_symbols(self):
-        """Each generator, in `generators` order, as the raw symbol the
-        commutator kernel reads: (_V, v), (_E, e), or (_G, e) for e*."""
-        return tuple((_G, ghost.edges[0]) if ghost.edges
-                     else (_E, real.edges[0]) if real.edges else (_V, real.source)
-                     for _, gel in self.generators for real, ghost in gel.coeffs)
+        """The generating set as raw symbols: vertices, edges, then ghost edges
+        unless the algebra is KE.  Sound and complete for centrality checks."""
+        g = self.graph
+        return (tuple((_V, v) for v in g.vertices) + tuple((_E, e) for e in g.edges)
+                + (() if self.kind == PATH else tuple((_G, e) for e in g.edges)))
+
+    @cached_property
+    def generators(self):
+        """`generator_symbols` as labelled elements: (@v, v), (e, e), (e*, e*)."""
+        return tuple((_LABELS[tag].format(x), self.generator((tag, x)))
+                     for tag, x in self.generator_symbols)
 
     @cached_property
     def generators_meeting(self):
-        """(starting, ending): the positions in `generators` of those that
+        """(starting, ending): the positions in `generator_symbols` of those that
         start, and that end, at each vertex, as extended-graph paths.  A
         monomial λμ* runs from s(λ) to s(μ), so λμ*·g = 0 unless g starts at
         s(μ), and g·λμ* = 0 unless g ends at s(λ)."""
@@ -388,8 +392,9 @@ def check_central(a) -> bool:
 
 
 def centrality_witness(a):
-    """The first generator, in `a.algebra.generators` order, that fails to
-    commute with `a`, or None: the commutator kernel's terms, weighted by
+    """The first generator, in `a.algebra.generator_symbols` order, that
+    fails to commute with `a`, as its (label, element) entry of
+    `generators`, or None: the commutator kernel's terms, weighted by
     a's coefficients, summed per monomial, over the generators that can
     meet one of a's monomials (`Algebra.generators_meeting`)."""
     alg = a.algebra
@@ -412,8 +417,6 @@ def centrality_witness(a):
 
 
 # --- raw words ---------------------------------------------------------------
-
-_V, _E, _G = "v", "e", "g"
 
 
 def _classify_symbol(g: Graph, sym: str):
@@ -509,33 +512,35 @@ class GAElement:
         field = alg.field
         one = field.one
         # m1·m2 needs ghost(m1) and real(m2) to start at one vertex, one a
-        # prefix of the other.  Each real part is indexed whole, and by its
-        # prefixes of the lengths the ghosts have; each ghost looks itself
-        # up, and its prefixes of the lengths the real parts have.
-        partners = list(other.coeffs.items())
-        ghost_lengths = {m1.ghost.length for m1 in self.coeffs}
-        real_lengths = sorted({m2.real.length for m2, _ in partners})
-        whole, by_prefix = {}, {}
-        for j, (m2, _) in enumerate(partners):
-            s, lam = m2.real.source, m2.real.edges
-            whole.setdefault((s, lam), []).append(j)
-            for k in ghost_lengths:
-                if k < len(lam):
-                    by_prefix.setdefault((s, lam[:k]), []).append(j)
+        # prefix of the other.  Both are indexed whole, one key per monomial,
+        # and each looks up its own prefixes at the lengths the other side
+        # has at its source: a ghost finds the real parts that are its
+        # prefixes, itself included, and a real part its proper prefixes.
+        left, right = list(self.coeffs.items()), list(other.coeffs.items())
+        ghosts, reals = {}, {}
+        for i, (m1, _) in enumerate(left):
+            ghosts.setdefault((m1.ghost.source, m1.ghost.edges), []).append(i)
+        for j, (m2, _) in enumerate(right):
+            reals.setdefault((m2.real.source, m2.real.edges), []).append(j)
+        pairs = []
+        for index, others, proper in ((ghosts, reals, False), (reals, ghosts, True)):
+            lengths = {}
+            for s, edges in others:
+                lengths.setdefault(s, set()).add(len(edges))
+            lengths = {s: sorted(ks) for s, ks in lengths.items()}
+            for (s, edges), mine in index.items():
+                for k in lengths.get(s, ()):
+                    if k > len(edges) or proper and k == len(edges):
+                        break
+                    for n in others.get((s, edges[:k]), ()):
+                        pairs += ((n, m) if proper else (m, n) for m in mine)
+        pairs.sort()
         out = {}
-        for m1, a in self.coeffs.items():
-            s, mu = m1.ghost.source, m1.ghost.edges
-            meets = list(by_prefix.get((s, mu), ()))
-            for k in real_lengths:
-                if k > len(mu):
-                    break
-                meets += whole.get((s, mu[:k]), ())
+        for i, j in pairs:
+            (m1, a), (m2, b) = left[i], right[j]
             # generators have coefficient 1; skip field.mul for them
-            a_is_one = a == one
-            for j in sorted(meets):
-                m2, b = partners[j]
-                ab = b if a_is_one else a if b == one else field.mul(a, b)
-                _add_into(out, mul_monomials(alg, m1, m2, ab), field)
+            ab = b if a == one else a if b == one else field.mul(a, b)
+            _add_into(out, mul_monomials(alg, m1, m2, ab), field)
         return self._make(out)
 
     def __eq__(self, other):
@@ -589,8 +594,7 @@ def normal_form(alg, terms) -> GAElement:
         parsed = parse_word(alg.graph, word)
         if alg.kind == PATH and any(tag == _G for tag, _ in parsed):
             raise WordError("path algebra elements have no ghost part")
-        factors = [alg.vertex(x) if tag == _V else alg.edge(x, ghost=tag == _G)
-                   for tag, x in parsed]
+        factors = [alg.generator(symbol) for symbol in parsed]
         out = out + reduce(operator.mul, factors).scale(coeff)
     return out
 

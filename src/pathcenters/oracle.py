@@ -53,7 +53,8 @@ of the window, diagonal or not.
 One solve builds one `Algebra`: the candidate listing and the cap count
 take it, and the `CentralSubspace` records it beside its window.  The
 verifiers take that subspace and read graph, field and window from it, so
-a claim about another algebra raises AmbientError instead of passing.
+a claim about another algebra raises AmbientError instead of passing.  A
+claim built in `subspace.algebra` shares the solve's generator tables.
 """
 
 from __future__ import annotations
@@ -61,7 +62,7 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .errors import AmbientError, InvariantViolation
-from .graph import Graph
+from .graph import Frozen, Graph
 from .graph_algebra import (
     ALGEBRA_KINDS,
     Algebra,
@@ -76,7 +77,7 @@ from .linalg import LinearSpan, sparse_nullspace
 from .scalars import QQ
 
 
-class OracleWindow(namedtuple("OracleWindow", "kind max_len degrees")):
+class OracleWindow(Frozen, namedtuple("OracleWindow", "kind max_len degrees")):
     """Bounded search space: both monomial parts of length <= max_len,
     optionally filtered to a degree window (a pair, or None)."""
 
@@ -200,12 +201,6 @@ def element_fits_window(el, window) -> bool:
     return all(_monomial_fits(window, m) for m in el.coeffs)
 
 
-def _claim_structures(claim):
-    if claim.kind == "sum":
-        return list(claim.components)
-    return [claim]
-
-
 def structural_truncation(claim, window):
     """Window-compatible spanning elements of a claimed center structure.
 
@@ -214,7 +209,7 @@ def structural_truncation(claim, window):
     (negative powers through the involution, which inverts the generator).
     """
     out = []
-    for piece in _claim_structures(claim):
+    for piece in claim.components or (claim,):
         if piece.kind == "zero" or not piece.generators:
             continue
         one = piece.generators[0]
@@ -250,7 +245,7 @@ def verify_structure(claim, subspace: CentralSubspace) -> VerificationReport:
     """
     alg = subspace.algebra
     failures = []
-    for piece in _claim_structures(claim):
+    for piece in claim.components or (claim,):
         for gen in piece.generators:
             if gen.algebra != alg:
                 raise AmbientError("the claim and the oracle's solve are in "

@@ -1,11 +1,17 @@
 import pathlib
+from functools import cached_property
 from unittest.mock import patch
 
 import pytest
 
 from pathcenters import Graph, oracle
 from pathcenters.graph import Path
-from pathcenters.graph_algebra import CommutatorKernel, GMonomial, mul_monomials
+from pathcenters.graph_algebra import (
+    Algebra,
+    CommutatorKernel,
+    GMonomial,
+    mul_monomials,
+)
 from pathcenters.linalg import sparse_nullspace
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
@@ -118,3 +124,27 @@ def formed_only_nonzero_products(products):
     """Each recorded product is the nonzero one `mul_monomials` forms."""
     return all(terms and terms == product_by_mul_monomials(alg, m, symbol, side)
                for alg, m, symbol, side, terms in products)
+
+
+def record_algebra_builds(monkeypatch):
+    """Record every `Algebra` constructed and every generator table built:
+    the returned dict lists the algebras under "algebras", and the ones that
+    built their tables under "generator_symbols" and "generators"."""
+    built = {"algebras": [], "generator_symbols": [], "generators": []}
+    new = Algebra.__new__
+
+    def counted_new(cls, *args, **kwargs):
+        alg = new(cls, *args, **kwargs)
+        built["algebras"].append(alg)
+        return alg
+
+    monkeypatch.setattr(Algebra, "__new__", counted_new)
+    for name in ("generator_symbols", "generators"):
+        def counted(alg, build=vars(Algebra)[name].func, name=name):
+            built[name].append(alg)
+            return build(alg)
+
+        prop = cached_property(counted)
+        prop.__set_name__(Algebra, name)
+        monkeypatch.setattr(Algebra, name, prop)
+    return built

@@ -69,14 +69,15 @@ def test_criterion_01_cycle_centers():
     problems = []
     for n in (1, 2, 3, 4):
         g = cycle_graph(n)
-        cs = center_structure_KE(g)
+        alg = Algebra(PATH, g)
+        cs = center_structure_KE(alg)
         cyc = find_cycles(g)[0]
-        gen = cycle_rotation_sum(g, cyc, 1)
+        gen = cycle_rotation_sum(alg, cyc, 1)
         if cs.kind != POLY or cs.generators[1] != gen:
             problems.append(f"n={n}: structural center is not K[x] on the "
                             f"rotation sum")
         sub = central_subspace(g, OracleWindow(PATH, 2 * n))
-        expected = [Algebra(PATH, g).one(), gen, cycle_rotation_sum(g, cyc, 2)]
+        expected = [alg.one(), gen, cycle_rotation_sum(alg, cyc, 2)]
         if sub.dim != 3 or not _same_span(sub.basis, expected):
             problems.append(f"n={n}: oracle window L={2*n} is not exactly "
                             f"span(1, sum c_i, sum c_i^2)")
@@ -89,7 +90,7 @@ def test_criterion_02_noncycle_ke_centers():
     graphs = [line_graph(1), line_graph(2), line_graph(3),
               rose_graph(2), rose_graph(3)]
     for g in graphs:
-        cs = center_structure_KE(g)
+        cs = center_structure_KE(Algebra(PATH, g))
         if cs.kind != SCALAR or cs.generators != (Algebra(PATH, g).one(),):
             problems.append(f"{g.vertices}: structural KE center is not K.1")
         sub = central_subspace(g, OracleWindow(PATH, 3))
@@ -109,7 +110,7 @@ def test_criterion_03_prime_cohn():
         if is_prime_cohn(g) != (len(g.vertices) == 1):
             problems.append(f"{name}: primeness disagrees with |E^0| == 1")
     for m in (1, 2, 3):
-        cs = center_prime_cohn(rose_graph(m))
+        cs = center_prime_cohn(Algebra(COHN, rose_graph(m)))
         if cs.kind != SCALAR:
             problems.append(f"R_{m}: prime Cohn center is not K")
     sub = central_subspace(rose_graph(1), OracleWindow(COHN, 4, (1, 3)))
@@ -132,7 +133,7 @@ def test_criterion_04_prime_leavitt_classification():
         ("cycle_feeds_loop", cycle_feeds_loop(), SCALAR, 1),
     ]
     for name, g, expected_kind, expected_dim in cases:
-        cs = center_prime_leavitt(g)
+        cs = center_prime_leavitt(Algebra(LEAVITT, g))
         if cs.kind != expected_kind:
             problems.append(f"{name}: structural center is {cs.describe()}")
         rep = verify_structure(cs, central_subspace(g, window))
@@ -179,7 +180,7 @@ def test_criterion_05_degree_zero_facts():
 
 def test_criterion_06_orthogonality_of_exit_free_cycles():
     problems = []
-    rep = uniqueness_check_exit_free(two_loops(), max_len=4)
+    rep = uniqueness_check_exit_free(Algebra(LEAVITT, two_loops()), max_len=4)
     if len(rep.exit_free_cycles) != 2:
         problems.append("two-loops fixture should have two exit-free cycles")
     if rep.cross_products_zero is not True:
@@ -211,12 +212,12 @@ def test_criterion_07_graded_baer_radical():
 
 def test_criterion_08_center_bounds():
     problems = []
-    tb = center_bounds(toeplitz_graph())
+    tb = center_bounds(Algebra(LEAVITT, toeplitz_graph()))
     if sorted(tb.upper) != ["K", "K[x,x^-1]"]:
         problems.append(f"toeplitz upper bound {tb.upper}")
     if tb.describe_lower() != "0":
         problems.append(f"toeplitz lower bound {tb.describe_lower()}")
-    lb = center_bounds(two_loops())
+    lb = center_bounds(Algebra(LEAVITT, two_loops()))
     if list(lb.upper) != ["K[x,x^-1]", "K[x,x^-1]"]:
         problems.append(f"two-loops upper bound {lb.upper}")
     if lb.describe_lower() != "K[x,x^-1] (+) K[x,x^-1]":

@@ -15,14 +15,19 @@ from pathcenters import (
     center_bounds,
     center_prime_cohn,
     center_prime_leavitt,
+    center_structure_KE,
     central_subspace,
     check_central,
     classify_prime_leavitt,
+    cycle_center_evaluate,
     cycle_graph,
+    disjoint_union,
     graded_prime_ideals,
     is_prime_cohn,
     is_prime_leavitt,
     line_graph,
+    PrimeField,
+    QQ,
     quotient_graph,
     rose_graph,
     toeplitz_graph,
@@ -30,7 +35,8 @@ from pathcenters import (
     verify_bounds,
     word_element,
 )
-from pathcenters.center_theory import LAURENT, SCALAR
+from pathcenters.center_theory import LAURENT, SCALAR, cycle_rotation_sum
+from pathcenters.graph_algebra import ALGEBRA_KINDS
 from pathcenters.graph import (
     cycles_without_exits,
     paths_into,
@@ -56,6 +62,54 @@ ALL_FIXTURES = [
 ]
 
 
+# --- the theory takes its caller's algebra ----------------------------------------
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(3)], ids=["QQ", "F3"])
+def test_the_theory_builds_its_elements_in_the_callers_algebra(field):
+    ke = Algebra(PATH, cycle_graph(3), field=field)
+    cyc = cycles_without_exits(ke.graph)[0]
+    mixed = Algebra(PATH, disjoint_union(cycle_graph(2), rose_graph(0)), field=field)
+    cohn = Algebra(COHN, rose_graph(2), field=field)
+    leavitt = Algebra(LEAVITT, feeder_loop(), field=field)
+    bounded = Algebra(LEAVITT, fork_sink_loop(), field=field)
+    built = [(ke, cycle_rotation_sum(ke, cyc, 2)),
+             (ke, cycle_center_evaluate(ke, [1, 2]))]
+    for alg, theorem in ((ke, center_structure_KE), (mixed, center_structure_KE),
+                         (cohn, center_prime_cohn), (leavitt, center_prime_leavitt)):
+        cs = theorem(alg)
+        built += [(alg, gen) for piece in cs.components or (cs,)
+                  for gen in piece.generators]
+    built += [(bounded, p.generator) for s in center_bounds(bounded).lower
+              for p in s.pieces if p.generator is not None]
+    assert {alg.kind for alg, _ in built} == set(ALGEBRA_KINDS)
+    assert all(el and el.algebra is alg for alg, el in built)
+    rep = uniqueness_check_exit_free(Algebra(LEAVITT, two_loops(), field=field))
+    assert rep.cross_products_zero
+
+
+ROSE_1_CYCLE = cycles_without_exits(rose_graph(1))[0]
+
+
+@pytest.mark.parametrize("theorem, kind", [
+    (center_structure_KE, PATH),
+    (lambda alg: cycle_rotation_sum(alg, ROSE_1_CYCLE), PATH),
+    (lambda alg: cycle_center_evaluate(alg, [1, 1]), PATH),
+    (center_prime_cohn, COHN),
+    (center_prime_leavitt, LEAVITT),
+    (uniqueness_check_exit_free, LEAVITT),
+    (center_bounds, LEAVITT),
+])
+def test_the_theory_refuses_an_algebra_of_another_kind(theorem, kind):
+    for other in ALGEBRA_KINDS:
+        alg = Algebra(other, rose_graph(1))
+        if other == kind:
+            theorem(alg)
+        else:
+            with pytest.raises(AmbientError, match=f"needs a {kind} algebra"):
+                theorem(alg)
+
+
 # --- primeness -----------------------------------------------------------------
 
 
@@ -75,15 +129,15 @@ def test_prime_leavitt_examples():
 
 
 def test_center_prime_cohn():
-    r0 = center_prime_cohn(rose_graph(0))
+    r0 = center_prime_cohn(Algebra(COHN, rose_graph(0)))
     assert r0.kind == SCALAR
     assert r0.generators == (Algebra(COHN, rose_graph(0)).one(),)
     for m in (1, 2, 3, 5):
-        cs = center_prime_cohn(rose_graph(m))
+        cs = center_prime_cohn(Algebra(COHN, rose_graph(m)))
         assert cs.kind == SCALAR
         assert cs.describe() == "K"
     with pytest.raises(HypothesisNotMet):
-        center_prime_cohn(line_graph(2))
+        center_prime_cohn(Algebra(COHN, line_graph(2)))
 
 
 # --- prime Leavitt centers ---------------------------------------------------------
@@ -92,19 +146,19 @@ def test_center_prime_cohn():
 def test_center_prime_leavitt_scalar_cases():
     for g in (rose_graph(2), rose_graph(3), line_graph(1), line_graph(2),
               line_graph(3), toeplitz_graph(), cycle_feeds_loop()):
-        cs = center_prime_leavitt(g)
+        cs = center_prime_leavitt(Algebra(LEAVITT, g))
         assert cs.kind == SCALAR
         assert cs.generators == (Algebra(LEAVITT, g).one(),)
 
 
 def test_center_prime_leavitt_laurent_cases():
     r1 = rose_graph(1)
-    cs = center_prime_leavitt(r1)
+    cs = center_prime_leavitt(Algebra(LEAVITT, r1))
     assert cs.kind == LAURENT
     assert cs.generators[1] == word_element(Algebra(LEAVITT, r1), ["f1"])
 
     fl = feeder_loop()
-    cs = center_prime_leavitt(fl)
+    cs = center_prime_leavitt(Algebra(LEAVITT, fl))
     assert cs.kind == LAURENT
     z = cs.generators[1]
     alg = Algebra(LEAVITT, fl)
@@ -117,7 +171,7 @@ def test_center_prime_leavitt_laurent_cases():
 
 def test_center_prime_leavitt_multivertex_cycle():
     g = cycle_graph(2)
-    cs = center_prime_leavitt(g)
+    cs = center_prime_leavitt(Algebra(LEAVITT, g))
     assert cs.kind == LAURENT
     z = cs.generators[1]
     assert z.degree() == 2
@@ -140,24 +194,24 @@ def test_classification_witnesses():
     assert cls.scalar and cls.reason == "condition_L"
 
     with pytest.raises(HypothesisNotMet):
-        center_prime_leavitt(two_loops())
+        center_prime_leavitt(Algebra(LEAVITT, two_loops()))
 
 
 # --- orthogonality of exit-free cycles ------------------------------------------------
 
 
 def test_uniqueness_check_on_prime_graphs():
-    rep = uniqueness_check_exit_free(toeplitz_graph())
+    rep = uniqueness_check_exit_free(Algebra(LEAVITT, toeplitz_graph()))
     assert rep.prime and rep.unique_for_prime
     assert rep.exit_free_cycles == ()
 
-    rep = uniqueness_check_exit_free(rose_graph(1))
+    rep = uniqueness_check_exit_free(Algebra(LEAVITT, rose_graph(1)))
     assert rep.prime and rep.unique_for_prime
     assert len(rep.exit_free_cycles) == 1
 
 
 def test_cross_products_of_exit_free_ideals_vanish():
-    rep = uniqueness_check_exit_free(two_loops(), max_len=3)
+    rep = uniqueness_check_exit_free(Algebra(LEAVITT, two_loops()), max_len=3)
     assert len(rep.exit_free_cycles) == 2
     assert rep.cross_products_zero is True
     assert rep.pairs_checked > 0
@@ -233,7 +287,7 @@ def test_graded_baer_radical_is_zero_on_every_fixture():
 
 
 def test_bounds_toeplitz():
-    b = center_bounds(toeplitz_graph())
+    b = center_bounds(Algebra(LEAVITT, toeplitz_graph()))
     assert sorted(b.upper) == ["K", "K[x,x^-1]"]
     assert b.describe_upper() == "K x K[x,x^-1]"
     assert b.describe_lower() == "0"
@@ -248,7 +302,7 @@ def test_bounds_toeplitz():
 
 
 def test_bounds_two_loops_lower_equals_upper():
-    b = center_bounds(two_loops())
+    b = center_bounds(Algebra(LEAVITT, two_loops()))
     assert list(b.upper) == ["K[x,x^-1]", "K[x,x^-1]"]
     kinds = [[p.kind for p in s.pieces] for s in b.lower]
     assert kinds == [["laurent"], ["laurent"]]
@@ -258,7 +312,7 @@ def test_bounds_two_loops_lower_equals_upper():
 
 
 def test_bounds_r1_improper_convention():
-    b = center_bounds(rose_graph(1))
+    b = center_bounds(Algebra(LEAVITT, rose_graph(1)))
     assert list(b.upper) == ["K[x,x^-1]"]
     assert len(b.lower) == 1 and b.lower[0].improper
     assert [p.kind for p in b.lower[0].pieces] == ["laurent"]
@@ -266,7 +320,7 @@ def test_bounds_r1_improper_convention():
 
 
 def test_bounds_fork_mixed_patterns():
-    b = center_bounds(fork_sink_loop())
+    b = center_bounds(Algebra(LEAVITT, fork_sink_loop()))
     flavors = {tuple(sorted(r.H)): u for r, u in zip(b.records, b.upper)}
     # {v,w} is not saturated (u feeds only into it), so exactly two records
     assert flavors == {
@@ -330,7 +384,7 @@ def test_verify_bounds_on_disconnected_mixed_fixture():
     from pathcenters import disjoint_union, rose_graph
 
     g = disjoint_union(cycle_graph(2), rose_graph(0))
-    b = center_bounds(g)
+    b = center_bounds(Algebra(LEAVITT, g))
     by_h = {tuple(sorted(r.H)): u for r, u in zip(b.records, b.upper)}
     assert by_h == {("v",): "K[x,x^-1]", ("u1", "u2"): "K"}
     assert verify_bounds(central_subspace(g, BOUNDS_WINDOW)).ok
@@ -344,7 +398,7 @@ def test_undecidable_ideal_pattern_is_tagged_for_the_oracle():
         ["u", "w", "s"],
         [("f", "u", "w"), ("c", "w", "w"), ("d", "w", "w"), ("g", "u", "s")],
     )
-    bounds = center_bounds(g)
+    bounds = center_bounds(Algebra(LEAVITT, g))
     by_h = {r.H: s for r, s in zip(bounds.records, bounds.lower)}
     loops = by_h[frozenset({"s"})]
     assert not loops.improper and loops.ideal_vertices == frozenset({"w"})

@@ -29,7 +29,7 @@ from pathcenters.graph_algebra import enumerate_ga_monomials
 from pathcenters.linalg import sparse_nullspace
 from pathcenters.report import load_schema
 
-from conftest import fixture_path
+from conftest import fixture_path, record_algebra_builds
 
 
 # --- graph file parsing ------------------------------------------------------
@@ -451,6 +451,38 @@ def test_each_graph_is_classified_once_per_request(monkeypatch):
         seen.clear()
         assert run_cli(*argv)[0] == 0, argv
         assert seen and all(seen.count(g) == 1 for g in seen), argv
+
+
+@pytest.mark.parametrize("fixture, algebras", [
+    ("rose_2", 1), ("toeplitz", 1),  # scalar claims: the solve's algebra only
+    ("rose_1", 2), ("feeder_loop", 2), ("cycle_3", 2),  # + the generator's cap count
+])
+def test_a_prime_leavitt_verify_builds_one_generator_table(monkeypatch, fixture,
+                                                           algebras):
+    # the claim lives in the solve's algebra, so its checks reuse the
+    # solve's symbol table, and no labelled table is built
+    built = record_algebra_builds(monkeypatch)
+    code, out, _ = run_cli("oracle", str(fixture_path(fixture)), "--algebra",
+                           "leavitt", "--max-len", "3", "--verify")
+    assert code == 0 and "ok: True" in out
+    assert len(built["algebras"]) == algebras
+    assert built["generator_symbols"] == built["algebras"][:1]
+    assert not built["generators"]
+
+
+@pytest.mark.parametrize("fixture", ["two_loops", "fork_sink_loop",
+                                     "cycle2_plus_vertex"])
+def test_a_bounds_verify_builds_one_table_per_quotient(monkeypatch, fixture):
+    from pathcenters.center_theory import graded_prime_ideals
+
+    g = parse_graph(fixture_path(fixture).read_text())
+    records = graded_prime_ideals(g)
+    built = record_algebra_builds(monkeypatch)
+    code, out, _ = run_cli("oracle", str(fixture_path(fixture)), "--algebra",
+                           "leavitt", "--max-len", "3", "--verify")
+    assert code == 0 and "ok: True" in out
+    assert len(built["generator_symbols"]) <= 1 + len(records)
+    assert not built["generators"]
 
 
 def test_analyze_walks_the_cycles_once(monkeypatch):

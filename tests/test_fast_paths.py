@@ -698,7 +698,7 @@ def check_scc_answers_against_listing(g, seed):
     if frozenset(seed) != closed:
         with pytest.raises(GraphError):
             count_paths_into(g, frozenset(seed))
-    cs = center_structure_KE(g)
+    cs = center_structure_KE(Algebra(PATH, g))
     pieces = cs.components if cs.kind == SUM else (cs,)
     comps = connected_components(g)
     assert len(pieces) == len(comps)
@@ -708,7 +708,7 @@ def check_scc_answers_against_listing(g, seed):
             assert piece.kind == SCALAR
         else:
             assert piece.kind == POLY
-            assert piece.generators[1] == cycle_rotation_sum(g, cyc)
+            assert piece.generators[1] == cycle_rotation_sum(Algebra(PATH, g), cyc)
 
 
 def test_scc_answers_match_listing_on_fixtures():
@@ -925,7 +925,7 @@ def check_lower_pieces_against_pattern(g, field):
     alg = Algebra(LEAVITT, g, field=field)
     pairs = []
     try:
-        for s in center_bounds(g, field=field).lower:
+        for s in center_bounds(Algebra(LEAVITT, g, field=field)).lower:
             if not s.improper:
                 pairs.append((piece_texts(lambda: s.pieces), s.ideal_vertices))
     except ResourceCapExceeded:
@@ -1171,3 +1171,28 @@ def test_element_products_form_no_zero_product(monkeypatch):
             products.clear()
             assert a * b == product_by_all_pairs(a, b)
             assert products and all(products)
+
+
+def test_the_element_product_holds_one_key_per_monomial():
+    """z·z* on a 300-vertex line into a loop: the ghost parts of z have
+    every length below 300, so an index of each partner's prefixes at
+    those lengths held about n³/6 edge slots (44 MiB); one key per
+    monomial holds a few hundred."""
+    import tracemalloc
+
+    n = 300
+    vs = [f"x{i:03d}" for i in range(n)]
+    g = Graph.build(vs, [(f"a{i:03d}", vs[i], vs[i + 1]) for i in range(n - 1)]
+                    + [("c", vs[-1], vs[-1])])
+    alg = Algebra(LEAVITT, g)
+    feeding = paths_into(g, {vs[-1]})
+    z = _corner_sum(alg, feeding, classify_prime_leavitt(g).cycle)
+    zi = z.involution()
+    tracemalloc.start()
+    try:
+        product = z * zi
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert product == _corner_sum(alg, feeding)
+    assert peak <= 4 * 2**20

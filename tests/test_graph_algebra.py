@@ -29,6 +29,10 @@ from pathcenters import (
 from pathcenters.graph import all_paths_up_to
 from pathcenters.graph_algebra import (
     ALGEBRA_KINDS,
+    PATH,
+    _E,
+    _G,
+    _V,
     enumerate_ga_monomials,
     parse_word,
 )
@@ -540,3 +544,18 @@ def test_monomial_text_and_order_are_unchanged_on_the_fixtures():
     assert len(lines) == 2866
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
         "aa8cc282d57ee6f0ab206d74cf7cccc782b3c49cd39bef695ada08bca7a7d3fb")
+
+
+@pytest.mark.parametrize("kind", ALGEBRA_KINDS)
+def test_generator_symbols_are_the_symbols_of_the_generators(kind):
+    # the symbols come from the graph, the labelled elements from the
+    # symbols; reading each element's one monomial back gives the symbols
+    for path in sorted(FIXTURES.glob("*.graph")):
+        alg = Algebra(kind, parse_graph(path.read_text()))
+        read_off = tuple((_G, ghost.edges[0]) if ghost.edges
+                         else (_E, real.edges[0]) if real.edges else (_V, real.source)
+                         for _, gel in alg.generators for real, ghost in gel.coeffs)
+        assert alg.generator_symbols == read_off, path.stem
+        assert [label for label, _ in alg.generators] == (
+            [f"@{v}" for v in alg.graph.vertices] + list(alg.graph.edges)
+            + ([] if kind == PATH else [f"{e}*" for e in alg.graph.edges]))

@@ -35,6 +35,7 @@ from conftest import (
     feeder_loop,
     fixture_path,
     formed_only_nonzero_products,
+    record_algebra_builds,
     record_kernel_products,
     two_loops,
 )
@@ -201,24 +202,26 @@ def test_prime_field_mode():
 
 def test_verify_teoro_claim_on_cycle():
     g = cycle_graph(3)
-    claim = center_structure_KE(g)
+    claim = center_structure_KE(Algebra(PATH, g))
     rep = verify_structure(claim, central_subspace(g, OracleWindow(PATH, 6, (0, 6))))
     assert rep.ok
     assert rep.oracle_dim == 3  # 1, the rotation sum, and its square
 
 
 def test_verify_atomo_claim_on_roses():
-    rep = verify_structure(center_prime_leavitt(rose_graph(2)), central_subspace(
-        rose_graph(2), OracleWindow(LEAVITT, 3, (-3, 3))))
+    rep = verify_structure(
+        center_prime_leavitt(Algebra(LEAVITT, rose_graph(2))),
+        central_subspace(rose_graph(2), OracleWindow(LEAVITT, 3, (-3, 3))))
     assert rep.ok and rep.oracle_dim == 1
-    rep = verify_structure(center_prime_leavitt(rose_graph(1)), central_subspace(
-        rose_graph(1), OracleWindow(LEAVITT, 4, (-4, 4))))
+    rep = verify_structure(
+        center_prime_leavitt(Algebra(LEAVITT, rose_graph(1))),
+        central_subspace(rose_graph(1), OracleWindow(LEAVITT, 4, (-4, 4))))
     assert rep.ok and rep.oracle_dim == 9
 
 
 def test_verify_cohn_claim():
-    rep = verify_structure(center_prime_cohn(rose_graph(2)), central_subspace(
-        rose_graph(2), OracleWindow(COHN, 2, (-2, 2))))
+    rep = verify_structure(center_prime_cohn(Algebra(COHN, rose_graph(2))),
+                           central_subspace(rose_graph(2), OracleWindow(COHN, 2, (-2, 2))))
     assert rep.ok and rep.oracle_dim == 1
 
 
@@ -230,6 +233,16 @@ def test_verify_rejects_corrupted_claim():
     assert not rep.ok
     assert rep.generator_failures and rep.generator_failures[0][1] == "f2"
     assert rep.outside_span  # the true center escapes the corrupted span
+
+
+def test_only_a_failing_witness_builds_the_labelled_generators(monkeypatch):
+    built = record_algebra_builds(monkeypatch)
+    sub = central_subspace(rose_graph(2), OracleWindow(LEAVITT, 2, (-2, 2)))
+    assert verify_structure(center_prime_leavitt(sub.algebra), sub).ok
+    assert not built["generators"]
+    bogus = CenterStructure(SCALAR, (word_element(sub.algebra, ["f1"]),))
+    assert verify_structure(bogus, sub).generator_failures[0][1] == "f2"
+    assert built["generators"] == [sub.algebra]
 
 
 def test_verify_structure_on_disconnected_sum():
@@ -252,7 +265,7 @@ def test_ke_structural_generators_are_central():
 
     for g in (cycle_graph(2), cycle_graph(3), line_graph(3),
               disjoint_union(cycle_graph(2), rose_graph(0))):
-        cs = center_structure_KE(g)
+        cs = center_structure_KE(Algebra(PATH, g))
         pieces = cs.components if cs.kind == "sum" else (cs,)
         for piece in pieces:
             for gen in piece.generators:
@@ -275,7 +288,7 @@ def test_prime_field_center_construction():
 
     f5 = PrimeField(5)
     g = feeder_loop()
-    cs = center_prime_leavitt(g, field=f5)
+    cs = center_prime_leavitt(Algebra(LEAVITT, g, field=f5))
     assert cs.kind == "laurent"
     z = cs.generators[1]
     assert z.field == f5 and check_central(z)
@@ -286,7 +299,7 @@ def test_verify_ke_sum_claim_on_disconnected():
     from pathcenters import center_structure_KE, disjoint_union
 
     g = disjoint_union(cycle_graph(2), rose_graph(0))
-    claim = center_structure_KE(g)
+    claim = center_structure_KE(Algebra(PATH, g))
     rep = verify_structure(claim, central_subspace(g, OracleWindow(PATH, 4, (0, 4))))
     assert rep.ok
     assert rep.oracle_dim == 4  # 1, x, x^2 on the cycle block plus K on v
@@ -296,7 +309,7 @@ def test_verify_structure_refuses_a_claim_in_another_algebra():
     # a path-algebra solve said nothing about the Leavitt claim, yet it
     # used to pass as a check of it
     g = rose_graph(1)
-    claim = center_prime_leavitt(g)
+    claim = center_prime_leavitt(Algebra(LEAVITT, g))
     with pytest.raises(AmbientError):
         verify_structure(claim, central_subspace(g, OracleWindow(PATH, 3, (0, 3))))
     with pytest.raises(AmbientError):  # same kind and graph, another field
@@ -307,25 +320,12 @@ def test_verify_structure_refuses_a_claim_in_another_algebra():
 
 
 def test_one_solve_and_its_recheck_build_the_generators_once(monkeypatch):
-    from functools import cached_property
-
-    from pathcenters.graph_algebra import Algebra
-
-    builds = []
-    build = Algebra.generators.func
-
-    def counted(alg):
-        builds.append(alg)
-        return build(alg)
-
-    prop = cached_property(counted)
-    prop.__set_name__(Algebra, "generators")
-    monkeypatch.setattr(Algebra, "generators", prop)
+    built = record_algebra_builds(monkeypatch)
     sub = central_subspace(rose_graph(1), OracleWindow(LEAVITT, 3))
     assert sub.dim == 7  # f1^k for |k| <= 3, each rechecked after the solve
-    assert len(builds) == 1
+    assert len(built["generator_symbols"]) == 1
     assert all(check_central(z) for z in sub.basis)
-    assert len(builds) == 1
+    assert len(built["generator_symbols"]) == 1
 
 
 @pytest.mark.parametrize("kind", [LEAVITT, COHN])

@@ -133,7 +133,7 @@ def test_left_annihilator_lemma_everywhere():
 
 def test_center_of_cycle_graph_is_polynomial_on_rotation_sum():
     g = cycle_graph(3)
-    cs = center_structure_KE(g)
+    cs = center_structure_KE(Algebra(PATH, g))
     assert cs.kind == POLY
     expected = (
         ke_path(g, "f1", "f2", "f3")
@@ -147,14 +147,14 @@ def test_center_of_cycle_graph_is_polynomial_on_rotation_sum():
 def test_center_of_non_cycle_graphs_is_scalar():
     for g in (line_graph(1), line_graph(2), line_graph(3),
               rose_graph(2), rose_graph(3)):
-        cs = center_structure_KE(g)
+        cs = center_structure_KE(Algebra(PATH, g))
         assert cs.kind == SCALAR
         assert cs.generators == (Algebra(PATH, g).one(),)
 
 
 def test_center_of_disconnected_graph_is_direct_sum():
     g = disjoint_union(cycle_graph(2), rose_graph(0))
-    cs = center_structure_KE(g)
+    cs = center_structure_KE(Algebra(PATH, g))
     assert cs.kind == SUM
     kinds = sorted(c.kind for c in cs.components)
     assert kinds == [POLY, SCALAR]
@@ -166,27 +166,30 @@ def test_center_of_disconnected_graph_is_direct_sum():
 
 def test_cycle_center_evaluate():
     g = cycle_graph(2)
-    assert cycle_center_evaluate(g, [1]) == Algebra(PATH, g).one()
+    alg = Algebra(PATH, g)
+    assert cycle_center_evaluate(alg, [1]) == alg.one()
     c1, c2 = ke_path(g, "f1", "f2"), ke_path(g, "f2", "f1")
-    assert cycle_center_evaluate(g, [0, 1]) == c1 + c2
-    assert cycle_center_evaluate(g, [0, 0, 1]) == c1 * c1 + c2 * c2
+    assert cycle_center_evaluate(alg, [0, 1]) == c1 + c2
+    assert cycle_center_evaluate(alg, [0, 0, 1]) == c1 * c1 + c2 * c2
     with pytest.raises(GraphError):
-        cycle_center_evaluate(line_graph(2), [1])
+        cycle_center_evaluate(Algebra(PATH, line_graph(2)), [1])
     with pytest.raises(GraphError):
-        cycle_center_evaluate(disjoint_union(cycle_graph(2), rose_graph(0)), [1])
+        cycle_center_evaluate(
+            Algebra(PATH, disjoint_union(cycle_graph(2), rose_graph(0))), [1])
 
 
 def test_evaluate_is_multiplicative_on_monomials():
-    g = cycle_graph(3)
-    x2 = cycle_center_evaluate(g, [0, 0, 1])
-    x = cycle_center_evaluate(g, [0, 1])
+    alg = Algebra(PATH, cycle_graph(3))
+    x2 = cycle_center_evaluate(alg, [0, 0, 1])
+    x = cycle_center_evaluate(alg, [0, 1])
     assert x * x == x2
 
 
 def test_rotation_sum_powers_match_evaluate():
     g = cycle_graph(4)
+    alg = Algebra(PATH, g)
     cyc = find_cycles(g)[0]
-    assert cycle_rotation_sum(g, cyc, 2) == cycle_center_evaluate(g, [0, 0, 1])
+    assert cycle_rotation_sum(alg, cyc, 2) == cycle_center_evaluate(alg, [0, 0, 1])
 
 
 # --- the shared engine against plain path concatenation ------------------------

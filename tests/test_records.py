@@ -21,11 +21,12 @@ from pathcenters.center_theory import (
     PieceContribution,
     PrimeLeavittClassification,
 )
-from pathcenters.errors import AmbientError
+from pathcenters.errors import AmbientError, GraphError
 from pathcenters.graph import (
     Cycle,
     ExtendedGraph,
     Graph,
+    Path,
     VertexClassification,
     classify_vertex,
     extended_graph,
@@ -36,6 +37,7 @@ from pathcenters.graph_algebra import (
     LEAVITT,
     PATH,
     Algebra,
+    GMonomial,
     SpecialEdgeChoice,
 )
 from pathcenters.oracle import (
@@ -198,6 +200,26 @@ def test_oracle_window_validation(args, message):
 def test_algebra_validation():
     with pytest.raises(AmbientError, match="unknown algebra kind 'ring'"):
         Algebra("ring", _toeplitz())
+
+
+def test_make_and_replace_build_through_the_validating_constructor():
+    g = _toeplitz()
+    u, v = Path.vertex(g, "u"), Path.vertex(g, "v")
+    with pytest.raises(AmbientError, match="length bound must be >= 0"):
+        OracleWindow(LEAVITT, 3)._replace(max_len=-1)
+    with pytest.raises(AmbientError, match="unknown algebra kind 'ring'"):
+        Algebra._make(("ring", g, None, None))
+    with pytest.raises(AmbientError, match="unknown algebra kind 'ring'"):
+        Algebra(LEAVITT, g)._replace(kind="ring")
+    with pytest.raises(GraphError, match="share their range"):
+        GMonomial(u, u)._replace(ghost=v)
+    assert OracleWindow._make((COHN, 2, (0, 1))) == OracleWindow(COHN, 2, (0, 1))
+    assert Algebra._make((LEAVITT, g, None, QQ)) == Algebra(LEAVITT, g)
+    assert Algebra(LEAVITT, g)._replace(kind=PATH) == Algebra(PATH, g)
+    assert GMonomial._make((v, v)) == GMonomial(v, v)
+    choice = SpecialEdgeChoice.lex_default(g)._replace(pairs=(("u", "f"),))
+    assert choice == SpecialEdgeChoice._make(((("u", "f"),),))
+    assert choice.edge_at("u") == "f"
 
 
 # --- the JSON writer against json.dumps ----------------------------------
