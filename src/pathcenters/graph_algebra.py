@@ -150,14 +150,8 @@ class Algebra(Frozen, namedtuple("Algebra", "kind graph special field")):
         """Whether m is a basis monomial of this algebra."""
         if self.kind == PATH:
             return m.ghost.is_trivial
-        if self.kind == COHN:
-            return True
-        if m.real.is_trivial or m.ghost.is_trivial:
-            return True
-        e = m.real.edges[-1]
-        if e != m.ghost.edges[-1]:
-            return True
-        return self.special.edge_at(self.graph.src[e]) != e
+        lam, mu = m.real.edges, m.ghost.edges
+        return not (lam and mu and lam[-1] == mu[-1] in self.specials)
 
     def monomial(self, m: GMonomial, coeff=1) -> "GAElement":
         if not self.is_normal(m):
@@ -223,6 +217,16 @@ class Algebra(Frozen, namedtuple("Algebra", "kind graph special field")):
             ending.setdefault(r, []).append(i)
         return starting, ending
 
+    @cached_property
+    def specials(self):
+        """The special edges (none unless Leavitt), each chosen at its source."""
+        return frozenset(e for _, e in (self.special.pairs if self.special else ()))
+
+    @cached_property
+    def verdicts(self):
+        """`centrality_witness` results, keyed by frozenset(a.coeffs.items())."""
+        return {}
+
 
 def _straighten(alg, real, ghost, coeff):
     """coeff * real·ghost* in normal form, as a dict of normal monomials.
@@ -234,14 +238,10 @@ def _straighten(alg, real, ghost, coeff):
     terms, innermost first.  Terms of different levels differ in length, so
     no two share a monomial and nothing cancels.
     """
-    special, g = alg.special, alg.graph  # special is None unless Leavitt
+    specials, g = alg.specials, alg.graph  # no specials unless Leavitt
     lam, mu = real.edges, ghost.edges
-    if special is None or not lam or not mu or lam[-1] != mu[-1]:
-        return {GMonomial(real, ghost): coeff}
     k = 0
-    while (k < len(lam) and k < len(mu)
-           and lam[-1 - k] == mu[-1 - k]
-           and special.edge_at(g.src[lam[-1 - k]]) == lam[-1 - k]):
+    while k < len(lam) and k < len(mu) and lam[-1 - k] == mu[-1 - k] in specials:
         k += 1
     if not k:
         return {GMonomial(real, ghost): coeff}
@@ -251,7 +251,7 @@ def _straighten(alg, real, ghost, coeff):
                      Path(ghost.source, v, mu[:b])): coeff}
     minus = alg.field.neg(coeff)
     for i, j in zip(range(a, len(lam)), range(b, len(mu))):
-        for f in g.out_edges(g.src[lam[i]]):
+        for f in g._out[g.src[lam[i]]]:
             if f != lam[i]:
                 out[GMonomial(Path(real.source, g.rng[f], lam[:i] + (f,)),
                               Path(ghost.source, g.rng[f], mu[:j] + (f,)))] = minus
@@ -292,30 +292,28 @@ def mul_monomials(alg, m1: GMonomial, m2: GMonomial, coeff):
 
 
 class CommutatorKernel:
-    """The terms of cols[j]·g and -g·cols[j] for normal monomials `cols`
-    and a generator symbol g, by the one-edge rules of CK1:
+    """The terms of cols[j]·g and -g·cols[j] for normal monomials `cols`,
+    as raw keys (s(λ), λ, s(μ), μ), and a generator symbol g, by CK1:
 
       λμ*·e  = (λe, r(e)) if μ is trivial at s(e), (λ, μ') if μ = eμ'
       e·λμ*  = (eλ, μ) if s(λ) = r(e);     λμ*·e* = (λ, eμ) if s(μ) = r(e)
       e*·λμ* = (r(e), μe) if λ is trivial at s(e), (λ', μ) if λ = eλ'
       λμ*·v  = λμ* if s(μ) = v;            v·λμ*  = λμ* if s(λ) = v
 
-    A monomial is read as its raw key (s(λ), λ, s(μ), μ) and indexed by
-    the head (first edge, or vertex of a trivial part; edge and vertex ids
-    never coincide) and the source of each part, so each side forms one
-    nonzero product per column it meets and builds no Path, GMonomial or
-    dict.  Only e·(r(e))μ* with μ ending in e, and λ·e* with λ ending in e,
-    can leave the basis (e special); those go through `_straighten`, the
-    one home of CK2.
+    Each key is indexed by the head (first edge, or vertex of a trivial
+    part; edge and vertex ids never coincide) and the source of each part,
+    so each side forms one nonzero product per column it meets and builds
+    no Path, GMonomial or dict.  Only e·(r(e))μ* with μ ending in e, and
+    λ·e* with λ ending in e, can leave the basis (e special); those go
+    through `_straighten`, the one home of CK2.
     """
 
     __slots__ = ("alg", "raw", "real_heads", "ghost_heads", "real_sources",
-                 "ghost_sources", "specials")
+                 "ghost_sources")
 
     def __init__(self, alg, cols):
         self.alg = alg
-        self.raw = [(real.source, real.edges, ghost.source, ghost.edges)
-                    for real, ghost in cols]
+        self.raw = cols
         self.real_heads, self.ghost_heads = {}, {}
         self.real_sources, self.ghost_sources = {}, {}
         for j, (rs, lam, gs, mu) in enumerate(self.raw):
@@ -323,8 +321,6 @@ class CommutatorKernel:
             self.ghost_heads.setdefault(mu[0] if mu else gs, []).append(j)
             self.real_sources.setdefault(rs, []).append(j)
             self.ghost_sources.setdefault(gs, []).append(j)
-        special = alg.special
-        self.specials = frozenset(e for _, e in special.pairs) if special else ()
 
     def commutator(self, symbol, skip=()):
         """(j, key, c) for the terms of cols[j]·g - g·cols[j], c = ±1, the
@@ -350,7 +346,7 @@ class CommutatorKernel:
         for j in self.ghost_sources.get(r, ()):
             if j not in skip:
                 rs, lam, _, mu = raw[j]
-                if not mu and lam[-1:] == e and x in self.specials:
+                if not mu and lam[-1:] == e and x in self.alg.specials:
                     out += self._straightened(j, Path(rs, r, lam), Path(s, r, e), c)
                 else:
                     out.append((j, (rs, lam, s, e + mu), c))
@@ -376,7 +372,7 @@ class CommutatorKernel:
         for j in self.real_sources.get(r, ()):
             if j not in skip:
                 _, lam, gs, mu = raw[j]
-                if not lam and mu[-1:] == e and x in self.specials:
+                if not lam and mu[-1:] == e and x in self.alg.specials:
                     out += self._straightened(j, Path(s, r, e), Path(gs, r, mu), c)
                 else:
                     out.append((j, (s, e + lam, gs, mu), c))
@@ -396,23 +392,30 @@ def centrality_witness(a):
     fails to commute with `a`, as its (label, element) entry of
     `generators`, or None: the commutator kernel's terms, weighted by
     a's coefficients, summed per monomial, over the generators that can
-    meet one of a's monomials (`Algebra.generators_meeting`)."""
+    meet one of a's monomials (`Algebra.generators_meeting`).  Each
+    verdict is computed once per algebra (`Algebra.verdicts`)."""
     alg = a.algebra
+    memo, element = alg.verdicts, frozenset(a.coeffs.items())
+    if element in memo:
+        return memo[element]
     field = alg.field
     one = field.one
-    kernel = CommutatorKernel(alg, a.coeffs)
+    kernel = CommutatorKernel(alg, [(lam.source, lam.edges, mu.source, mu.edges)
+                                    for lam, mu in a.coeffs])
     coeffs = list(a.coeffs.values())
     starting, ending = alg.generators_meeting
     touched = set()
-    for real, ghost in a.coeffs:
-        touched.update(starting[ghost.source], ending[real.source])
+    for rs, _, gs, _ in kernel.raw:
+        touched.update(starting[gs], ending[rs])
     for i in sorted(touched):
         total = {}
         for j, key, c in kernel.commutator(alg.generator_symbols[i]):
             c = coeffs[j] if c == one else field.neg(coeffs[j])
             total[key] = field.add(total[key], c) if key in total else c
         if any(total.values()):
-            return alg.generators[i]
+            memo[element] = witness = alg.generators[i]
+            return witness
+    memo[element] = None
     return None
 
 
@@ -620,16 +623,15 @@ def _longest_real(kind, max_len, hi):
     return max(0, min(max_len, hi)) if kind == PATH else max_len
 
 
-def enumerate_ga_monomials(alg, max_len, *, degrees=None, source=None):
-    """Normal-form monomials with both parts of length <= max_len, sorted.
+def window_pairs(alg, max_len, degrees, source=None, diagonal=False):
+    """(real, ghost) paths of the window's normal monomials, sorted.
 
     `degrees` restricts the degree to an inclusive window (a, b); `source`
-    pins both the real and the ghost part to start at one vertex.  For the
-    path algebra the only ghost is the trivial path at the target.  Paths
-    are bucketed by (target, length), so a real part of length a is paired
-    only with ghost lengths b that put a - b inside the window.  The reals
-    are walked in sorted order and each one's ghosts by ascending length,
-    each bucket in sorted order, so the monomials come out sorted.
+    pins both parts to start at one vertex, `diagonal` the ghost part to
+    start where the real part does.  A path-algebra ghost is trivial.
+    Sorted paths are bucketed by (source if `diagonal`, target, length),
+    and each real part of length a is paired with the buckets of lengths b
+    that put a - b inside the window, b ascending, so pairs come out sorted.
     """
     graph, kind = alg.graph, alg.kind
     lo, hi = _window_lengths(max_len, degrees)
@@ -637,18 +639,30 @@ def enumerate_ga_monomials(alg, max_len, *, degrees=None, source=None):
     longest_ghost = 0 if kind == PATH else paths[-1].length  # sorted by length
     if source is not None:
         paths = [p for p in paths if p.source == source]
-    buckets = {}
+    buckets, specials = {}, alg.specials
     for p in paths:
-        buckets.setdefault((p.target, p.length), []).append(p)
-    out = []
+        key = (p.source if diagonal else None, p.target, len(p.edges))
+        buckets.setdefault(key, []).append(p)
     for real in paths:
-        a = real.length
-        for b in range(max(0, a - hi), min(longest_ghost, a - lo) + 1):
-            for ghost in buckets.get((real.target, b), ()):
-                m = GMonomial(real, ghost)
-                if alg.is_normal(m):
-                    out.append(m)
-    return out
+        s, t, lam = real
+        for b in range(max(0, len(lam) - hi), min(longest_ghost, len(lam) - lo) + 1):
+            for ghost in buckets.get((s if diagonal else None, t, b), ()):
+                mu = ghost.edges  # normal unless both end in one special edge
+                if not (lam and mu and lam[-1] == mu[-1] in specials):
+                    yield real, ghost
+
+
+def enumerate_ga_monomials(alg, max_len, *, degrees=None, source=None):
+    """Normal-form monomials with both parts of length <= max_len, sorted."""
+    return [GMonomial(real, ghost)
+            for real, ghost in window_pairs(alg, max_len, degrees, source)]
+
+
+def key_monomial(g, key):
+    """The monomial of a raw key (s(λ), λ, s(μ), μ)."""
+    rs, lam, gs, mu = key
+    r = g.rng[lam[-1]] if lam else rs
+    return GMonomial(Path(rs, r, lam), Path(gs, r, mu))
 
 
 def count_ga_monomials(alg, max_len, *, degrees=None):
@@ -715,8 +729,8 @@ def monomial_cap():
 
 
 def check_window_cap(alg, max_len, degrees):
-    """Raise ResourceCapExceeded when the window holds more candidate
-    monomials than the cap, counted exactly without building a monomial."""
+    """The window's candidate monomials, counted exactly without building
+    one; ResourceCapExceeded when the count passes the cap."""
     cap = monomial_cap()
     needed = count_ga_monomials(alg, max_len, degrees=degrees)
     if needed > cap:
@@ -729,6 +743,7 @@ def check_window_cap(alg, max_len, degrees):
             needed=needed,
             cap=cap,
         )
+    return needed
 
 
 def fixed_point_subspace(alg, c: Path, max_len):

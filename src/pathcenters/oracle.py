@@ -16,9 +16,10 @@ solve to the columns still alive.
   Peirce-diagonal, so the vertex constraints force every candidate λμ* with
   s(λ) != s(μ) to zero: each such column is a pivot whose reduced row is
   its unit vector, so it is never free and the reduced-echelon nullspace
-  basis is the one of the diagonal columns alone.  Only those are solver
-  columns (in window order), and the vertex rows, which cancel on them, are
-  not formed.
+  basis is the one of the diagonal columns alone.  Only those are listed,
+  as kernel keys in window order straight from the window walk, and the
+  vertex rows, which cancel on them, are not formed; monomial objects are
+  built only for the support of the solved basis.
 * Commutator kernel.  λμ*·g and g·λμ* can be nonzero only when the parts
   meet at the junction, and then each appends or strips one edge, so
   `graph_algebra.CommutatorKernel` indexes the candidates by the head and
@@ -30,7 +31,9 @@ solve to the columns still alive.
   leave the Leavitt basis go through `_straighten`, the one home of CK2.
   `centrality_witness` reads the same kernel, vertices included:
   λμ*·v needs s(μ) = v, and v·λμ* needs s(λ) = v.  It visits only the
-  generators that can meet the element's monomials.
+  generators that can meet the element's monomials, and records each
+  verdict on the element's algebra, so the post-solve recheck, the
+  theory's checks and the verifiers compute it once per algebra.
 * Dead columns.  The rows are assembled one generator at a time; a row of
   that generator with exactly one nonzero entry {j: c} forces x_j = 0 in
   every solution, so later generators skip column j (no product, no row
@@ -46,9 +49,9 @@ solve to the columns still alive.
   columns are the stripped system's, and the canonical nullspace basis is
   the stripped system's read back through the live list.
 
-`CentralSubspace.candidate_count` and the cap (`check_window_cap`, in
-`graph_algebra` with the centrality checks) still count every candidate
-of the window, diagonal or not.
+`CentralSubspace.candidate_count` is the exact count that `check_window_cap`
+(in `graph_algebra`) checks against the cap: every candidate of the window,
+diagonal or not.
 
 One solve builds one `Algebra`: the candidate listing and the cap count
 take it, and the `CentralSubspace` records it beside its window.  The
@@ -71,7 +74,8 @@ from .graph_algebra import (
     _V,
     centrality_witness,
     check_window_cap,
-    enumerate_ga_monomials,
+    key_monomial,
+    window_pairs,
 )
 from .linalg import LinearSpan, sparse_nullspace
 from .scalars import QQ
@@ -118,19 +122,19 @@ class CentralSubspace(namedtuple("CentralSubspace", "basis window algebra "
 
 
 def enumerate_candidates(alg: Algebra, window: OracleWindow):
-    """The window's candidates in `alg`, checked against the resource cap.
-
-    The cap is checked on the exact count before any monomial is built."""
-    check_window_cap(alg, window.max_len, window.degrees)
-    return enumerate_ga_monomials(alg, window.max_len, degrees=window.degrees)
+    """(count, diagonal): the number of the window's candidates in `alg`,
+    checked against the resource cap before any is listed, and the
+    Peirce-diagonal ones as kernel keys, in window order."""
+    count = check_window_cap(alg, window.max_len, window.degrees)
+    return count, [(rs, lam, gs, mu) for (rs, _, lam), (gs, _, mu)
+                   in window_pairs(alg, window.max_len, window.degrees, diagonal=True)]
 
 
 def central_subspace(g: Graph, window: OracleWindow, *, field=QQ) -> CentralSubspace:
     """Exact basis of all window elements commuting with every generator."""
     alg = Algebra(window.kind, g, field=field)
-    candidates = enumerate_candidates(alg, window)
     # only Peirce-diagonal candidates can carry weight (see module docstring)
-    diagonal = [m for m in candidates if m.source == m.target]
+    count, diagonal = enumerate_candidates(alg, window)
     kernel = CommutatorKernel(alg, diagonal)
     rows, dead = [], set()
     for tag, x in alg.generator_symbols:
@@ -161,18 +165,15 @@ def central_subspace(g: Graph, window: OracleWindow, *, field=QQ) -> CentralSubs
                 for row in rows)
     vectors = sparse_nullspace([row for row in stripped if row], len(live), field)
 
-    basis = []
-    for vec in vectors:
-        coeffs = {diagonal[live[i]]: c for i, c in vec.items()}
-        basis.append(GAElement(alg, coeffs))
-
+    basis = tuple(GAElement(alg, {key_monomial(g, diagonal[live[i]]): c
+                                  for i, c in vec.items()}) for vec in vectors)
     for el in basis:  # soundness re-check, post-solve
         witness = centrality_witness(el)
         if witness is not None:
             raise InvariantViolation(
                 f"oracle solver produced a non-central vector (witness {witness[0]})"
             )
-    return CentralSubspace(tuple(basis), window, alg, len(candidates))
+    return CentralSubspace(basis, window, alg, count)
 
 
 def graded_center_component(g: Graph, kind, n: int, max_len: int, *,

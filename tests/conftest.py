@@ -4,12 +4,11 @@ from unittest.mock import patch
 
 import pytest
 
-from pathcenters import Graph, oracle
-from pathcenters.graph import Path
+from pathcenters import Graph, graph_algebra, oracle
 from pathcenters.graph_algebra import (
     Algebra,
     CommutatorKernel,
-    GMonomial,
+    key_monomial,
     mul_monomials,
 )
 from pathcenters.linalg import sparse_nullspace
@@ -71,12 +70,6 @@ def raw_key(m):
     return (m.real.source, m.real.edges, m.ghost.source, m.ghost.edges)
 
 
-def from_raw(g, key):
-    rs, lam, gs, mu = key
-    r = g.rng[lam[-1]] if lam else rs
-    return GMonomial(Path(rs, r, lam), Path(gs, r, mu))
-
-
 def product_by_mul_monomials(alg, m, symbol, side):
     """m·g ("right") or -g·m ("left") for the generator with this raw
     symbol, formed by `mul_monomials` and read as raw keys."""
@@ -105,7 +98,7 @@ def record_kernel_products(monkeypatch, *modules):
             for j, key, c in terms:
                 by_column.setdefault(j, {})[key] = c
             for j, got in by_column.items():
-                m = from_raw(self.alg.graph, self.raw[j])
+                m = key_monomial(self.alg.graph, self.raw[j])
                 products.append((self.alg, m, symbol, side, got))
             return iter(terms)
 
@@ -118,6 +111,23 @@ def record_kernel_products(monkeypatch, *modules):
     for module in modules:
         monkeypatch.setattr(module, "CommutatorKernel", Recording)
     return products
+
+
+def count_witness_kernels(monkeypatch):
+    """Swap a counting commutator kernel into `graph_algebra`, where only
+    `centrality_witness` builds one: the list of the algebras it was built
+    in, one entry per verdict computed."""
+    built = []
+
+    class Counting(graph_algebra.CommutatorKernel):
+        __slots__ = ()
+
+        def __init__(self, alg, cols):
+            built.append(alg)
+            super().__init__(alg, cols)
+
+    monkeypatch.setattr(graph_algebra, "CommutatorKernel", Counting)
+    return built
 
 
 def formed_only_nonzero_products(products):

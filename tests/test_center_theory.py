@@ -345,6 +345,29 @@ def test_verify_bounds_on_fixtures():
         assert res.ok, (name, res.notes)
 
 
+def test_verify_bounds_fails_on_the_upper_containment_alone():
+    # L(R_1)'s window-2 basis read as a window-1 solve: f1^2 and f1*^2 are
+    # central but escape the window-1 upper span, while the lower powers
+    # f1, f1* and the unit are all in the basis
+    sub = central_subspace(rose_graph(1), OracleWindow(LEAVITT, 2))
+    res = verify_bounds(sub._replace(window=OracleWindow(LEAVITT, 1)))
+    assert not res.ok and not res.upper_ok and res.lower_ok
+    assert res.notes == ("projection of a central element escapes the upper "
+                         "bound at H=[]",) * 2
+
+
+def test_verify_bounds_fails_on_the_lower_containment_alone():
+    # L(R_1)'s window-2 basis without f1^2: every remaining vector still
+    # projects into the upper span, but the Laurent power f1^2 is missing
+    sub = central_subspace(rose_graph(1), OracleWindow(LEAVITT, 2))
+    basis = tuple(z for z in sub.basis if z.degree() != 2)
+    res = verify_bounds(sub._replace(basis=basis))
+    assert len(basis) == 4
+    assert not res.ok and res.upper_ok and not res.lower_ok
+    assert res.notes == ("lower-bound generator power missing from the "
+                         "oracle span (record 0)",)
+
+
 def test_verify_bounds_refuses_a_subspace_of_another_algebra():
     # a path-algebra solve said nothing about the Leavitt bounds, yet it
     # used to pass as a check of them

@@ -25,11 +25,12 @@ from pathcenters import (
 )
 from pathcenters.cli import main
 from pathcenters.errors import InvariantViolation
-from pathcenters.graph_algebra import enumerate_ga_monomials
+from pathcenters import graph_algebra
+from pathcenters.graph_algebra import check_window_cap, enumerate_ga_monomials
 from pathcenters.linalg import sparse_nullspace
 from pathcenters.report import load_schema
 
-from conftest import fixture_path, record_algebra_builds
+from conftest import count_witness_kernels, fixture_path, record_algebra_builds
 
 
 # --- graph file parsing ------------------------------------------------------
@@ -189,6 +190,39 @@ def test_resource_cap_exit_code(monkeypatch):
     code, _, err = run_cli("oracle", str(fixture_path("rose_2")),
                            "--algebra", "leavitt", "--max-len", "3")
     assert code == 3 and "cap" in err
+
+
+@pytest.mark.parametrize("cap, code", [("40", 0), ("39", 3), ("0", 3)])
+def test_the_cap_admits_a_window_of_exactly_its_size(monkeypatch, cap, code):
+    assert check_window_cap(Algebra(LEAVITT, rose_graph(2)), 2, None) == 40
+    monkeypatch.setenv("PATHCENTERS_MAX_MONOMIALS", cap)
+    got, out, err = run_cli("oracle", str(fixture_path("rose_2")),
+                            "--algebra", "leavitt", "--max-len", "2")
+    assert got == code
+    assert (f"window holds 40 candidate monomials; cap is {cap}" in err) == (code == 3)
+
+
+@pytest.mark.parametrize("fixture, max_len", [("toeplitz", "3"), ("cycle_2", "2")])
+def test_an_oracle_verify_computes_each_verdict_once(monkeypatch, fixture, max_len):
+    import importlib
+
+    built = count_witness_kernels(monkeypatch)
+    calls = []
+    witness = graph_algebra.centrality_witness
+
+    def recorded(a):
+        calls.append((a.algebra, frozenset(a.coeffs.items())))
+        return witness(a)
+
+    for name in ("graph_algebra", "oracle", "center_theory"):
+        module = importlib.import_module(f"pathcenters.{name}")
+        if getattr(module, "centrality_witness", None) is witness:
+            monkeypatch.setattr(module, "centrality_witness", recorded)
+    code, out, _ = run_cli("oracle", str(fixture_path(fixture)), "--algebra",
+                           "leavitt", "--max-len", max_len, "--verify")
+    assert code == 0 and "ok: True" in out
+    distinct = {(id(alg), element) for alg, element in calls}
+    assert len(built) == len(distinct) < len(calls)
 
 
 def test_oracle_verify_and_gprimes():

@@ -63,6 +63,7 @@ from pathcenters.graph_algebra import (
     check_central,
     count_ga_monomials,
     enumerate_ga_monomials,
+    key_monomial,
     mul_monomials,
     normal_form,
     parse_word,
@@ -84,6 +85,7 @@ from conftest import (
     fixture_path,
     formed_only_nonzero_products,
     product_by_mul_monomials,
+    raw_key,
     record_kernel_products,
     solver_calls,
 )
@@ -350,7 +352,7 @@ def central_subspace_by_all_pairs(g, window, field):
     """Multiply every candidate by every generator on both sides and solve
     over every candidate column."""
     alg = Algebra(window.kind, g, field=field)
-    candidates = enumerate_candidates(alg, window)
+    candidates = enumerate_ga_monomials(alg, window.max_len, degrees=window.degrees)
     gen_monomials = [next(iter(gel.coeffs)) for _, gel in alg.generators]
 
     rows = {}
@@ -433,7 +435,7 @@ def centrality_witness_by_every_kernel_row(a):
     coefficients, do not cancel, or None: every generator is visited."""
     alg = a.algebra
     field = alg.field
-    kernel = CommutatorKernel(alg, a.coeffs)
+    kernel = CommutatorKernel(alg, [raw_key(m) for m in a.coeffs])
     coeffs = list(a.coeffs.values())
     for gen, symbol in zip(alg.generators, alg.generator_symbols):
         total = {}
@@ -796,6 +798,44 @@ def test_count_matches_enumeration(data, g):
         len(enumerate_ga_monomials(alg, max_len, degrees=degrees))
 
 
+def check_diagonal_candidates(alg, window):
+    """`enumerate_candidates` counts the whole window and lists its
+    Peirce-diagonal monomials as kernel keys, in the full listing's order."""
+    full = enumerate_ga_monomials(alg, window.max_len, degrees=window.degrees)
+    diagonal = [m for m in full if m.source == m.target]
+    count, keys = enumerate_candidates(alg, window)
+    assert keys == [raw_key(m) for m in diagonal]
+    assert [key_monomial(alg.graph, key) for key in keys] == diagonal
+    assert count == len(full)
+
+
+@pytest.mark.parametrize("kind", ALGEBRA_KINDS)
+def test_diagonal_candidates_match_the_full_listing_on_fixtures(kind):
+    checked = 0
+    for path in sorted(FIXTURES.glob("*.graph")):
+        alg = Algebra(kind, parse_graph(path.read_text()))
+        for max_len in range(5):
+            for degrees in (None, (0, 0), (-max_len, 0), (1, max_len)):
+                if degrees is not None and degrees[0] > degrees[1]:
+                    continue
+                if count_ga_monomials(alg, max_len, degrees=degrees) <= 4000:
+                    check_diagonal_candidates(alg, OracleWindow(kind, max_len, degrees))
+                    checked += 1
+    assert checked > 200
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), g=graphs(max_vertices=4, max_edges=5))
+def test_diagonal_candidates_match_the_full_listing(data, g):
+    kind = data.draw(st.sampled_from(ALGEBRA_KINDS))
+    alg = Algebra(kind, g)
+    max_len = data.draw(st.integers(0, 4))
+    while max_len and count_ga_monomials(alg, max_len) > 2000:
+        max_len -= 1
+    window = OracleWindow(kind, max_len, data.draw(windows(max_len)))
+    check_diagonal_candidates(alg, window)
+
+
 @settings(max_examples=150, deadline=None)
 @given(data=st.data(), g=graphs(max_vertices=4, max_edges=6))
 def test_direct_straightening_matches_the_word_rewriter(data, g):
@@ -1019,7 +1059,9 @@ def dead_columns_by_all_pairs(g, window, field):
     one entry once the columns killed by earlier generators are struck out
     kills that entry's column.  Every product is formed."""
     alg = Algebra(window.kind, g, field=field)
-    diagonal = [m for m in enumerate_candidates(alg, window) if m.source == m.target]
+    diagonal = [m for m in enumerate_ga_monomials(alg, window.max_len,
+                                                  degrees=window.degrees)
+                if m.source == m.target]
     minus_one = field.neg(field.one)
     dead = set()
     for _, gel in alg.generators:
@@ -1063,7 +1105,7 @@ def window_sums(draw, g, kind, field, central):
     alg = Algebra(kind, g, field=field)
     window = OracleWindow(kind, 2)
     out = alg.zero()
-    for m in draw(st.lists(st.sampled_from(enumerate_candidates(alg, window)),
+    for m in draw(st.lists(st.sampled_from(enumerate_ga_monomials(alg, window.max_len)),
                            max_size=4)):
         out = out + alg.monomial(m, draw(st.integers(-2, 2)))
     for z in central:
@@ -1099,8 +1141,8 @@ def test_centrality_checks_form_no_zero_product(monkeypatch):
     ladder = ladder_graph(4)
     cycles = [parse_graph(fixture_path(f"cycle_{n}").read_text()) for n in (2, 3, 4)]
     for g in [ladder] + cycles:
+        products.clear()  # the theory checks its generator as it builds it
         z = laurent_generator(Algebra(LEAVITT, g), classify_prime_leavitt(g).cycle)
-        products.clear()
         assert check_central(z)
         assert products and formed_only_nonzero_products(products)
 
@@ -1109,7 +1151,7 @@ def kernel_pairs_match_products(alg, cols):
     """The kernel's terms for every column and every generator, on both
     sides, against `mul_monomials`; the number of products CK2 straightened
     (the ones with more than one term)."""
-    kernel = CommutatorKernel(alg, cols)
+    kernel = CommutatorKernel(alg, [raw_key(m) for m in cols])
     straightened = 0
     for symbol in alg.generator_symbols:
         for side in ("right", "left"):

@@ -26,11 +26,13 @@ from pathcenters import (
 from pathcenters.center_theory import SCALAR, center_prime_cohn
 from pathcenters.graph import find_cycles
 from pathcenters.linalg import LinearSpan
-from pathcenters.oracle import element_vector, enumerate_candidates
+from pathcenters.graph_algebra import enumerate_ga_monomials
+from pathcenters.oracle import element_vector
 from pathcenters.scalars import QQ
 from pathcenters.textio import parse_graph
 
 from conftest import (
+    count_witness_kernels,
     cycle_feeds_loop,
     feeder_loop,
     fixture_path,
@@ -235,6 +237,45 @@ def test_verify_rejects_corrupted_claim():
     assert rep.outside_span  # the true center escapes the corrupted span
 
 
+def test_verify_structure_fails_on_centrality_alone():
+    # L(R_2) has center K: a sum claim whose second piece is f1 still spans
+    # the window's center, but f1 fails against f2
+    sub = central_subspace(rose_graph(2), OracleWindow(LEAVITT, 2))
+    f1 = word_element(sub.algebra, ["f1"])
+    claim = CenterStructure("sum", (), (CenterStructure(SCALAR, (sub.algebra.one(),)),
+                                        CenterStructure(SCALAR, (f1,))))
+    rep = verify_structure(claim, sub)
+    assert not rep.ok and not rep.outside_span
+    assert rep.generator_failures == ((repr(f1), "f2"),)
+
+
+def test_verify_structure_fails_on_the_span_alone():
+    # L(R_1) = K[x, x^-1]: the claim K is central, and f1 escapes its span
+    sub = central_subspace(rose_graph(1), OracleWindow(LEAVITT, 2))
+    rep = verify_structure(CenterStructure(SCALAR, (sub.algebra.one(),)), sub)
+    assert not rep.ok and not rep.generator_failures
+    assert len(rep.outside_span) == 4 and (rep.span_dim, rep.oracle_dim) == (1, 5)
+
+
+def test_a_verdict_is_computed_once_per_element(monkeypatch):
+    # the Toeplitz algebra C(R_1): the unit v is central, f1 fails against f1*
+    built = count_witness_kernels(monkeypatch)
+    alg = Algebra(COHN, rose_graph(1))
+    verdicts = [centrality_witness(x) for x in (
+        alg.one(), word_element(alg, ["f1"]), alg.one(), word_element(alg, ["f1"]))]
+    assert [w and w[0] for w in verdicts] == [None, "f1*", None, "f1*"]
+    assert len(built) == 2
+
+
+@pytest.mark.parametrize("kinds", [(LEAVITT, COHN), (COHN, LEAVITT)])
+def test_a_verdict_does_not_carry_across_algebras(kinds):
+    # f1 is central in L(R_1) = K[x, x^-1], and not in C(R_1)
+    expected = {LEAVITT: None, COHN: "f1*"}
+    for kind in kinds:
+        witness = centrality_witness(word_element(Algebra(kind, rose_graph(1)), ["f1"]))
+        assert (witness and witness[0]) == expected[kind], kind
+
+
 def test_only_a_failing_witness_builds_the_labelled_generators(monkeypatch):
     built = record_algebra_builds(monkeypatch)
     sub = central_subspace(rose_graph(2), OracleWindow(LEAVITT, 2, (-2, 2)))
@@ -345,7 +386,8 @@ def test_assembly_forms_no_zero_product(monkeypatch, name, g, kind):
 def junction_bucket_size(g, window):
     """How many products the junction buckets hold: each diagonal candidate
     m = λμ* against each edge and ghost edge whose junction it meets."""
-    candidates = enumerate_candidates(Algebra(window.kind, g), window)
+    candidates = enumerate_ga_monomials(Algebra(window.kind, g), window.max_len,
+                                        degrees=window.degrees)
     diagonal = [m for m in candidates if m.source == m.target]
 
     def meets(part, e):  # the part starts with e or is trivial at s(e)

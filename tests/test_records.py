@@ -3,6 +3,7 @@ hash, immutability, repr and validation, and an import that pulls in no
 `dataclasses`."""
 
 import json
+import os
 import pathlib
 import subprocess
 import sys
@@ -57,7 +58,8 @@ def test_cli_import_loads_no_dataclasses_machinery():
     code = ("import sys; before = set(sys.modules); import pathcenters.cli; "
             "print(' '.join(sorted(set(sys.modules) - before)))")
     out = subprocess.run([sys.executable, "-c", code], check=True, text=True,
-                         capture_output=True, env={"PYTHONPATH": str(SRC)})
+                         capture_output=True,
+                         env={**os.environ, "PYTHONPATH": str(SRC)})
     loaded = set(out.stdout.split())
     assert "pathcenters.cli" in loaded
     assert not loaded & set(HEAVY)
