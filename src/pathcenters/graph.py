@@ -4,13 +4,14 @@ Graphs are immutable after construction and every operation here is a pure
 function, so shared instances are safe under concurrent use.  Edges carry
 their own identity: parallel edges and loops are fully supported.
 
-The package's records are `namedtuple`s; one with derived state (a
-`Graph`'s edge maps) or a validating constructor is `Frozen`.
+The records are `namedtuple`s; one with derived state (a `Graph`'s edge
+maps, components and exit-free cycles) or a validating constructor is `Frozen`.
 """
 
 from __future__ import annotations
 
 from collections import deque, namedtuple
+from functools import cached_property
 
 from .errors import GraphError, ResourceCapExceeded
 
@@ -21,7 +22,8 @@ CYCLE_CAP = 20_000
 
 class Frozen:
     """Mixin for a tuple record: any assignment raises AttributeError, so
-    derived state in a `__dict__` is set with object.__setattr__, and
+    derived state in a `__dict__` is set with object.__setattr__, or by a
+    `cached_property` (a `Graph`'s components and exit-free cycles), and
     `_make` (so `_replace` too) builds through the record's constructor,
     which validates, instead of `tuple.__new__`."""
 
@@ -101,6 +103,24 @@ class Graph(Frozen, namedtuple("Graph", "vertices edges src rng")):
     def edge_triples(self):
         return [(e, self.src[e], self.rng[e]) for e in self.edges]
 
+    # `strongly_connected_components`, walked once per graph
+    components = cached_property(lambda g: strongly_connected_components(g))
+
+    @cached_property
+    def exit_free_cycles(self):
+        """Each exit-free cycle is a component whose vertices each emit just
+        one edge, into it; the walk from its least vertex reads the cycle."""
+        found = []
+        for comp in self.components:
+            if all(len(self._out[v]) == 1 and self.rng[self._out[v][0]] in comp
+                   for v in comp):
+                edges, v = [], min(comp)
+                for _ in comp:
+                    edges.append(self._out[v][0])
+                    v = self.rng[edges[-1]]
+                found.append(Cycle.from_edges(self, edges))
+        return tuple(sorted(found, key=lambda c: c.edges))
+
 
 class Path(namedtuple("Path", "source target edges")):
     """A composable edge sequence, or a trivial path sitting at a vertex.
@@ -160,15 +180,15 @@ class Cycle(namedtuple("Cycle", "path")):
 
     @classmethod
     def from_edges(cls, g: Graph, edges) -> "Cycle":
-        p = Path.from_edges(g, edges)
+        edges = tuple(edges)  # rotated first, as a rotation of a cycle is one
+        k = edges.index(min(edges)) if edges else 0
+        p = Path.from_edges(g, edges[k:] + edges[:k])
         if p.source != p.target:
             raise GraphError("cycle must be a closed path")
         sources = [g.src[e] for e in p.edges]
         if len(set(sources)) != len(sources):
             raise GraphError("closed path repeats an edge source; not a cycle")
-        k = min(range(len(edges)), key=lambda i: p.edges[i])
-        rotated = p.edges[k:] + p.edges[:k]
-        return cls(Path.from_edges(g, rotated))
+        return cls(p)
 
     @property
     def edges(self):
@@ -283,41 +303,26 @@ def cycle_has_exit(g: Graph, c: Cycle) -> bool:
 
 
 def cycles_without_exits(g: Graph):
-    """The exit-free cycles, canonical, sorted by their edge lists, from one
-    Tarjan pass in O(V + E).
-
-    A cycle is exit-free exactly when its vertex set is a strongly connected
-    component each of whose vertices emits exactly one edge, and that edge
-    stays inside it; the walk from its least vertex then reads the cycle."""
-    found = []
-    for comp in strongly_connected_components(g):
-        if all(len(g._out[v]) == 1 and g.rng[g._out[v][0]] in comp for v in comp):
-            edges, v = [], min(comp)
-            for _ in comp:
-                edges.append(g._out[v][0])
-                v = g.rng[edges[-1]]
-            found.append(Cycle.from_edges(g, edges))
-    return sorted(found, key=lambda c: c.edges)
+    """The exit-free cycles, canonical, sorted by their edge lists, from the
+    graph's components in O(V + E): a list of its `exit_free_cycles`."""
+    return list(g.exit_free_cycles)
 
 
 def condition_L(g: Graph) -> bool:
-    return not cycles_without_exits(g)
+    return not g.exit_free_cycles
 
 
 def exit_free_cycle_vertices(g: Graph) -> frozenset:
     """P_c: the union of the vertex sets of all exit-free cycles."""
-    out = set()
-    for c in cycles_without_exits(g):
-        out |= c.vertex_set(g)
-    return frozenset(out)
+    return frozenset().union(*(c.vertex_set(g) for c in g.exit_free_cycles))
 
 
 def strongly_connected_components(g: Graph):
-    """The strongly connected components, each a frozenset, by an iterative
-    Tarjan walk.  A generator: each component is yielded once it is
-    complete, so the first one is terminal (no edge leaves it), and all of
-    them cost O(V + E)."""
+    """The strongly connected components, each a frozenset, by a fresh Tarjan
+    walk in O(V + E); callers read the cached `Graph.components`.  No longer a
+    generator: a tuple, in completion order, so the first one is terminal."""
     index, low = {}, {}
+    comps = []
     on_stack, stack = set(), []
     for root in g.vertices:
         if root in index:
@@ -351,7 +356,8 @@ def strongly_connected_components(g: Graph):
                         comp.add(w)
                         if w == v:
                             break
-                    yield frozenset(comp)
+                    comps.append(frozenset(comp))
+    return tuple(comps)
 
 
 def reaching(g: Graph, targets) -> frozenset:
@@ -373,7 +379,7 @@ def is_downward_directed(g: Graph) -> bool:
     In a finite graph every vertex reaches a terminal strongly connected
     component, so this holds exactly when there is only one: when every
     vertex reaches the first terminal component found."""
-    terminal = next(strongly_connected_components(g), frozenset())
+    terminal = g.components[0] if g.components else ()
     return len(reaching(g, terminal)) == len(g.vertices)
 
 
@@ -412,7 +418,7 @@ def check_vertex_cap(g: Graph, what: str):
 def anchor_components(g: Graph):
     """The strongly connected components that hold an edge or are a sink,
     in Tarjan order: each after every component it reaches."""
-    return [comp for comp in strongly_connected_components(g)
+    return [comp for comp in g.components
             if g.is_sink(next(iter(comp)))
             or any(g.rng[e] in comp for v in comp for e in g._out[v])]
 
@@ -433,15 +439,17 @@ def enumerate_hereditary_saturated(g: Graph):
     check_vertex_cap(g, "hereditary-saturated enumeration needs "
                         f"2^{len(g.vertices)} subsets")
     anchors = anchor_components(g)[::-1]
-    bit = {v: 1 << k for k, v in enumerate(g.vertices)}
+    # vertex k of n is bit n-1-k, so of two kept-vertex masks of one size
+    # the larger holds the least vertex they differ in: it sorts first
+    n = len(g.vertices)
+    bit = {v: 1 << (n - 1 - k) for k, v in enumerate(g.vertices)}
     reach = [sum(bit[v] for v in reaching(g, comp)) for comp in anchors]
-    found = []
+    full, found = (1 << n) - 1, []  # found: the kept-vertex masks
     stack = [(0, 0, 0)]  # (next anchor, dropped anchors' vertices, removed vertices)
     while stack:
         i, dropped, removed = stack.pop()
         if i == len(anchors):
-            # through a set, so the frozenset's table is sized to its members
-            found.append(frozenset({v for v in g.vertices if not removed & bit[v]}))
+            found.append(full ^ removed)
             if len(found) > CYCLE_CAP:
                 raise ResourceCapExceeded(
                     f"hereditary-saturated listing found more than "
@@ -451,7 +459,9 @@ def enumerate_hereditary_saturated(g: Graph):
         stack.append((i + 1, dropped | bit[min(anchors[i])], removed))
         if not reach[i] & dropped:
             stack.append((i + 1, dropped, removed | reach[i]))
-    return sorted(found, key=lambda s: (len(s), sorted(s)))
+    found.sort(key=lambda m: (m.bit_count(), -m))
+    # through a set, so each frozenset's table is sized to its members
+    return [frozenset({v for v, b in bit.items() if m & b}) for m in found]
 
 
 def quotient_graph(g: Graph, h) -> Graph:
@@ -531,7 +541,7 @@ def count_paths_into(g: Graph, targets: frozenset):
         if any(g.rng[e] not in targets for e in g.out_edges(v)):
             raise GraphError(f"targets are not closed under out-edges at {v!r}")
     count, longest = {}, {}
-    for comp in strongly_connected_components(g):
+    for comp in g.components:
         if comp <= targets:
             count.update(dict.fromkeys(comp, 1))
             longest.update(dict.fromkeys(comp, 0))

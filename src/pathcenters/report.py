@@ -53,10 +53,11 @@ def new_report(command: str, g: Graph, source: str):
 def predicates_section(g: Graph):
     # the capped enumeration first: it refuses a large graph at once
     hereditary = [sorted(h) for h in enumerate_hereditary_saturated(g)]
+    kinds = [(v, classify_vertex(g, v)) for v in g.vertices]
     return {
-        "sinks": [v for v in g.vertices if classify_vertex(g, v).sink],
-        "sources": [v for v in g.vertices if classify_vertex(g, v).source],
-        "regular": [v for v in g.vertices if classify_vertex(g, v).regular],
+        "sinks": [v for v, c in kinds if c.sink],
+        "sources": [v for v, c in kinds if c.source],
+        "regular": [v for v, c in kinds if c.regular],
         "connected_components": [sorted(b) for b in connected_components(g)],
         "cycles": [
             {"edges": list(c.edges), "has_exit": cycle_has_exit(g, c)}
@@ -190,7 +191,8 @@ def add_notice(report, text):
 
 def render_json(report) -> str:
     """`json.dumps(report, indent=2)` and a newline, byte for byte, without the
-    pure-Python encoder that `indent` selects: strings are quoted in C."""
+    pure-Python encoder that `indent` selects: strings are quoted in C, and a
+    list of strings is written whole, by one join."""
     out = []
     _write_json(report, "\n", out)
     return "".join(out) + "\n"
@@ -209,37 +211,50 @@ def _write_json(value, pad, out):
         out.append(pad + "}")
     elif isinstance(value, (list, tuple)) and value:
         inner, sep = pad + "  ", "["
+        if {*map(type, value)} == {str}:
+            out.append(f"[{inner}{(',' + inner).join(map(_quote, value))}{pad}]")
+            return
         for v in value:
             out.append(sep + inner)
             _write_json(v, inner, out)
             sep = ","
         out.append(pad + "]")
+    elif value is None or isinstance(value, bool):
+        out.append("null" if value is None else "true" if value else "false")
     else:
         out.append(json.dumps(value))
 
 
-def _is_scalar_list(v):
-    return isinstance(v, list) and all(not isinstance(x, (dict, list)) for x in v)
+def _scalar_line(v):
+    """A list of scalars as its one line of text, else None."""
+    if isinstance(v, list) and {dict, list}.isdisjoint(map(type, v)):
+        return ", ".join(map(str, v)) or "(none)"
+    return None
 
 
 def _render_value(value, indent, lines):
+    """Append `value`'s lines at `indent`; values are plain dicts, lists and
+    scalars, and a list of scalars is one line, inline as a list item."""
     pad = "  " * indent
-    if isinstance(value, dict):
+    line = _scalar_line(value)
+    if line is not None:
+        lines.append(pad + line)
+    elif isinstance(value, dict):
         for k, v in value.items():
-            if _is_scalar_list(v):
-                lines.append(f"{pad}{k}: {', '.join(str(x) for x in v) or '(none)'}")
-            elif isinstance(v, (dict, list)):
+            line = _scalar_line(v)
+            if line is None and isinstance(v, (dict, list)):
                 lines.append(f"{pad}{k}:")
                 _render_value(v, indent + 1, lines)
             else:
-                lines.append(f"{pad}{k}: {v}")
+                lines.append(f"{pad}{k}: {v if line is None else line}")
     elif isinstance(value, list):
-        if _is_scalar_list(value):
-            lines.append(f"{pad}{', '.join(str(x) for x in value) or '(none)'}")
-        else:
-            for i, x in enumerate(value):
-                lines.append(f"{pad}- [{i}]")
+        for i, x in enumerate(value):
+            lines.append(f"{pad}- [{i}]")
+            line = _scalar_line(x)
+            if line is None:
                 _render_value(x, indent + 1, lines)
+            else:
+                lines.append(f"{pad}  {line}")
     else:
         lines.append(f"{pad}{value}")
 

@@ -326,6 +326,27 @@ def test_invariant_violation_exits_four_without_traceback(monkeypatch, module,
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+@pytest.mark.parametrize("isometry, ghost", [("e", False), ("e*", True)])
+def test_a_generator_unitary_on_one_side_only_exits_four(monkeypatch, tmp_path,
+                                                        isometry, ghost):
+    # the Toeplitz loop e beside an exit-free loop d: e*e = u but ee* != u,
+    # so z = e fails only z·z* = u and z = e* fails only z*·z = u
+    from pathcenters import center_theory
+
+    def isometry_sum(alg, feeding, c=None):
+        return alg.vertex("u") if c is None else alg.edge("e", ghost=ghost)
+
+    monkeypatch.setattr(center_theory, "check_central", lambda a: True)
+    monkeypatch.setattr(center_theory, "_corner_sum", isometry_sum)
+    path = tmp_path / "toeplitz_beside_loop.graph"
+    path.write_text("vertices: u v w\nedge e: u -> u\nedge f: u -> v\n"
+                    "edge d: w -> w\n")
+    code, out, err = run_cli("center", str(path), "--algebra", "leavitt")
+    assert code == 4 and out == ""
+    assert err == ("pathcenters: internal invariant violated: "
+                   "constructed generator is not unitary\n")
+
+
 def corrupted_nullspace(rows, ncols, field):
     """A wrong solve: the true nullspace basis, its first vector (the unit)
     plus a live column it leaves out, a monomial that is not central."""

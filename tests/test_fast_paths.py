@@ -9,7 +9,7 @@ from unittest.mock import patch
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pathcenters import Graph, graph_algebra, oracle
+from pathcenters import Graph, graph, graph_algebra, oracle
 from pathcenters.center_theory import (
     POLY,
     SCALAR,
@@ -214,6 +214,52 @@ def paths_into_by_length(g, targets):
 def exit_free_by_listing(g):
     """Every cycle, kept when no vertex on it emits a second edge."""
     return [c for c in find_cycles(g) if not cycle_has_exit(g, c)]
+
+
+def cycle_by_two_passes(g, edges):
+    """`Cycle.from_edges` as it was: validate the path, rotate its least
+    edge to the front, and validate the rotation again."""
+    p = Path.from_edges(g, edges)
+    if p.source != p.target:
+        raise GraphError("cycle must be a closed path")
+    sources = [g.src[e] for e in p.edges]
+    if len(set(sources)) != len(sources):
+        raise GraphError("closed path repeats an edge source; not a cycle")
+    k = min(range(len(edges)), key=lambda i: p.edges[i])
+    return Cycle(Path.from_edges(g, p.edges[k:] + p.edges[:k]))
+
+
+def components_by_recursion(g):
+    """Tarjan's walk as published, recursive: the strongly connected
+    components in the order they complete."""
+    index, low, stack, out = {}, {}, [], []
+
+    def visit(v):
+        index[v] = low[v] = len(index)
+        stack.append(v)
+        for e in g.out_edges(v):
+            w = g.rng[e]
+            if w not in index:
+                visit(w)
+                low[v] = min(low[v], low[w])
+            elif w in stack:
+                low[v] = min(low[v], index[w])
+        if low[v] == index[v]:
+            comp = set()
+            while v not in comp:
+                comp.add(stack.pop())
+            out.append(frozenset(comp))
+
+    for v in g.vertices:
+        if v not in index:
+            visit(v)
+    return tuple(out)
+
+
+def hereditary_by_member_sort(g):
+    """The listing in its old order: by size, then by the sorted members."""
+    return sorted(set(enumerate_hereditary_saturated(g)),
+                  key=lambda s: (len(s), sorted(s)))
 
 
 def path_stats_by_listing(g, targets):
@@ -688,6 +734,68 @@ def test_downward_directed_matches_pairwise_reachability(g):
         for u in c:
             reach = reachable_from(g, u)
             assert {v for v in reach if u in reachable_from(g, v)} == c
+
+
+def loops_graph(k):
+    vs = [f"u{i}" for i in range(1, k + 1)]
+    return Graph.build(vs, [(f"c{i}", v, v) for i, v in enumerate(vs, 1)])
+
+
+def check_structure_against_old_paths(g):
+    """The cached components are a fresh Tarjan walk, the first one
+    terminal; the bitmask listing keeps the member order; a cycle built in
+    one pass equals the two-pass one from every rotation."""
+    assert g.components == components_by_recursion(g)
+    assert g.components is g.components
+    first = g.components[0]
+    assert all(g.rng[e] in first for v in first for e in g.out_edges(v))
+    assert g.exit_free_cycles == tuple(exit_free_by_listing(g))
+    assert enumerate_hereditary_saturated(g) == hereditary_by_member_sort(g)
+    for c in find_cycles(g):
+        for k in range(c.length):
+            edges = c.edges[k:] + c.edges[:k]
+            assert Cycle.from_edges(g, edges) == cycle_by_two_passes(g, edges) == c
+
+
+def test_structure_matches_old_paths_on_fixtures_and_loops():
+    for path in sorted(FIXTURES.glob("*.graph")):
+        check_structure_against_old_paths(parse_graph(path.read_text()))
+    for k in range(1, 13):
+        check_structure_against_old_paths(loops_graph(k))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), g=graphs(max_vertices=8, max_edges=14))
+def test_structure_matches_old_paths(data, g):
+    check_structure_against_old_paths(g)
+    # any edge sequence: a cycle, or a GraphError, either way
+    edges = data.draw(st.lists(st.sampled_from(g.edges), max_size=4)) if g.edges else []
+    try:
+        expected = cycle_by_two_passes(g, edges)
+    except GraphError:
+        with pytest.raises(GraphError):
+            Cycle.from_edges(g, edges)
+    else:
+        assert Cycle.from_edges(g, edges) == expected
+
+
+def test_each_graph_walks_its_components_once(monkeypatch):
+    walks = []
+    walk = strongly_connected_components
+    monkeypatch.setattr(graph, "strongly_connected_components",
+                        lambda g: walks.append(g) or walk(g))
+    g = parse_graph(fixture_path("cycle_feeds_loop").read_text())
+    is_downward_directed(g)
+    cycles_without_exits(g).clear()  # a copy: the cached tuple stays
+    count_paths_into(g, frozenset({"v"}))
+    enumerate_hereditary_saturated(g)
+    assert walks == [g] and len(cycles_without_exits(g)) == 1
+    # an equal graph built anew, and a quotient, each get their own walk
+    same = Graph.build(g.vertices, g.edge_triples())
+    q = quotient_graph(g, {"v"})
+    assert same == g and is_downward_directed(same) and is_downward_directed(q)
+    assert walks == [g, same, q] and walks[1] is same
+    assert q.components == components_by_recursion(q) == (frozenset({"u"}),)
 
 
 def check_scc_answers_against_listing(g, seed):

@@ -46,7 +46,7 @@ from pathcenters.oracle import (
     OracleWindow,
     VerificationReport,
 )
-from pathcenters.report import render_json
+from pathcenters.report import render_json, render_text
 from pathcenters.scalars import QQ, field_from_characteristic
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
@@ -224,12 +224,13 @@ def test_make_and_replace_build_through_the_validating_constructor():
     assert choice.edge_at("u") == "f"
 
 
-# --- the JSON writer against json.dumps ----------------------------------
+# --- the writers against json.dumps and the old text walker ---------------
 
 json_scalars = (st.none() | st.booleans() | st.integers(-10**20, 10**20)
                 | st.text(max_size=8))
+# string lists, empty ones too, as often as the writers' whole-list paths
 json_values = st.recursive(
-    json_scalars,
+    json_scalars | st.lists(st.text(max_size=3), max_size=3),
     lambda inner: st.lists(inner, max_size=4)
     | st.dictionaries(st.text(max_size=6), inner, max_size=4),
     max_leaves=20)
@@ -243,5 +244,44 @@ def test_render_json_matches_json_dumps(value):
 
 def test_render_json_on_edge_values():
     for value in ({}, [], "", {"": []}, {"é": {"ü\n\"\\": ["\x00", "☃"]}},
-                  [[], [{}], ()], {"a": (1, 2.5, -0.0, True, None)}):
+                  [[], [{}], ()], {"a": (1, 2.5, -0.0, True, None)},
+                  ["a", ("b", "c"), ("d", 1)], [True, False, None, 1, 0]):
         assert render_json(value) == json.dumps(value, indent=2) + "\n"
+
+
+def _render_value_by_walk(value, indent, lines):
+    """The text walker as it was: every list tested item by item, and each
+    list item rendered by a recursive call."""
+    pad = "  " * indent
+    scalar_list = (lambda v: isinstance(v, list)
+                   and all(not isinstance(x, (dict, list)) for x in v))
+    if isinstance(value, dict):
+        for k, v in value.items():
+            if scalar_list(v):
+                lines.append(f"{pad}{k}: {', '.join(str(x) for x in v) or '(none)'}")
+            elif isinstance(v, (dict, list)):
+                lines.append(f"{pad}{k}:")
+                _render_value_by_walk(v, indent + 1, lines)
+            else:
+                lines.append(f"{pad}{k}: {v}")
+    elif isinstance(value, list):
+        if scalar_list(value):
+            lines.append(f"{pad}{', '.join(str(x) for x in value) or '(none)'}")
+        else:
+            for i, x in enumerate(value):
+                lines.append(f"{pad}- [{i}]")
+                _render_value_by_walk(x, indent + 1, lines)
+    else:
+        lines.append(f"{pad}{value}")
+
+
+@settings(max_examples=300, deadline=None)
+@given(sections=st.dictionaries(st.text(max_size=6), json_values, max_size=4))
+def test_render_text_matches_the_old_walker(sections):
+    report = {"command": "analyze", "sections": sections,
+              "graph": {"source": "g.graph", "vertices": ["v"], "edges": []}}
+    lines = ["pathcenters analyze: g.graph", "graph: 1 vertices, 0 edges"]
+    for name, section in sections.items():
+        lines.append(f"[{name}]")
+        _render_value_by_walk(section, 1, lines)
+    assert render_text(report) == "\n".join(lines) + "\n"

@@ -10,6 +10,7 @@ import io
 import pathlib
 
 from pathcenters import cli
+from pathcenters.graph import enumerate_hereditary_saturated, find_cycles
 from pathcenters.graph_algebra import LEAVITT
 from pathcenters.oracle import OracleWindow
 from pathcenters.scalars import QQ
@@ -74,6 +75,21 @@ def test_tracer_sees_graded_primes_without_hereditary_sets():
     assert tracer.calls["center_theory.graded_prime_ideals"] == 1
     assert metrics["graph.hereditary_sets"]["value"] == 0
     assert tracer.calls["graph.enumerate_hereditary_saturated"] == 0
+
+
+def test_tracer_sees_the_sets_and_cycles_of_an_analyze_request():
+    # `report.predicates_section` looks both listings up at call time, so
+    # the tracer counts every set and cycle the report lists
+    tracing = _load_tracing()
+    path = fixture_path("cycle_feeds_loop")
+    code, out, tracer = _traced(tracing, ["analyze", str(path)])
+    assert code == 0 and "[graph-predicates]" in out
+    metrics = tracing.per_layer(tracer)
+    g = parse_graph(path.read_text())
+    assert metrics["graph.hereditary_sets"]["value"] == \
+        len(enumerate_hereditary_saturated(g)) == 3
+    assert metrics["graph.cycles"]["value"] == len(find_cycles(g)) == 2
+    assert tracer.calls["graph.enumerate_hereditary_saturated"] == 1
 
 
 def test_tracer_sees_the_live_solve():
