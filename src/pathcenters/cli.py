@@ -1,4 +1,6 @@
-"""Command-line surface: analyze, center, gprimes, oracle.
+"""Command-line surface: analyze, center, gprimes, oracle, declared once in
+`COMMANDS`.  `_parse` reads plain command lines; argparse, built from the same
+table and imported only then, reads help, usage errors and every other form.
 
 Exit codes: 0 success, 1 usage or parse error, 2 a requested theorem's
 hypotheses fail (still reported structurally), 3 resource cap exceeded,
@@ -8,9 +10,10 @@ the oracle disagreed with a consistency check).
 
 from __future__ import annotations
 
-import argparse
 import functools
+import re
 import sys
+from types import SimpleNamespace
 
 from . import center_theory as ct
 from . import report as rpt
@@ -34,13 +37,6 @@ EXIT_USAGE = 1
 EXIT_HYPOTHESIS = 2
 EXIT_RESOURCE = 3
 EXIT_INVARIANT = 4
-
-
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
-        raise SystemExit(EXIT_USAGE)
 
 
 def _load_graph(path: str) -> Graph:
@@ -155,57 +151,101 @@ def cmd_oracle(args):
     return report, code
 
 
+_FORMAT = ("--format", {"choices": ("text", "json"), "default": "text"})
+_ALGEBRA = ("--algebra", {"choices": ("path", "cohn", "leavitt"), "required": True})
+_CHAR = ("--char", {"type": int, "default": 0})
+_EXCLUSIVE = {"--deg", "--deg-window"}
+
+# The option table: command -> (handler, help, options), an option being
+# (name, argparse keywords); every command also takes `file` and `--format`.
+COMMANDS = {
+    "analyze": (cmd_analyze, "graph predicates", ()),
+    "center": (cmd_center, "structural center via the matching theorem", (
+        _ALGEBRA, ("--char", {**_CHAR[1], "help":
+                              "field characteristic (0 = exact rationals)"}))),
+    "gprimes": (cmd_gprimes, "graded prime ideals and center bounds", (_CHAR,)),
+    "oracle": (cmd_oracle, "bounded brute-force centralizer", (
+        _ALGEBRA, ("--max-len", {"type": int, "required": True}),
+        ("--deg", {"type": int}),
+        ("--deg-window", {"type": int, "nargs": 2, "metavar": ("A", "B")}),
+        ("--verify", {"action": "store_true", "default": False, "help":
+                      "check the structural claim against the oracle"}),
+        _CHAR)),
+}
+# what argparse reads as a value: no leading `-`, a lone `-`, or a negative number
+_VALUE = re.compile(r"(?!-)|-\Z|^-\d+$|^-\d*\.\d+$")
+
+
+def _parse(argv):
+    """The namespace argparse gives for a plain command line, else None: a
+    command, one file and exact option names, each once, with `_VALUE` values.
+    Help, abbreviations, `--opt=value`, repeats, `--` and errors are argparse's."""
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    func, _, options = COMMANDS[argv[0]]
+    table = dict((_FORMAT, *options))
+    given, tokens = {}, iter(argv[1:])  # "file" and option names
+    for tok in tokens:
+        kw = table.get(tok)
+        if kw is None and "file" not in given and _VALUE.match(tok):
+            given["file"] = tok
+            continue
+        if kw is None or tok in given:
+            return None
+        count = kw.get("nargs", 0 if "action" in kw else 1)
+        values = [next(tokens, "--") for _ in range(count)]  # "--" if missing
+        if not all(map(_VALUE.match, values)):
+            return None
+        try:
+            values = [kw.get("type", str)(v) for v in values]
+        except ValueError:
+            return None
+        if "choices" in kw and values[0] not in kw["choices"]:
+            return None
+        given[tok] = values if "nargs" in kw else values[0] if values else True
+    if "file" not in given or _EXCLUSIVE <= given.keys() or any(
+            kw.get("required") and name not in given for name, kw in table.items()):
+        return None
+    return SimpleNamespace(command=argv[0], file=given["file"], func=func, **{
+        name[2:].replace("-", "_"): given.get(name, kw.get("default"))
+        for name, kw in table.items()})
+
+
 @functools.cache
 def build_parser():
-    """The argument parser, built once per process: parsing a command line
-    keeps no state in it, so every call to `main` can reuse it."""
+    """The argparse parser of the option table, built once per process:
+    parsing a command line keeps no state in it, so every call to `main`
+    can reuse it."""
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        def error(self, message):
+            self.print_usage(sys.stderr)
+            print(f"{self.prog}: error: {message}", file=sys.stderr)
+            raise SystemExit(EXIT_USAGE)
+
     parser = _Parser(prog="pathcenters",
                      description="Exact centers of path, Cohn and Leavitt "
                                  "path algebras of finite graphs")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
+    for command, (func, summary, options) in COMMANDS.items():
+        p = sub.add_parser(command, help=summary)
         p.add_argument("file", help="graph file")
-        p.add_argument("--format", choices=["text", "json"], default="text")
-
-    p = sub.add_parser("analyze", help="graph predicates")
-    common(p)
-    p.set_defaults(func=cmd_analyze)
-
-    p = sub.add_parser("center", help="structural center via the matching theorem")
-    common(p)
-    p.add_argument("--algebra", choices=["path", "cohn", "leavitt"],
-                   required=True)
-    p.add_argument("--char", type=int, default=0,
-                   help="field characteristic (0 = exact rationals)")
-    p.set_defaults(func=cmd_center)
-
-    p = sub.add_parser("gprimes", help="graded prime ideals and center bounds")
-    common(p)
-    p.add_argument("--char", type=int, default=0)
-    p.set_defaults(func=cmd_gprimes)
-
-    p = sub.add_parser("oracle", help="bounded brute-force centralizer")
-    common(p)
-    p.add_argument("--algebra", choices=["path", "cohn", "leavitt"],
-                   required=True)
-    p.add_argument("--max-len", type=int, required=True)
-    group = p.add_mutually_exclusive_group()
-    group.add_argument("--deg", type=int)
-    group.add_argument("--deg-window", type=int, nargs=2, metavar=("A", "B"))
-    p.add_argument("--verify", action="store_true",
-                   help="check the structural claim against the oracle")
-    p.add_argument("--char", type=int, default=0)
-    p.set_defaults(func=cmd_oracle)
+        group = (p.add_mutually_exclusive_group()
+                 if _EXCLUSIVE & {name for name, _ in options} else None)
+        for name, kw in (_FORMAT, *options):
+            (group if name in _EXCLUSIVE else p).add_argument(name, **kw)
+        p.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if exc.code is not None else EXIT_USAGE
+    args = _parse(sys.argv[1:] if argv is None else argv)
+    if args is None:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:
+            return exc.code if exc.code is not None else EXIT_USAGE
     try:
         report, code = args.func(args)
     except ResourceCapExceeded as exc:

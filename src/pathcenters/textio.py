@@ -53,15 +53,15 @@ def parse_graph(text: str) -> Graph:
         edges.append((lineno, m.group(1), m.group(2), m.group(3)))
     if vertices is None:
         raise ParseError("missing vertices: line", vertices_line)
-    seen = set(vertices)
+    seen, known = set(vertices), frozenset(vertices)
     triples = []
     for lineno, eid, s, r in edges:
         if eid in seen:
             raise ParseError(f"duplicate id {eid!r}", lineno)
         seen.add(eid)
-        if s not in vertices:
+        if s not in known:
             raise ParseError(f"unknown source vertex {s!r}", lineno)
-        if r not in vertices:
+        if r not in known:
             raise ParseError(f"unknown range vertex {r!r}", lineno)
         triples.append((eid, s, r))
     return Graph.build(vertices, triples)

@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 
 import jsonschema
 import pytest
@@ -67,6 +68,18 @@ def test_parse_graph_errors_carry_line_numbers():
         parse_graph("vertices: u\nwhatever\n")
     with pytest.raises(ParseError):
         parse_graph("")
+
+
+def test_parse_graph_is_linear_in_the_edges():
+    # a quadratic endpoint check takes seconds on this many edges
+    n = 20_000
+    vertices = [f"v{i}" for i in range(n)]
+    edges = [(f"e{i}", vertices[i], vertices[(i + 1) % n]) for i in range(n)]
+    text = emit_graph(Graph.build(vertices, edges))
+    t0 = time.perf_counter()
+    g = parse_graph(text)
+    assert time.perf_counter() - t0 < 2.0
+    assert g == Graph.build(vertices, edges)
 
 
 def test_graph_round_trip():

@@ -53,16 +53,31 @@ SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 HEAVY = ("dataclasses", "inspect", "ast", "dis", "tokenize")
 
 
+def _run_fresh(code):
+    """Run `code` in a fresh interpreter, so nothing the tests imported is
+    already loaded; it writes no `__pycache__`."""
+    return subprocess.run([sys.executable, "-c", code], check=True, text=True,
+                          capture_output=True,
+                          env={**os.environ, "PYTHONPATH": str(SRC),
+                               "PYTHONDONTWRITEBYTECODE": "1"})
+
+
 def test_cli_import_loads_no_dataclasses_machinery():
-    # a fresh interpreter, so nothing the tests imported is already loaded
     code = ("import sys; before = set(sys.modules); import pathcenters.cli; "
             "print(' '.join(sorted(set(sys.modules) - before)))")
-    out = subprocess.run([sys.executable, "-c", code], check=True, text=True,
-                         capture_output=True,
-                         env={**os.environ, "PYTHONPATH": str(SRC)})
-    loaded = set(out.stdout.split())
+    loaded = set(_run_fresh(code).stdout.split())
     assert "pathcenters.cli" in loaded
     assert not loaded & set(HEAVY)
+
+
+def test_cli_loads_argparse_only_for_help_and_usage_errors():
+    code = ("import sys; import pathcenters.cli as cli; "
+            "print(sorted({'argparse', 'gettext'} & set(sys.modules))); "
+            "sys.exit(cli.main(['center', '-h']))")
+    first, help_text = _run_fresh(code).stdout.split("\n", 1)
+    assert first == "[]"
+    assert help_text.startswith("usage: pathcenters center [-h]")
+    assert "--algebra {path,cohn,leavitt}" in help_text
 
 
 def _toeplitz():
