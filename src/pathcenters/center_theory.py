@@ -6,8 +6,10 @@ prime Cohn and Leavitt path algebras, the graded prime ideals (one per
 maximal tail) with their I/J flavors, and the upper/lower center bounds for
 a general Leavitt path algebra, each lower piece read off its prime's
 record.  Every generator is a closed form checked central by direct
-products, never solved for, so the oracle that cross-checks it stays
-independent.
+products, never solved for, and this module imports nothing from the oracle
+that cross-checks it, so the two stay independent.  A claim states its own
+window truncation (`CenterStructure.truncation`, and its `span`), which both
+verifiers read: `oracle.verify_structure` and `verify_bounds` here.
 The theorems take the caller's `Algebra` (AmbientError for another kind)
 and build their elements in it, so a claim checked against an oracle solve
 lives in the solve's algebra; the graph predicates take graphs.
@@ -17,14 +19,12 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from itertools import permutations
 
-from .errors import AmbientError, GraphError, HypothesisNotMet, InvariantViolation
+from .errors import AmbientError, HypothesisNotMet, InvariantViolation
 from .graph import (
     Cycle,
     Graph,
     Path,
-    all_paths_up_to,
     anchor_components,
     check_vertex_cap,
     connected_components,
@@ -44,9 +44,9 @@ from .graph_algebra import (
     GMonomial,
     check_central,
     check_window_cap,
+    element_vector,
 )
 from .linalg import LinearSpan
-from .oracle import element_vector, structural_truncation
 
 ZERO = "zero"
 SCALAR = "scalar"
@@ -78,6 +78,39 @@ class CenterStructure(namedtuple("CenterStructure", "kind generators components"
             return " (+) ".join(c.describe() for c in self.components)
         return _KIND_NAMES[self.kind]
 
+    def truncation(self, window):
+        """Spanning elements of this center that `window` admits.
+
+        Scalar pieces contribute their identity; polynomial and Laurent
+        pieces contribute every power of their generator that stays inside
+        the window (negative powers through the involution, which inverts
+        the generator).
+        """
+        out = []
+        for piece in self.components or (self,):
+            if piece.kind == ZERO or not piece.generators:
+                continue
+            one = piece.generators[0]
+            if window.admits(one):
+                out.append(one)
+            if piece.kind in (POLY, LAURENT):
+                z = piece.generators[1]
+                for step in (z, z.involution()) if piece.kind == LAURENT else (z,):
+                    acc = step
+                    for _ in range(4 * window.max_len + 4):
+                        if not window.admits(acc):
+                            break
+                        out.append(acc)
+                        acc = acc * step
+        return out
+
+    def span(self, window, field) -> LinearSpan:
+        """The span of `truncation(window)`, over `field`."""
+        span = LinearSpan(field)
+        for el in self.truncation(window):
+            span.add(element_vector(el))
+        return span
+
 
 def _require_kind(alg: Algebra, kind, name):
     if alg.kind != kind:
@@ -88,14 +121,13 @@ def _require_kind(alg: Algebra, kind, name):
 # --- the path algebra KE -----------------------------------------------------
 
 
-def cycle_rotation_sum(alg: Algebra, cyc: Cycle, power: int = 1) -> GAElement:
-    """Sum over the cycle's vertices of the k-th power of the rotation based
-    there; power 1 gives the generator of Z(KE) for a cycle graph."""
+def cycle_rotation_sum(alg: Algebra, cyc: Cycle) -> GAElement:
+    """Sum over the cycle's vertices of the rotation based there: the
+    generator of Z(KE) for a cycle graph."""
     _require_kind(alg, PATH, "the rotation sum")
     g = alg.graph
     return GAElement(alg, {
-        GMonomial(Path(v, v, cyc.rotation_based_at(g, v).edges * power),
-                  Path.vertex(g, v)): alg.field.one
+        GMonomial(cyc.rotation_based_at(g, v), Path.vertex(g, v)): alg.field.one
         for v in sorted(cyc.vertex_set(g))})
 
 
@@ -120,20 +152,6 @@ def center_structure_KE(alg: Algebra) -> CenterStructure:
     if len(pieces) == 1:
         return pieces[0]
     return CenterStructure(SUM, (), tuple(pieces))
-
-
-def cycle_center_evaluate(alg: Algebra, poly_coeffs) -> GAElement:
-    """Evaluate sum_i p(c_i) on a cycle graph; p is a dense coefficient list,
-    low degree first.  The map p -> sum_i p(c_i) is onto the center; the
-    rotation sums of power 0 sum to the identity."""
-    _require_kind(alg, PATH, "the cycle center")
-    g = alg.graph
-    # a cycle graph is one exit-free cycle through every vertex
-    cycles = cycles_without_exits(g)
-    if not cycles or cycles[0].vertex_set(g) != frozenset(g.vertices):
-        raise GraphError("not a cycle graph")
-    return sum((cycle_rotation_sum(alg, cycles[0], k).scale(a)
-                for k, a in enumerate(poly_coeffs)), alg.zero())
 
 
 # --- prime Cohn and prime Leavitt algebras ----------------------------------
@@ -207,51 +225,6 @@ def center_prime_leavitt(alg: Algebra, cls=None) -> CenterStructure:
     if cls.scalar:
         return CenterStructure(SCALAR, (alg.one(),))
     return CenterStructure(LAURENT, (alg.one(), laurent_generator(alg, cls.cycle)))
-
-
-# --- orthogonality of exit-free cycles ---------------------------------------
-
-
-# unique_for_prime: bool, or None when not prime; cross_products_zero:
-# bool, or None when there are fewer than two exit-free cycles
-ExitFreeUniquenessReport = namedtuple(
-    "ExitFreeUniquenessReport",
-    "exit_free_cycles prime unique_for_prime pairs_checked cross_products_zero")
-
-
-def _ideal_monomials(alg, vertex_set, max_len):
-    """The nonzero a·b* for paths a, b of bounded length ending together
-    in `vertex_set`: a spanning set of the bounded part of the ideal."""
-    paths = [p for p in all_paths_up_to(alg.graph, max_len)
-             if p.target in vertex_set]
-    one = alg.field.one
-    els = (alg.sum_of([(one, a, b)])
-           for a in paths for b in paths if a.target == b.target)
-    return [el for el in els if el]
-
-
-def uniqueness_check_exit_free(alg: Algebra, max_len: int = 3) -> ExitFreeUniquenessReport:
-    """For prime graphs, confirm there is at most one exit-free cycle; for
-    graphs with several, verify computationally that the bounded spanning
-    monomials of their ideals annihilate each other."""
-    _require_kind(alg, LEAVITT, "the exit-free uniqueness check")
-    g = alg.graph
-    exit_free = tuple(cycles_without_exits(g))
-    prime = is_prime_leavitt(g)
-    unique = (len(exit_free) <= 1) if prime else None
-    pairs = 0
-    cross_zero = None
-    if len(exit_free) >= 2:
-        cross_zero = True
-        spans = [_ideal_monomials(alg, c.vertex_set(g), max_len)
-                 for c in exit_free]
-        for left, right in permutations(spans, 2):
-            for a in left:
-                for b in right:
-                    pairs += 1
-                    if a * b:
-                        cross_zero = False
-    return ExitFreeUniquenessReport(exit_free, prime, unique, pairs, cross_zero)
 
 
 # --- graded prime ideals and the center bounds -------------------------------
@@ -459,10 +432,7 @@ def verify_bounds(subspace) -> BoundsVerification:
     upper_ok = True
     for r in bounds.records:
         qalg = Algebra(LEAVITT, r.quotient, field=field)
-        claim_q = center_prime_leavitt(qalg, r.cls)
-        span = LinearSpan(field)
-        for el in structural_truncation(claim_q, window):
-            span.add(element_vector(el))
+        span = center_prime_leavitt(qalg, r.cls).span(window, field)
         for z in subspace.basis:
             zq = project_to_quotient(z, r.H, qalg)
             if not check_central(zq) or not span.contains(element_vector(zq)):
@@ -484,7 +454,7 @@ def verify_bounds(subspace) -> BoundsVerification:
                 claim = CenterStructure(LAURENT, (unit, piece.generator))
             else:
                 claim = CenterStructure(SCALAR, (piece.generator,))
-            for el in structural_truncation(claim, window):
+            for el in claim.truncation(window):
                 if not oracle_span.contains(element_vector(el)):
                     lower_ok = False
                     notes.append(

@@ -217,9 +217,6 @@ class Cycle(namedtuple("Cycle", "path")):
 
 VertexClassification = namedtuple("VertexClassification", "sink source regular")
 
-# the extended graph: one ghost edge e* reversing each edge e
-ExtendedGraph = namedtuple("ExtendedGraph", "graph ghost_of")
-
 
 def classify_vertex(g: Graph, v) -> VertexClassification:
     g.check_vertex(v)
@@ -479,20 +476,6 @@ def quotient_graph(g: Graph, h) -> Graph:
     return Graph.build(vs, es)
 
 
-def opposite_graph(g: Graph) -> Graph:
-    return Graph.build(g.vertices, [(e, g.rng[e], g.src[e]) for e in g.edges])
-
-
-def extended_graph(g: Graph) -> ExtendedGraph:
-    triples = g.edge_triples()
-    ghost_of = {}
-    for e, s, r in list(triples):
-        ghost = e + "*"
-        triples.append((ghost, r, s))
-        ghost_of[ghost] = e
-    return ExtendedGraph(Graph.build(g.vertices, triples), ghost_of)
-
-
 def paths_into(g: Graph, targets: frozenset):
     """Paths whose only vertex inside `targets` is their range.
 
@@ -576,48 +559,3 @@ def all_paths_up_to(g: Graph, max_len: int):
         out.extend(frontier)
     return sorted(out, key=Path.sort_key)
 
-
-# --- fixture-style constructors -------------------------------------------
-
-
-def rose_graph(m: int) -> Graph:
-    """The rose R_m: a single vertex with m loops (R_0 is an isolated vertex)."""
-    if m < 0:
-        raise GraphError("rose needs m >= 0 petals")
-    return Graph.build(["v"], [(f"f{i}", "v", "v") for i in range(1, m + 1)])
-
-
-def line_graph(n: int) -> Graph:
-    """n vertices in a directed line u1 -> u2 -> ... -> un."""
-    if n < 1:
-        raise GraphError("line needs n >= 1 vertices")
-    vs = [f"u{i}" for i in range(1, n + 1)]
-    es = [(f"f{i}", f"u{i}", f"u{i+1}") for i in range(1, n)]
-    return Graph.build(vs, es)
-
-
-def cycle_graph(n: int) -> Graph:
-    """The n-cycle with edges f_i: u_i -> u_{i+1} and f_n closing back to u_1."""
-    if n < 1:
-        raise GraphError("cycle needs n >= 1 vertices")
-    vs = [f"u{i}" for i in range(1, n + 1)]
-    es = [(f"f{i}", f"u{i}", f"u{i+1}") for i in range(1, n)]
-    es.append((f"f{n}", f"u{n}", "u1"))
-    return Graph.build(vs, es)
-
-
-def toeplitz_graph() -> Graph:
-    """One loop e at u plus an exit edge f: u -> v."""
-    return Graph.build(["u", "v"], [("e", "u", "u"), ("f", "u", "v")])
-
-
-def disjoint_union(g1: Graph, g2: Graph) -> Graph:
-    """Disjoint union; the id sets of the two graphs must not collide."""
-    ids1 = set(g1.vertices) | set(g1.edges)
-    ids2 = set(g2.vertices) | set(g2.edges)
-    if ids1 & ids2:
-        raise GraphError(f"id collision in disjoint union: {sorted(ids1 & ids2)}")
-    return Graph.build(
-        list(g1.vertices) + list(g2.vertices),
-        g1.edge_triples() + g2.edge_triples(),
-    )

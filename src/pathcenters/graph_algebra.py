@@ -36,7 +36,6 @@ from .errors import (
     WordError,
 )
 from .graph import Frozen, Graph, Path, all_paths_up_to
-from .linalg import sparse_nullspace
 from .scalars import QQ
 
 PATH = "path"
@@ -83,10 +82,6 @@ class GMonomial(Frozen, namedtuple("GMonomial", "real ghost")):
     def degree(self):
         return self.real.length - self.ghost.length
 
-    @property
-    def is_vertex(self):
-        return self.real.is_trivial and self.ghost.is_trivial
-
     def star(self) -> "GMonomial":
         return GMonomial(self.ghost, self.real)
 
@@ -112,20 +107,6 @@ class SpecialEdgeChoice(Frozen, namedtuple("SpecialEdgeChoice", "pairs")):
         return cls(tuple(
             (v, min(g.out_edges(v))) for v in g.vertices if g.is_regular(v)
         ))
-
-    @classmethod
-    def from_mapping(cls, g: Graph, mapping) -> "SpecialEdgeChoice":
-        pairs = []
-        for v in g.vertices:
-            if not g.is_regular(v):
-                continue
-            if v not in mapping:
-                raise GraphError(f"no special edge chosen at regular vertex {v!r}")
-            e = mapping[v]
-            if e not in g.out_edges(v):
-                raise GraphError(f"edge {e!r} is not emitted by {v!r}")
-            pairs.append((v, e))
-        return cls(tuple(pairs))
 
     def edge_at(self, v):
         return self._edge.get(v)
@@ -488,10 +469,8 @@ class GAElement:
 
     def __add__(self, other):
         self._check_ambient(other)
-        field = self.field
         out = dict(self.coeffs)
-        for m, c in other.coeffs.items():
-            out[m] = field.add(out.get(m, field.zero), c)
+        _add_into(out, other.coeffs, self.field)
         return self._make(out)
 
     def __neg__(self):
@@ -579,15 +558,6 @@ class GAElement:
             return degs.pop()
         return None
 
-    def is_symmetric(self):
-        return all(m.real == m.ghost for m in self.coeffs)
-
-    def peirce_component(self, u, v):
-        self.algebra.graph.check_vertex(u)
-        self.algebra.graph.check_vertex(v)
-        return self._make({m: c for m, c in self.coeffs.items()
-                           if m.source == u and m.target == v})
-
 
 def normal_form(alg, terms) -> GAElement:
     """Σ coeff·word over scalar-weighted raw words of the extended graph, in
@@ -602,14 +572,9 @@ def normal_form(alg, terms) -> GAElement:
     return out
 
 
-def word_element(alg, word, coeff=1) -> GAElement:
-    return normal_form(alg, [(coeff, word)])
-
-
-def T_operator(a: GAElement, x: GAElement) -> GAElement:
-    """T_a(x) = a* x a; satisfies T_a T_b = T_{ba}."""
-    a._check_ambient(x)
-    return a.involution() * x * a
+def element_vector(el):
+    """An element's coefficients keyed by the sort keys of its monomials."""
+    return {m.sort_key(): c for m, c in el.coeffs.items()}
 
 
 def _window_lengths(max_len, degrees):
@@ -623,12 +588,11 @@ def _longest_real(kind, max_len, hi):
     return max(0, min(max_len, hi)) if kind == PATH else max_len
 
 
-def window_pairs(alg, max_len, degrees, source=None, diagonal=False):
+def window_pairs(alg, max_len, degrees, diagonal=False):
     """(real, ghost) paths of the window's normal monomials, sorted.
 
-    `degrees` restricts the degree to an inclusive window (a, b); `source`
-    pins both parts to start at one vertex, `diagonal` the ghost part to
-    start where the real part does.  A path-algebra ghost is trivial.
+    `degrees` restricts the degree to an inclusive window (a, b);
+    `diagonal` pins the ghost part to start where the real part does.  A path-algebra ghost is trivial.
     Sorted paths are bucketed by (source if `diagonal`, target, length),
     and each real part of length a is paired with the buckets of lengths b
     that put a - b inside the window, b ascending, so pairs come out sorted.
@@ -637,8 +601,6 @@ def window_pairs(alg, max_len, degrees, source=None, diagonal=False):
     lo, hi = _window_lengths(max_len, degrees)
     paths = all_paths_up_to(graph, _longest_real(kind, max_len, hi))
     longest_ghost = 0 if kind == PATH else paths[-1].length  # sorted by length
-    if source is not None:
-        paths = [p for p in paths if p.source == source]
     buckets, specials = {}, alg.specials
     for p in paths:
         key = (p.source if diagonal else None, p.target, len(p.edges))
@@ -652,10 +614,10 @@ def window_pairs(alg, max_len, degrees, source=None, diagonal=False):
                     yield real, ghost
 
 
-def enumerate_ga_monomials(alg, max_len, *, degrees=None, source=None):
+def enumerate_ga_monomials(alg, max_len, *, degrees=None):
     """Normal-form monomials with both parts of length <= max_len, sorted."""
     return [GMonomial(real, ghost)
-            for real, ghost in window_pairs(alg, max_len, degrees, source)]
+            for real, ghost in window_pairs(alg, max_len, degrees)]
 
 
 def key_monomial(g, key):
@@ -745,53 +707,3 @@ def check_window_cap(alg, max_len, degrees):
         )
     return needed
 
-
-def fixed_point_subspace(alg, c: Path, max_len):
-    """Exact basis of the degree-zero fixed points of T_c in a bounded span.
-
-    c must be a closed path based at some vertex u; candidates are the
-    degree-zero normal monomials starting and ending at u with real length
-    at most `max_len`.  The fixed-point equations are assembled in the full
-    algebra, so no spurious solutions arise from clipped products.
-    """
-    if c.source != c.target:
-        raise GraphError("T_c needs a closed path")
-    u = c.source
-    candidates = enumerate_ga_monomials(alg, max_len, degrees=(0, 0), source=u)
-    c_el = alg.monomial(GMonomial(c, Path.vertex(alg.graph, u)))
-    rows = {}
-    for j, m in enumerate(candidates):
-        m_el = alg.monomial(m)
-        image = T_operator(c_el, m_el) - m_el
-        for rm, coeff in image.coeffs.items():
-            rows.setdefault(rm, {})[j] = coeff
-    basis = sparse_nullspace(rows.values(), len(candidates), alg.field)
-    out = []
-    for vec in basis:
-        coeffs = {candidates[j]: c for j, c in vec.items()}
-        out.append(GAElement(alg, coeffs))
-    return out
-
-
-def cohn_to_leavitt_graph(g: Graph) -> Graph:
-    """The graph F with C_K(E) isomorphic to L_K(F): every non-sink vertex v
-    gains a fresh sink v' receiving one new parallel edge per edge at v."""
-    vs = list(g.vertices)
-    es = g.edge_triples()
-    taken = set(vs) | {e for e, _, _ in es}
-
-    def fresh(base):
-        name = base + "_prime"
-        while name in taken:
-            name += "_"
-        taken.add(name)
-        return name
-
-    for v in g.vertices:
-        if g.is_sink(v):
-            continue
-        nv = fresh(v)
-        vs.append(nv)
-        for e in g.out_edges(v):
-            es.append((fresh(e), v, nv))
-    return Graph.build(vs, es)

@@ -58,6 +58,8 @@ take it, and the `CentralSubspace` records it beside its window.  The
 verifiers take that subspace and read graph, field and window from it, so
 a claim about another algebra raises AmbientError instead of passing.  A
 claim built in `subspace.algebra` shares the solve's generator tables.
+This module imports nothing from the theory it checks: a claim brings its
+own window truncation, which it reads through `OracleWindow.admits`.
 """
 
 from __future__ import annotations
@@ -74,10 +76,11 @@ from .graph_algebra import (
     _V,
     centrality_witness,
     check_window_cap,
+    element_vector,
     key_monomial,
     window_pairs,
 )
-from .linalg import LinearSpan, sparse_nullspace
+from .linalg import sparse_nullspace
 from .scalars import QQ
 
 
@@ -102,12 +105,11 @@ class OracleWindow(Frozen, namedtuple("OracleWindow", "kind max_len degrees")):
                 )
         return tuple.__new__(cls, (kind, max_len, degrees))
 
-    @classmethod
-    def single_degree(cls, kind, max_len, n):
-        return cls(kind, max_len, (n, n))
-
-    def admits_degree(self, d):
-        return self.degrees is None or self.degrees[0] <= d <= self.degrees[1]
+    def admits(self, el) -> bool:
+        """Whether every monomial of `el` lies inside the window."""
+        lo, hi = self.degrees or (-self.max_len, self.max_len)
+        return all(m.real.length <= self.max_len and m.ghost.length <= self.max_len
+                   and lo <= m.degree <= hi for m in el.coeffs)
 
 
 class CentralSubspace(namedtuple("CentralSubspace", "basis window algebra "
@@ -176,56 +178,7 @@ def central_subspace(g: Graph, window: OracleWindow, *, field=QQ) -> CentralSubs
     return CentralSubspace(basis, window, alg, count)
 
 
-def graded_center_component(g: Graph, kind, n: int, max_len: int, *,
-                            field=QQ) -> CentralSubspace:
-    """The bounded view of the degree-n homogeneous component of the center."""
-    window = OracleWindow.single_degree(kind, max_len, n)
-    return central_subspace(g, window, field=field)
-
-
 # --- verification of structural claims --------------------------------------
-
-
-def element_vector(el):
-    return {m.sort_key(): c for m, c in el.coeffs.items()}
-
-
-def _monomial_fits(window, m):
-    return (
-        m.real.length <= window.max_len
-        and m.ghost.length <= window.max_len
-        and window.admits_degree(m.degree)
-    )
-
-
-def element_fits_window(el, window) -> bool:
-    return all(_monomial_fits(window, m) for m in el.coeffs)
-
-
-def structural_truncation(claim, window):
-    """Window-compatible spanning elements of a claimed center structure.
-
-    Scalar pieces contribute their identity; polynomial and Laurent pieces
-    contribute every power of their generator that stays inside the window
-    (negative powers through the involution, which inverts the generator).
-    """
-    out = []
-    for piece in claim.components or (claim,):
-        if piece.kind == "zero" or not piece.generators:
-            continue
-        one = piece.generators[0]
-        if element_fits_window(one, window):
-            out.append(one)
-        if piece.kind in ("poly", "laurent"):
-            z = piece.generators[1]
-            for step in (z, z.involution()) if piece.kind == "laurent" else (z,):
-                acc = step
-                for _ in range(4 * window.max_len + 4):
-                    if not element_fits_window(acc, window):
-                        break
-                    out.append(acc)
-                    acc = acc * step
-    return out
 
 
 VerificationReport = namedtuple(
@@ -255,9 +208,7 @@ def verify_structure(claim, subspace: CentralSubspace) -> VerificationReport:
             if witness is not None:
                 failures.append((repr(gen), witness[0]))
 
-    span = LinearSpan(alg.field)
-    for el in structural_truncation(claim, subspace.window):
-        span.add(element_vector(el))
+    span = claim.span(subspace.window, alg.field)
     outside = []
     for el in subspace.basis:
         if not span.contains(element_vector(el)):

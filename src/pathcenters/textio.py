@@ -1,21 +1,21 @@
-"""Graph file format and the shared element text syntax.
+"""The graph file reader and the element text writer.
 
 Graph files:  `#` comments, one `vertices:` line naming at least one
 vertex, then edge lines of the form `edge <id>: <src> -> <rng>`.  Ids are
 alphanumeric/underscore.
 
-Elements: terms joined by ` + `, each `scalar monomial`; a monomial is
-`real|ghost` with `.`-separated edge ids, a bare vertex written `@v`, and
-the ghost part omitted when trivial.  Scalars are exact `p/q` strings.
+Elements are written as terms joined by ` + `, each `scalar monomial`; a
+monomial is `real|ghost` with `.`-separated edge ids, a bare vertex written
+`@v`, and the ghost part omitted when trivial.  Scalars are exact `p/q`
+strings.  The package reads no element text.
 """
 
 from __future__ import annotations
 
 import re
 
-from .errors import GraphError, ParseError, WordError
-from .graph import Graph, Path
-from .graph_algebra import Algebra
+from .errors import ParseError
+from .graph import Graph
 
 _ID_RE = re.compile(r"[A-Za-z0-9_]+\Z")
 _EDGE_LINE_RE = re.compile(
@@ -67,18 +67,12 @@ def parse_graph(text: str) -> Graph:
     return Graph.build(vertices, triples)
 
 
-def emit_graph(g: Graph) -> str:
-    lines = ["vertices: " + " ".join(g.vertices)]
-    for e in g.edges:
-        lines.append(f"edge {e}: {g.src[e]} -> {g.rng[e]}")
-    return "\n".join(lines) + "\n"
-
-
 # --- element text -----------------------------------------------------------
 
 
 def element_to_text(el) -> str:
-    """Canonical text of an element; round-trips bit-exactly through parse."""
+    """Canonical text of an element: its terms in basis order, so equal
+    elements get equal text."""
     field = el.field
     terms = []
     for m in el.support():
@@ -86,58 +80,3 @@ def element_to_text(el) -> str:
         terms.append(f"{field.text(el.coeffs[m])} {m!r}")
     return " + ".join(terms) if terms else "0"
 
-
-def _parse_path_part(g: Graph, text: str) -> Path:
-    text = text.strip()
-    if not text:
-        raise ParseError("empty path in monomial")
-    if text.startswith("@"):
-        v = text[1:]
-        if v not in g._out:
-            raise ParseError(f"unknown vertex {v!r}")
-        return Path.vertex(g, v)
-    edges = text.split(".")
-    for e in edges:
-        if e not in g.src:
-            raise ParseError(f"unknown edge {e!r}")
-    try:
-        return Path.from_edges(g, edges)
-    except GraphError as exc:
-        raise ParseError(str(exc)) from exc
-
-
-def parse_element(text: str, alg: Algebra):
-    """Parse element text into a `GAElement` of `alg`."""
-    text = text.strip()
-    g, field = alg.graph, alg.field
-    terms = []
-    for term in [] if text == "0" else text.split("+"):
-        term = term.strip()
-        if not term:
-            raise ParseError("empty term in element")
-        parts = term.split(None, 1)
-        if len(parts) != 2:
-            raise ParseError(f"term {term!r} needs a scalar and a monomial")
-        try:
-            coeff = field.parse(parts[0])
-        except ValueError as exc:
-            raise ParseError(str(exc)) from exc
-        mono = parts[1].strip()
-        if "|" in mono:
-            real_text, ghost_text = mono.split("|", 1)
-        else:
-            real_text, ghost_text = mono, None
-        real = _parse_path_part(g, real_text)
-        if ghost_text is None:
-            ghost = Path.vertex(g, real.target)
-        else:
-            ghost = _parse_path_part(g, ghost_text)
-        if real.target != ghost.target:
-            raise ParseError(
-                f"monomial {mono!r}: real and ghost parts end at different vertices"
-            )
-        terms.append((coeff, real, ghost))
-    try:
-        return alg.sum_of(terms)
-    except WordError as exc:  # a ghost part in the path algebra
-        raise ParseError(str(exc)) from exc

@@ -23,19 +23,12 @@ from pathcenters import (
     center_structure_KE,
     central_subspace,
     classify_prime_leavitt,
-    cycle_graph,
-    graded_center_component,
     graded_prime_ideals,
     is_prime_cohn,
-    line_graph,
     normal_form,
     parse_graph,
-    rose_graph,
-    toeplitz_graph,
-    uniqueness_check_exit_free,
     verify_bounds,
     verify_structure,
-    word_element,
 )
 from pathcenters.center_theory import LAURENT, POLY, SCALAR, cycle_rotation_sum
 from pathcenters.cli import main as cli_main
@@ -44,7 +37,21 @@ from pathcenters.linalg import LinearSpan
 from pathcenters.oracle import element_vector
 from pathcenters.scalars import QQ
 
-from conftest import cycle_feeds_loop, feeder_loop, fixture_path, two_loops
+from conftest import (
+    cycle_feeds_loop,
+    cycle_graph,
+    feeder_loop,
+    fixture_path,
+    graded_center_component,
+    is_symmetric,
+    line_graph,
+    peirce_component,
+    rose_graph,
+    toeplitz_graph,
+    two_loops,
+    uniqueness_check_exit_free,
+    word_element,
+)
 
 
 def _finish(num, label, problems):
@@ -72,12 +79,12 @@ def test_criterion_01_cycle_centers():
         alg = Algebra(PATH, g)
         cs = center_structure_KE(alg)
         cyc = find_cycles(g)[0]
-        gen = cycle_rotation_sum(alg, cyc, 1)
+        gen = cycle_rotation_sum(alg, cyc)
         if cs.kind != POLY or cs.generators[1] != gen:
             problems.append(f"n={n}: structural center is not K[x] on the "
                             f"rotation sum")
         sub = central_subspace(g, OracleWindow(PATH, 2 * n))
-        expected = [alg.one(), gen, cycle_rotation_sum(alg, cyc, 2)]
+        expected = [alg.one(), gen, gen * gen]
         if sub.dim != 3 or not _same_span(sub.basis, expected):
             problems.append(f"n={n}: oracle window L={2*n} is not exactly "
                             f"span(1, sum c_i, sum c_i^2)")
@@ -167,11 +174,11 @@ def test_criterion_05_degree_zero_facts():
             problems.append(f"{name}: Z_0 window dimension {comp.dim}")
             continue
         for z in comp.basis:
-            if not z.is_symmetric():
+            if not is_symmetric(z):
                 problems.append(f"{name}: degree-zero vector not symmetric")
             diag = Algebra(kind, g).zero()
             for u in g.vertices:
-                diag = diag + z.peirce_component(u, u)
+                diag = diag + peirce_component(z, u, u)
             if diag != z:
                 problems.append(f"{name}: degree-zero vector not Peirce-diagonal")
     _finish(5, "degree-zero centers are 1-dimensional, symmetric, "

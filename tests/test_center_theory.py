@@ -7,6 +7,7 @@ from pathcenters import (
     Algebra,
     AmbientError,
     COHN,
+    CenterStructure,
     Graph,
     HypothesisNotMet,
     LEAVITT,
@@ -19,21 +20,13 @@ from pathcenters import (
     central_subspace,
     check_central,
     classify_prime_leavitt,
-    cycle_center_evaluate,
-    cycle_graph,
-    disjoint_union,
     graded_prime_ideals,
     is_prime_cohn,
     is_prime_leavitt,
-    line_graph,
     PrimeField,
     QQ,
     quotient_graph,
-    rose_graph,
-    toeplitz_graph,
-    uniqueness_check_exit_free,
     verify_bounds,
-    word_element,
 )
 from pathcenters.center_theory import LAURENT, SCALAR, cycle_rotation_sum
 from pathcenters.graph_algebra import ALGEBRA_KINDS
@@ -42,7 +35,20 @@ from pathcenters.graph import (
     paths_into,
 )
 
-from conftest import cycle_feeds_loop, feeder_loop, fork_sink_loop, two_loops
+from conftest import (
+    cycle_center_evaluate,
+    cycle_feeds_loop,
+    cycle_graph,
+    disjoint_union,
+    feeder_loop,
+    fork_sink_loop,
+    line_graph,
+    rose_graph,
+    toeplitz_graph,
+    two_loops,
+    uniqueness_check_exit_free,
+    word_element,
+)
 
 BOUNDS_WINDOW = OracleWindow(LEAVITT, 4, (-4, 4))
 
@@ -73,7 +79,7 @@ def test_the_theory_builds_its_elements_in_the_callers_algebra(field):
     cohn = Algebra(COHN, rose_graph(2), field=field)
     leavitt = Algebra(LEAVITT, feeder_loop(), field=field)
     bounded = Algebra(LEAVITT, fork_sink_loop(), field=field)
-    built = [(ke, cycle_rotation_sum(ke, cyc, 2)),
+    built = [(ke, cycle_rotation_sum(ke, cyc)),
              (ke, cycle_center_evaluate(ke, [1, 2]))]
     for alg, theorem in ((ke, center_structure_KE), (mixed, center_structure_KE),
                          (cohn, center_prime_cohn), (leavitt, center_prime_leavitt)):
@@ -368,6 +374,39 @@ def test_verify_bounds_fails_on_the_lower_containment_alone():
                          "oracle span (record 0)",)
 
 
+def test_verify_bounds_catches_a_theory_wrong_on_the_upper_bound_alone(monkeypatch):
+    # a theory that reports every prime quotient's center as K: the J
+    # record's Laurent center, c + f.c|f in E/{w}, escapes that upper span,
+    # while the lower pieces, read off the records, stay right
+    sub = central_subspace(fork_sink_loop(), OracleWindow(LEAVITT, 3))
+    monkeypatch.setattr("pathcenters.center_theory.center_prime_leavitt",
+                        lambda alg, cls=None: CenterStructure(SCALAR, (alg.one(),)))
+    res = verify_bounds(sub)
+    assert not res.ok and not res.upper_ok and res.lower_ok and res.radical_empty
+    assert set(res.notes) == {"projection of a central element escapes the upper "
+                              "bound at H=['w']"}
+
+
+def test_verify_bounds_catches_a_theory_wrong_on_the_lower_bound_alone(monkeypatch):
+    # a theory that drops the feeding paths from the Laurent corner's
+    # generator: c alone is not central, so its powers miss the oracle span,
+    # while the upper bound, read off the quotients, stays right
+    from pathcenters import center_theory
+
+    sub = central_subspace(fork_sink_loop(), OracleWindow(LEAVITT, 3))
+    lower_pieces = center_theory._lower_pieces
+
+    def bare_cycle(alg, record, hw):
+        return [p._replace(generator=word_element(alg, ["c"]))
+                if p.kind == LAURENT else p for p in lower_pieces(alg, record, hw)]
+
+    monkeypatch.setattr(center_theory, "_lower_pieces", bare_cycle)
+    res = verify_bounds(sub)
+    assert not res.ok and res.upper_ok and not res.lower_ok and res.radical_empty
+    assert set(res.notes) == {"lower-bound generator power missing from the "
+                              "oracle span (record 1)"}
+
+
 def test_verify_bounds_refuses_a_subspace_of_another_algebra():
     # a path-algebra solve said nothing about the Leavitt bounds, yet it
     # used to pass as a check of them
@@ -404,7 +443,6 @@ def test_quotient_projection_is_a_homomorphism():
 
 
 def test_verify_bounds_on_disconnected_mixed_fixture():
-    from pathcenters import disjoint_union, rose_graph
 
     g = disjoint_union(cycle_graph(2), rose_graph(0))
     b = center_bounds(Algebra(LEAVITT, g))
@@ -432,25 +470,31 @@ def test_undecidable_ideal_pattern_is_tagged_for_the_oracle():
     assert [p.detail for p in sink.pieces] == ["matrix corner over K on 2 paths"]
 
 
-def test_theory_uses_the_oracle_only_to_verify_its_bounds():
-    # the closed-form generators are checked by direct products, so every
-    # name the theory takes from the oracle serves `verify_bounds` alone
+def relative_imports(module):
+    """The sibling modules `module` imports from, anywhere in its source."""
     import ast
     import inspect
 
-    from pathcenters import center_theory
+    found = set()
+    for node in ast.walk(ast.parse(inspect.getsource(module))):
+        if isinstance(node, ast.ImportFrom):
+            if node.level == 0 and (node.module or "").startswith("pathcenters."):
+                found.add(node.module.split(".")[1])
+            elif node.level == 1 and node.module:
+                found.add(node.module.split(".")[0])
+            elif node.level == 1:
+                found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            found.update(alias.name.split(".")[1] for alias in node.names
+                         if alias.name.startswith("pathcenters."))
+    return found
 
-    tree = ast.parse(inspect.getsource(center_theory))
-    imports = [node for node in tree.body if isinstance(node, ast.ImportFrom)
-               and node.level == 1]
-    assert not any(node.module is None and alias.name == "oracle"
-                   for node in imports for alias in node.names)
-    from_oracle = {alias.asname or alias.name for node in imports
-                   if node.module == "oracle" for alias in node.names}
-    (verify,) = [node for node in tree.body if isinstance(node, ast.FunctionDef)
-                 and node.name == "verify_bounds"]
-    inside = {id(node) for node in ast.walk(verify)}
-    used_outside = {node.id for node in ast.walk(tree)
-                    if isinstance(node, ast.Name) and id(node) not in inside}
-    assert from_oracle == {"element_vector", "structural_truncation"}
-    assert not from_oracle & used_outside
+
+def test_the_theory_and_the_oracle_import_nothing_from_each_other():
+    # the closed-form generators are checked by direct products and a claim
+    # states its own truncation, so neither side needs the other's code
+    from pathcenters import center_theory, oracle
+
+    assert "oracle" not in relative_imports(center_theory)
+    assert "center_theory" not in relative_imports(oracle)
+    assert {"graph", "graph_algebra"} <= relative_imports(center_theory)

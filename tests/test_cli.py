@@ -18,11 +18,7 @@ from pathcenters import (
     PrimeField,
     QQ,
     element_to_text,
-    emit_graph,
-    parse_element,
     parse_graph,
-    rose_graph,
-    toeplitz_graph,
 )
 from pathcenters.cli import main
 from pathcenters.errors import InvariantViolation
@@ -31,7 +27,15 @@ from pathcenters.graph_algebra import check_window_cap, enumerate_ga_monomials
 from pathcenters.linalg import sparse_nullspace
 from pathcenters.report import load_schema
 
-from conftest import count_witness_kernels, fixture_path, record_algebra_builds
+from conftest import (
+    count_witness_kernels,
+    emit_graph,
+    fixture_path,
+    parse_element,
+    record_algebra_builds,
+    rose_graph,
+    toeplitz_graph,
+)
 
 
 # --- graph file parsing ------------------------------------------------------

@@ -34,7 +34,6 @@ from pathcenters.graph import (
     all_paths_up_to,
     connected_components,
     count_paths_into,
-    cycle_graph,
     cycle_has_exit,
     cycles_without_exits,
     enumerate_hereditary_saturated,
@@ -44,7 +43,6 @@ from pathcenters.graph import (
     paths_into,
     quotient_graph,
     reaching,
-    rose_graph,
     strongly_connected_components,
 )
 from pathcenters.graph_algebra import (
@@ -56,7 +54,6 @@ from pathcenters.graph_algebra import (
     CommutatorKernel,
     GAElement,
     GMonomial,
-    SpecialEdgeChoice,
     _E,
     _G,
     _V,
@@ -75,19 +72,24 @@ from pathcenters.oracle import (
     central_subspace,
     centrality_witness,
     enumerate_candidates,
-    graded_center_component,
 )
 from pathcenters.scalars import QQ, PrimeField
-from pathcenters.textio import element_to_text, parse_element, parse_graph
+from pathcenters.textio import element_to_text, parse_graph
 
 from conftest import (
     FIXTURES,
+    cycle_graph,
     fixture_path,
     formed_only_nonzero_products,
+    graded_center_component,
+    is_vertex,
+    parse_element,
     product_by_mul_monomials,
     raw_key,
     record_kernel_products,
+    rose_graph,
     solver_calls,
+    special_edges_from_mapping,
 )
 
 FIELDS = [QQ, PrimeField(65521)]
@@ -289,7 +291,7 @@ def component_cycle_by_walk(g, comp):
     return Cycle.from_edges(g, edges)
 
 
-def monomials_by_all_pairs(g, kind, max_len, *, degrees=None, source=None):
+def monomials_by_all_pairs(g, kind, max_len, *, degrees=None):
     """Pair every real part with every ghost part at a target, then filter."""
     alg = Algebra(kind, g)
     by_target = {}
@@ -300,9 +302,6 @@ def monomials_by_all_pairs(g, kind, max_len, *, degrees=None, source=None):
         ghosts = [Path.vertex(g, target)] if kind == PATH else group
         for real in group:
             for ghost in ghosts:
-                if source is not None and (real.source,
-                                           ghost.source) != (source, source):
-                    continue
                 d = real.length - ghost.length
                 if degrees is not None and not degrees[0] <= d <= degrees[1]:
                     continue
@@ -874,12 +873,11 @@ def test_windowed_enumeration_matches_all_pairs_on_fixtures(kind):
             for degrees in (None, (0, 0), (-max_len, 0), (1, max_len)):
                 if degrees is not None and degrees[0] > degrees[1]:
                     continue
-                for source in (None, *g.vertices):
-                    assert enumerate_ga_monomials(
-                        Algebra(kind, g), max_len, degrees=degrees, source=source
-                    ) == monomials_by_all_pairs(
-                        g, kind, max_len, degrees=degrees, source=source
-                    ), (path.name, max_len, degrees, source)
+                assert enumerate_ga_monomials(
+                    Algebra(kind, g), max_len, degrees=degrees
+                ) == monomials_by_all_pairs(
+                    g, kind, max_len, degrees=degrees
+                ), (path.name, max_len, degrees)
 
 
 @settings(max_examples=150, deadline=None)
@@ -888,11 +886,8 @@ def test_windowed_enumeration_matches_all_pairs(data, g):
     kind = data.draw(st.sampled_from(ALGEBRA_KINDS))
     max_len = data.draw(st.integers(0, 3))
     degrees = data.draw(windows(max_len))
-    source = data.draw(st.none() | st.sampled_from(g.vertices))
-    assert enumerate_ga_monomials(Algebra(kind, g), max_len, degrees=degrees,
-                                  source=source) == \
-        monomials_by_all_pairs(g, kind, max_len, degrees=degrees,
-                               source=source)
+    assert enumerate_ga_monomials(Algebra(kind, g), max_len, degrees=degrees) == \
+        monomials_by_all_pairs(g, kind, max_len, degrees=degrees)
 
 
 @settings(max_examples=200, deadline=None)
@@ -991,7 +986,7 @@ def test_normal_form_matches_the_word_rewriter(data, g, kind, field):
     """normal_form multiplies each word's symbols out; rewriting the words
     in a random rule order gives the same element under any special-edge
     choice and over any field."""
-    special = SpecialEdgeChoice.from_mapping(g, {
+    special = special_edges_from_mapping(g, {
         v: data.draw(st.sampled_from(g.out_edges(v)))
         for v in g.vertices if g.is_regular(v)}) if kind == LEAVITT else None
     alg = Algebra(kind, g, special, field)
@@ -1011,7 +1006,7 @@ def test_normal_form_matches_the_word_rewriter(data, g, kind, field):
 def test_one_pass_straightening_matches_the_recursion(data, g, field):
     """The same terms in the same order: the stripped monomial, then each
     level's other-edge terms, innermost level first."""
-    special = SpecialEdgeChoice.from_mapping(g, {
+    special = special_edges_from_mapping(g, {
         v: data.draw(st.sampled_from(g.out_edges(v)))
         for v in g.vertices if g.is_regular(v)})
     alg = Algebra(LEAVITT, g, special, field)
@@ -1174,7 +1169,7 @@ def dead_columns_by_all_pairs(g, window, field):
     dead = set()
     for _, gel in alg.generators:
         (gmon,) = gel.coeffs
-        if gmon.is_vertex:
+        if is_vertex(gmon):
             continue
         rows = {}
         for j, m in enumerate(diagonal):
@@ -1287,7 +1282,7 @@ def kernel_window(alg, max_len=3, cap=400):
 def test_commutator_kernel_matches_mul_monomials(data, g, kind, field):
     """Every window-3 normal monomial against every generator, a random
     special-edge choice deciding where CK2 applies; over F_2, -1 == 1."""
-    special = SpecialEdgeChoice.from_mapping(g, {
+    special = special_edges_from_mapping(g, {
         v: data.draw(st.sampled_from(g.out_edges(v)))
         for v in g.vertices if g.is_regular(v)}) if kind == LEAVITT else None
     alg = Algebra(kind, g, special, field)

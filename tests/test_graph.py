@@ -13,25 +13,29 @@ from pathcenters import (
     classify_vertex,
     condition_L,
     connected_components,
-    cycle_graph,
     cycle_has_exit,
     cycles_without_exits,
-    disjoint_union,
     enumerate_hereditary_saturated,
     exit_free_cycle_vertices,
-    extended_graph,
     find_cycles,
     hereditary_saturated_closure,
     is_downward_directed,
-    line_graph,
-    opposite_graph,
     quotient_graph,
-    rose_graph,
-    toeplitz_graph,
 )
 from pathcenters.graph import all_paths_up_to, count_paths_into, paths_into
 
-from conftest import cycle_feeds_loop, feeder_loop, two_loops
+from conftest import (
+    cycle_feeds_loop,
+    cycle_graph,
+    disjoint_union,
+    extended_graph,
+    feeder_loop,
+    line_graph,
+    opposite_graph,
+    rose_graph,
+    toeplitz_graph,
+    two_loops,
+)
 from test_fast_paths import is_hereditary, is_saturated, reachable_from
 
 

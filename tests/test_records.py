@@ -16,7 +16,6 @@ from pathcenters.center_theory import (
     BoundsVerification,
     CenterBounds,
     CenterStructure,
-    ExitFreeUniquenessReport,
     GradedPrimeRecord,
     LowerSummand,
     PieceContribution,
@@ -25,13 +24,10 @@ from pathcenters.center_theory import (
 from pathcenters.errors import AmbientError, GraphError
 from pathcenters.graph import (
     Cycle,
-    ExtendedGraph,
     Graph,
     Path,
     VertexClassification,
     classify_vertex,
-    extended_graph,
-    toeplitz_graph,
 )
 from pathcenters.graph_algebra import (
     COHN,
@@ -48,6 +44,14 @@ from pathcenters.oracle import (
 )
 from pathcenters.report import render_json, render_text
 from pathcenters.scalars import QQ, field_from_characteristic
+
+from conftest import (
+    ExitFreeUniquenessReport,
+    extended_graph,
+    ExtendedGraph,
+    special_edges_from_mapping,
+    toeplitz_graph,
+)
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 HEAVY = ("dataclasses", "inspect", "ast", "dis", "tokenize")
@@ -78,6 +82,25 @@ def test_cli_loads_argparse_only_for_help_and_usage_errors():
     assert first == "[]"
     assert help_text.startswith("usage: pathcenters center [-h]")
     assert "--algebra {path,cohn,leavitt}" in help_text
+
+
+def test_the_package_exports_the_readme_library_api():
+    # each `from .module import ...` of `__init__.py` against the README's
+    # "Library API" list, module by module
+    import ast
+    import re
+
+    init = ast.parse((SRC / "pathcenters" / "__init__.py").read_text())
+    exported = {}
+    for node in init.body:
+        if isinstance(node, ast.ImportFrom) and node.module:
+            exported.setdefault(node.module, set()).update(
+                alias.asname or alias.name for alias in node.names)
+    readme = (SRC.parent / "README.md").read_text()
+    section = readme.split("\n## Library API\n", 1)[1].split("\n## ", 1)[0]
+    listed = {module: set(re.findall(r"`(\w+)`", names)) for module, names
+              in re.findall(r"^- `(\w+)`: (.*?)(?=^- |\Z)", section, re.M | re.S)}
+    assert listed == exported
 
 
 def _toeplitz():
@@ -180,7 +203,7 @@ def test_record_defaults():
     assert Algebra(PATH, g).field is QQ
     assert Algebra(COHN, g, SpecialEdgeChoice((("u", "f"),))).special is None
     assert Algebra(LEAVITT, g).special == SpecialEdgeChoice.lex_default(g)
-    chosen = SpecialEdgeChoice.from_mapping(g, {"u": "f"})
+    chosen = special_edges_from_mapping(g, {"u": "f"})
     assert Algebra(LEAVITT, g, chosen).special is chosen
     f2 = field_from_characteristic(2)
     assert Algebra(LEAVITT, g, field=f2) == Algebra(LEAVITT, g, None, f2)
