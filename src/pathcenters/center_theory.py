@@ -141,8 +141,7 @@ def center_structure_KE(alg: Algebra) -> CenterStructure:
     cycles = {c.vertex_set(g): c for c in cycles_without_exits(g)}
     pieces = []
     for comp in connected_components(g):
-        one_comp = GAElement(
-            alg, {GMonomial.at_vertex(g, v): alg.field.one for v in sorted(comp)})
+        one_comp = alg.vertex_sum(comp)
         cyc = cycles.get(comp)
         if cyc is None:
             pieces.append(CenterStructure(SCALAR, (one_comp,)))
@@ -252,7 +251,7 @@ def graded_prime_ideals(g: Graph):
     return sorted(records, key=lambda r: (len(r.H), sorted(r.H)))
 
 
-# kind: "zero" | "scalar" | "laurent" | "unknown"; generator: a GAElement or None
+# kind: ZERO | SCALAR | LAURENT | "unknown"; generator: a GAElement or None
 PieceContribution = namedtuple("PieceContribution", "kind detail generator",
                                defaults=(None,))
 
@@ -265,11 +264,11 @@ class LowerSummand(namedtuple("LowerSummand",
 
     def describe(self) -> str:
         kinds = [p.kind for p in self.pieces]
-        if not kinds or all(k == "zero" for k in kinds):
+        if not kinds or all(k == ZERO for k in kinds):
             return "0"
         parts = []
         for p in self.pieces:
-            if p.kind == "zero":
+            if p.kind == ZERO:
                 continue
             parts.append(_KIND_NAMES.get(p.kind, "oracle-bounded"))
         return " (+) ".join(parts)
@@ -337,22 +336,21 @@ def _lower_pieces(alg, record, hw):
     sink (a matrix algebra over K).  A terminal C with Condition (L) is
     `unknown`."""
     if not hw:
-        return [PieceContribution("zero", "zero ideal")]
+        return [PieceContribution(ZERO, "zero ideal")]
     g, cls = alg.graph, record.cls
     if hw | record.H == frozenset(g.vertices):
         if cls.scalar:
-            gen = GAElement(alg, {GMonomial.at_vertex(g, v): alg.field.one
-                                  for v in sorted(hw)})
-            return [PieceContribution("scalar", f"component identity ({cls.reason})", gen)]
+            return [PieceContribution(SCALAR, f"component identity ({cls.reason})",
+                                      alg.vertex_sum(hw))]
         return [PieceContribution(
-            "laurent", f"prime component, exit-free cycle fed by {cls.base_count} paths",
+            LAURENT, f"prime component, exit-free cycle fed by {cls.base_count} paths",
             laurent_generator(alg, cls.cycle))]
     if cls.cycle is not None:
         if cls.reason == "infinite_feeding":
             return [PieceContribution(
-                "zero", "matrix size infinite: a cycle feeds the corner")]
+                ZERO, "matrix size infinite: a cycle feeds the corner")]
         return [PieceContribution(
-            "laurent", f"matrix corner over {cls.base_count} paths",
+            LAURENT, f"matrix corner over {cls.base_count} paths",
             laurent_generator(alg, cls.cycle))]
     sinks = frozenset(v for v in hw if g.is_sink(v))
     if not sinks:
@@ -361,9 +359,9 @@ def _lower_pieces(alg, record, hw):
     counted = count_paths_into(g, sinks)
     if counted is None:
         return [PieceContribution(
-            "zero", "matrix size infinite: a cycle feeds the sink")]
+            ZERO, "matrix size infinite: a cycle feeds the sink")]
     return [PieceContribution(
-        "scalar", f"matrix corner over K on {counted[0]} paths",
+        SCALAR, f"matrix corner over K on {counted[0]} paths",
         _corner_generator(alg, sinks))]
 
 
@@ -449,7 +447,7 @@ def verify_bounds(subspace) -> BoundsVerification:
         for piece in summand.pieces:
             if piece.generator is None:
                 continue
-            if piece.kind == "laurent":
+            if piece.kind == LAURENT:
                 unit = piece.generator * piece.generator.involution()
                 claim = CenterStructure(LAURENT, (unit, piece.generator))
             else:

@@ -27,7 +27,7 @@ from .errors import (
     WordError,
 )
 from .graph import Graph
-from .graph_algebra import Algebra
+from .graph_algebra import ALGEBRA_KINDS, COHN, LEAVITT, PATH, Algebra
 from .oracle import OracleWindow, central_subspace, verify_structure
 from .scalars import field_from_characteristic
 from .textio import parse_graph
@@ -72,9 +72,9 @@ def _prime_claim(alg, cls=None):
 
     KE always has one; Cohn and Leavitt algebras only when prime.  `cls` is
     the Leavitt classification when the caller already has it."""
-    if alg.kind == "path":
+    if alg.kind == PATH:
         return ct.center_structure_KE(alg)
-    if alg.kind == "cohn":
+    if alg.kind == COHN:
         return ct.center_prime_cohn(alg) if ct.is_prime_cohn(alg.graph) else None
     cls = cls or _leavitt_classification(alg.graph)
     return ct.center_prime_leavitt(alg, cls) if cls else None
@@ -85,14 +85,14 @@ def cmd_center(args):
     alg = Algebra(args.algebra, g, field=field_from_characteristic(args.char))
     report = rpt.new_report("center", g, args.file)
     code = EXIT_OK
-    cls = _leavitt_classification(g) if args.algebra == "leavitt" else None
+    cls = _leavitt_classification(g) if args.algebra == LEAVITT else None
     claim = _prime_claim(alg, cls)
     if claim is not None:
         block = {"algebra": args.algebra, **rpt.structure_block(claim)}
         if cls is not None:
             block["exit_free_cycle_counts"] = rpt.cycle_counts_block(cls)
         report["sections"]["center-structure"] = block
-    elif args.algebra == "cohn":
+    elif args.algebra == COHN:
         rpt.add_notice(report, "Cohn path algebra is not prime "
                                "(|E^0| != 1); no structure theorem applies")
         code = EXIT_HYPOTHESIS
@@ -100,21 +100,22 @@ def cmd_center(args):
         rpt.add_notice(report, "Leavitt path algebra is not prime "
                                "(not downward directed); reporting the "
                                "center bounds instead")
-        bounds = ct.center_bounds(alg)
-        report["sections"]["graded-primes"] = rpt.graded_primes_section(
-            bounds.records)
-        report["sections"]["bounds"] = rpt.bounds_section(bounds)
+        _add_bounds(report, alg)
         code = EXIT_HYPOTHESIS
     return report, code
 
 
-def cmd_gprimes(args):
-    g = _load_graph(args.file)
-    alg = Algebra("leavitt", g, field=field_from_characteristic(args.char))
-    report = rpt.new_report("gprimes", g, args.file)
+def _add_bounds(report, alg):
+    """The graded-primes and bounds sections of the Leavitt algebra `alg`."""
     bounds = ct.center_bounds(alg)
     report["sections"]["graded-primes"] = rpt.graded_primes_section(bounds.records)
     report["sections"]["bounds"] = rpt.bounds_section(bounds)
+
+
+def cmd_gprimes(args):
+    g = _load_graph(args.file)
+    report = rpt.new_report("gprimes", g, args.file)
+    _add_bounds(report, Algebra(LEAVITT, g, field=field_from_characteristic(args.char)))
     return report, EXIT_OK
 
 
@@ -140,7 +141,7 @@ def cmd_oracle(args):
         if claim is not None:
             section["verification"] = rpt.verification_block(
                 verify_structure(claim, subspace))
-        elif args.algebra == "cohn":
+        elif args.algebra == COHN:
             rpt.add_notice(report, "no structural claim to verify: "
                                    "Cohn path algebra is not prime")
             code = EXIT_HYPOTHESIS
@@ -152,7 +153,7 @@ def cmd_oracle(args):
 
 
 _FORMAT = ("--format", {"choices": ("text", "json"), "default": "text"})
-_ALGEBRA = ("--algebra", {"choices": ("path", "cohn", "leavitt"), "required": True})
+_ALGEBRA = ("--algebra", {"choices": ALGEBRA_KINDS, "required": True})
 _CHAR = ("--char", {"type": int, "default": 0})
 _EXCLUSIVE = {"--deg", "--deg-window"}
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from collections import deque, namedtuple
 from functools import cached_property
+from itertools import chain
 
 from .errors import GraphError, ResourceCapExceeded
 
@@ -477,37 +478,19 @@ def quotient_graph(g: Graph, h) -> Graph:
 
 
 def paths_into(g: Graph, targets: frozenset):
-    """Paths whose only vertex inside `targets` is their range.
-
-    Trivial paths at target vertices are included.  Returns None when there
-    are infinitely many, i.e. when a directed cycle outside `targets` can
-    reach them.
-    """
-    for v in targets:
-        g.check_vertex(v)
-    results = [Path.vertex(g, v) for v in sorted(targets)]
-    for v in sorted(targets):
-        # iterative backward walk; a frame is (vertex x, its in-edge
-        # iterator, the path from x into targets touching them only at v)
-        on_stack = set()
-        stack = [(v, iter(g.in_edges(v)), ())]
-        while stack:
-            x, edges, tail = stack[-1]
-            for e in edges:
-                s = g.src[e]
-                if s in targets:
-                    continue
-                if s in on_stack:
-                    return None
-                p = Path(s, v, (e,) + tail)
-                results.append(p)
-                on_stack.add(s)
-                stack.append((s, iter(g.in_edges(s)), p.edges))
-                break
-            else:
-                stack.pop()
-                on_stack.discard(x)
-    return sorted(results, key=Path.sort_key)
+    """Paths whose only vertex inside `targets` is their range, sorted, or
+    None when `count_paths_into` finds infinitely many (`targets` must be
+    closed under out-edges).  Each target has its trivial path; in Tarjan
+    order, each other vertex's paths are its out-edges followed by the
+    paths at their ranges (none on a cycle, as the count is finite)."""
+    if count_paths_into(g, targets) is None:
+        return None
+    paths = {}
+    for v in chain.from_iterable(g.components):
+        paths[v] = [Path(v, v, ())] if v in targets else [
+            Path(v, p.target, (e,) + p.edges)
+            for e in g._out[v] for p in paths.get(g.rng[e], ())]
+    return sorted(chain.from_iterable(paths.values()), key=Path.sort_key)
 
 
 def count_paths_into(g: Graph, targets: frozenset):
@@ -531,7 +514,7 @@ def count_paths_into(g: Graph, targets: frozenset):
             continue
         v = next(iter(comp))
         ranges = [g.rng[e] for u in comp for e in g._out[u]]
-        if len(comp) > 1 or v in ranges:
+        if v in ranges:  # an edge inside the component enters v: a cycle
             if any(count.get(w) for w in ranges):
                 return None
             count.update(dict.fromkeys(comp, 0))

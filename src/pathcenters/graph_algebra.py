@@ -97,19 +97,13 @@ class GMonomial(Frozen, namedtuple("GMonomial", "real ghost")):
 class SpecialEdgeChoice(Frozen, namedtuple("SpecialEdgeChoice", "pairs")):
     """One chosen edge per regular vertex; fixes the Leavitt basis."""
 
-    def __new__(cls, pairs):
-        self = tuple.__new__(cls, (pairs,))
-        object.__setattr__(self, "_edge", dict(pairs))
-        return self
+    __slots__ = ()
 
     @classmethod
     def lex_default(cls, g: Graph) -> "SpecialEdgeChoice":
         return cls(tuple(
             (v, min(g.out_edges(v))) for v in g.vertices if g.is_regular(v)
         ))
-
-    def edge_at(self, v):
-        return self._edge.get(v)
 
 
 class Algebra(Frozen, namedtuple("Algebra", "kind graph special field")):
@@ -152,8 +146,12 @@ class Algebra(Frozen, namedtuple("Algebra", "kind graph special field")):
         return GAElement(self, {})
 
     def one(self) -> "GAElement":
+        return self.vertex_sum(self.graph.vertices)
+
+    def vertex_sum(self, vertices) -> "GAElement":
+        """The sum of `vertices`, the unit of the corner they span."""
         return GAElement(self, {GMonomial.at_vertex(self.graph, v): self.field.one
-                                for v in self.graph.vertices})
+                                for v in sorted(vertices)})
 
     def sum_of(self, terms) -> "GAElement":
         """Σ coeff·real·ghost* over (coeff, real, ghost) triples of paths that
@@ -276,25 +274,31 @@ class CommutatorKernel:
     """The terms of cols[j]·g and -g·cols[j] for normal monomials `cols`,
     as raw keys (s(λ), λ, s(μ), μ), and a generator symbol g, by CK1:
 
-      λμ*·e  = (λe, r(e)) if μ is trivial at s(e), (λ, μ') if μ = eμ'
-      e·λμ*  = (eλ, μ) if s(λ) = r(e);     λμ*·e* = (λ, eμ) if s(μ) = r(e)
-      e*·λμ* = (r(e), μe) if λ is trivial at s(e), (λ', μ) if λ = eλ'
-      λμ*·v  = λμ* if s(μ) = v;            v·λμ*  = λμ* if s(λ) = v
+      λμ*·e = (λe, r(e)) if μ is trivial at s(e), (λ, μ') if μ = eμ'
+      e·λμ* = (eλ, μ) if s(λ) = r(e)
+      λμ*·v = λμ* if s(μ) = v;            v·λμ* = λμ* if s(λ) = v
+
+    A ghost edge acts through the involution, which reverses products:
+    m·e* - e*·m = -(m*·e - e·m*)*, so the terms of e* are those of e on the
+    starred columns (s(μ), μ, s(λ), λ), negated, with starred keys; a key
+    only groups the terms of one generator.  The starred side reads the
+    same indexes, real heads as ghost heads and the source indexes swapped.
 
     Each key is indexed by the head (first edge, or vertex of a trivial
     part; edge and vertex ids never coincide) and the source of each part,
     so each side forms one nonzero product per column it meets and builds
-    no Path, GMonomial or dict.  Only e·(r(e))μ* with μ ending in e, and
-    λ·e* with λ ending in e, can leave the basis (e special); those go
-    through `_straighten`, the one home of CK2.
+    no Path, GMonomial or dict.  Only e·(r(e))μ* with μ ending in e can
+    leave the basis (e special); it goes through `_straighten`, the one
+    home of CK2.
     """
 
-    __slots__ = ("alg", "raw", "real_heads", "ghost_heads", "real_sources",
-                 "ghost_sources")
+    __slots__ = ("alg", "raw", "starred", "real_heads", "ghost_heads",
+                 "real_sources", "ghost_sources")
 
     def __init__(self, alg, cols):
         self.alg = alg
         self.raw = cols
+        self.starred = [(gs, mu, rs, lam) for rs, lam, gs, mu in cols]
         self.real_heads, self.ghost_heads = {}, {}
         self.real_sources, self.ghost_sources = {}, {}
         for j, (rs, lam, gs, mu) in enumerate(self.raw):
@@ -305,63 +309,50 @@ class CommutatorKernel:
 
     def commutator(self, symbol, skip=()):
         """(j, key, c) for the terms of cols[j]·g - g·cols[j], c = ±1, the
-        columns in `skip` left out."""
+        columns in `skip` left out; for g = e*, starred."""
         return chain(self.right(symbol, skip), self.left(symbol, skip))
 
     def right(self, symbol, skip=()):
-        """(j, key, c) for the terms of cols[j]·g."""
-        raw, g, c = self.raw, self.alg.graph, self.alg.field.one
+        """(j, key, c) for the terms of cols[j]·g; for g = e*, those of
+        -(cols[j]*·e), the star of -e*·cols[j]."""
+        field = self.alg.field
         tag, x = symbol
         if tag == _V:
-            return [(j, raw[j], c) for j in self.ghost_sources.get(x, ())
+            return [(j, self.raw[j], field.one) for j in self.ghost_sources.get(x, ())
                     if j not in skip]
-        s, r, e = g.src[x], g.rng[x], (x,)
-        if tag == _E:
-            return [(j, (rs, lam + e, r, ()), c)
-                    for j in self.ghost_heads.get(s, ()) if j not in skip
-                    for rs, lam, _, _ in [raw[j]]] + \
-                   [(j, (rs, lam, r, mu[1:]), c)
-                    for j in self.ghost_heads.get(x, ()) if j not in skip
-                    for rs, lam, _, mu in [raw[j]]]
-        out = []
-        for j in self.ghost_sources.get(r, ()):
-            if j not in skip:
-                rs, lam, _, mu = raw[j]
-                if not mu and lam[-1:] == e and x in self.alg.specials:
-                    out += self._straightened(j, Path(rs, r, lam), Path(s, r, e), c)
-                else:
-                    out.append((j, (rs, lam, s, e + mu), c))
-        return out
+        s, r, e = self.alg.graph.src[x], self.alg.graph.rng[x], (x,)
+        raw, heads, c = ((self.starred, self.real_heads, field.neg(field.one))
+                         if tag == _G else (self.raw, self.ghost_heads, field.one))
+        return [(j, (rs, lam + e, r, ()), c)
+                for j in heads.get(s, ()) if j not in skip
+                for rs, lam, _, _ in [raw[j]]] + \
+               [(j, (rs, lam, r, mu[1:]), c)
+                for j in heads.get(x, ()) if j not in skip
+                for rs, lam, _, mu in [raw[j]]]
 
     def left(self, symbol, skip=()):
-        """(j, key, c) for the terms of -g·cols[j]."""
-        raw, g, field = self.raw, self.alg.graph, self.alg.field
+        """(j, key, c) for the terms of -g·cols[j]; for g = e*, those of
+        e·cols[j]*, the star of cols[j]·e*."""
+        field = self.alg.field
         c = field.neg(field.one)
         tag, x = symbol
         if tag == _V:
-            return [(j, raw[j], c) for j in self.real_sources.get(x, ())
+            return [(j, self.raw[j], c) for j in self.real_sources.get(x, ())
                     if j not in skip]
-        s, r, e = g.src[x], g.rng[x], (x,)
-        if tag == _G:
-            return [(j, (r, (), gs, mu + e), c)
-                    for j in self.real_heads.get(s, ()) if j not in skip
-                    for _, _, gs, mu in [raw[j]]] + \
-                   [(j, (r, lam[1:], gs, mu), c)
-                    for j in self.real_heads.get(x, ()) if j not in skip
-                    for _, lam, gs, mu in [raw[j]]]
+        s, r, e = self.alg.graph.src[x], self.alg.graph.rng[x], (x,)
+        raw, sources, c = ((self.starred, self.ghost_sources, field.one)
+                           if tag == _G else (self.raw, self.real_sources, c))
         out = []
-        for j in self.real_sources.get(r, ()):
+        for j in sources.get(r, ()):
             if j not in skip:
                 _, lam, gs, mu = raw[j]
                 if not lam and mu[-1:] == e and x in self.alg.specials:
-                    out += self._straightened(j, Path(s, r, e), Path(gs, r, mu), c)
+                    out += [(j, (real.source, real.edges, ghost.source, ghost.edges), k)
+                            for (real, ghost), k in _straighten(
+                                self.alg, Path(s, r, e), Path(gs, r, mu), c).items()]
                 else:
                     out.append((j, (s, e + lam, gs, mu), c))
         return out
-
-    def _straightened(self, j, real, ghost, c):
-        return [(j, (lam.source, lam.edges, mu.source, mu.edges), k)
-                for (lam, mu), k in _straighten(self.alg, real, ghost, c).items()]
 
 
 def check_central(a) -> bool:
@@ -577,7 +568,7 @@ def element_vector(el):
     return {m.sort_key(): c for m, c in el.coeffs.items()}
 
 
-def _window_lengths(max_len, degrees):
+def degree_bounds(max_len, degrees):
     """Degree bounds (lo, hi) of a window; no filter admits every degree."""
     return (-max_len, max_len) if degrees is None else degrees
 
@@ -598,7 +589,7 @@ def window_pairs(alg, max_len, degrees, diagonal=False):
     that put a - b inside the window, b ascending, so pairs come out sorted.
     """
     graph, kind = alg.graph, alg.kind
-    lo, hi = _window_lengths(max_len, degrees)
+    lo, hi = degree_bounds(max_len, degrees)
     paths = all_paths_up_to(graph, _longest_real(kind, max_len, hi))
     longest_ghost = 0 if kind == PATH else paths[-1].length  # sorted by length
     buckets, specials = {}, alg.specials
@@ -640,7 +631,7 @@ def count_ga_monomials(alg, max_len, *, degrees=None):
     length no path reaches.
     """
     graph, kind = alg.graph, alg.kind
-    lo, hi = _window_lengths(max_len, degrees)
+    lo, hi = degree_bounds(max_len, degrees)
     counts = {v: [1] for v in graph.vertices}
     arrows = [(counts[graph.src[e]], graph.rng[e]) for e in graph.edges]
     for _ in range(_longest_real(kind, max_len, hi)):

@@ -25,10 +25,11 @@ solve to the columns still alive.
   `graph_algebra.CommutatorKernel` indexes the candidates by the head and
   the source of each part and reads the row terms of each generator off
   its one-edge rules: λμ*·e needs μ to start with e or to be trivial at
-  s(e); e·λμ* needs s(λ) = r(e); λμ*·e* needs s(μ) = r(e); and e*·λμ*
-  needs λ to start with e or to be trivial at s(e), because e* runs from
-  r(e) to s(e).  No product object is built; the two products that can
-  leave the Leavitt basis go through `_straighten`, the one home of CK2.
+  s(e), and e·λμ* needs s(λ) = r(e).  A ghost edge e* acts through the
+  involution: its row terms are those of e on the starred candidates,
+  negated, with starred keys, the same rows under another name.  No
+  product object is built; the one product that can leave the Leavitt
+  basis, e·(r(e))μ* with μ ending in e, goes through `_straighten`.
   `centrality_witness` reads the same kernel, vertices included:
   λμ*·v needs s(μ) = v, and v·λμ* needs s(λ) = v.  It visits only the
   generators that can meet the element's monomials, and records each
@@ -76,6 +77,7 @@ from .graph_algebra import (
     _V,
     centrality_witness,
     check_window_cap,
+    degree_bounds,
     element_vector,
     key_monomial,
     window_pairs,
@@ -107,7 +109,7 @@ class OracleWindow(Frozen, namedtuple("OracleWindow", "kind max_len degrees")):
 
     def admits(self, el) -> bool:
         """Whether every monomial of `el` lies inside the window."""
-        lo, hi = self.degrees or (-self.max_len, self.max_len)
+        lo, hi = degree_bounds(self.max_len, self.degrees)
         return all(m.real.length <= self.max_len and m.ghost.length <= self.max_len
                    and lo <= m.degree <= hi for m in el.coeffs)
 

@@ -11,7 +11,8 @@ import math
 from importlib import resources
 from json.encoder import encode_basestring_ascii as _quote
 
-from .center_theory import CenterBounds, CenterStructure, SUM
+from .center_theory import (SUM, CenterBounds, CenterStructure, is_prime_cohn,
+                            is_prime_leavitt)
 from .graph import (
     Graph,
     classify_vertex,
@@ -71,8 +72,6 @@ def predicates_section(g: Graph):
 
 
 def primeness_section(g: Graph):
-    from .center_theory import is_prime_cohn, is_prime_leavitt
-
     return {
         "leavitt_prime": is_prime_leavitt(g),
         "cohn_prime": is_prime_cohn(g),

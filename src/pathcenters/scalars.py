@@ -13,10 +13,7 @@ way.
 
 from __future__ import annotations
 
-import re
 from fractions import Fraction
-
-_RATIONAL_RE = re.compile(r"[+-]?\d+(?:/\d+)?\Z")
 
 # The first twelve primes as Miller-Rabin bases decide primality exactly for
 # every n below the least strong pseudoprime to all of them (Sorenson and
@@ -81,12 +78,6 @@ class RationalField:
     def div(self, a, b):
         return Fraction(a, b)
 
-    def parse(self, text):
-        text = text.strip()
-        if not _RATIONAL_RE.match(text):
-            raise ValueError(f"not an exact rational: {text!r}")
-        return Fraction(text)
-
     def text(self, a):
         return str(a)
 
@@ -141,15 +132,6 @@ class PrimeField:
 
     def div(self, a, b):
         return self.mul(a, self.inv(b))
-
-    def parse(self, text):
-        text = text.strip()
-        if not _RATIONAL_RE.match(text):
-            raise ValueError(f"not an exact scalar: {text!r}")
-        if "/" in text:
-            num, den = text.split("/")
-            return self.div(int(num) % self.p, int(den) % self.p)
-        return int(text) % self.p
 
     def text(self, a):
         return str(a % self.p)

@@ -1,5 +1,7 @@
 import pathlib
+import re
 from collections import namedtuple
+from fractions import Fraction
 from functools import cached_property
 from itertools import permutations
 from unittest.mock import patch
@@ -86,14 +88,19 @@ def raw_key(m):
 
 def product_by_mul_monomials(alg, m, symbol, side):
     """m·g ("right") or -g·m ("left") for the generator with this raw
-    symbol, formed by `mul_monomials` and read as raw keys."""
+    symbol, formed by `mul_monomials` and read as raw keys.  A ghost edge
+    e* acts through the involution, so its terms come starred: its right
+    side is the star of -e*·m and its left side the star of m·e*."""
     (_, gel), = [gen for gen, s in zip(alg.generators, alg.generator_symbols)
                  if s == symbol]
     (gmon,) = gel.coeffs
     one = alg.field.one
+    ghost = symbol[0] == graph_algebra._G
+    if ghost:
+        side = "left" if side == "right" else "right"
     out = (mul_monomials(alg, m, gmon, one) if side == "right"
            else mul_monomials(alg, gmon, m, alg.field.neg(one)))
-    return {raw_key(rm): c for rm, c in out.items()}
+    return {raw_key(rm.star() if ghost else rm): c for rm, c in out.items()}
 
 
 def record_kernel_products(monkeypatch, *modules):
@@ -449,6 +456,21 @@ def _parse_path_part(g: Graph, text: str) -> Path:
         raise ParseError(str(exc)) from exc
 
 
+_RATIONAL_RE = re.compile(r"[+-]?\d+(?:/\d+)?\Z")
+
+
+def parse_scalar(field, text):
+    """An exact scalar of `field` (QQ or a PrimeField) from an integer or
+    n/d; ValueError for anything else, decimals included."""
+    text = text.strip()
+    if not _RATIONAL_RE.match(text):
+        raise ValueError(f"not an exact scalar: {text!r}")
+    if field == QQ:
+        return Fraction(text)
+    num, _, den = text.partition("/")
+    return field.div(int(num) % field.p, int(den or 1) % field.p)
+
+
 def parse_element(text: str, alg: Algebra):
     """Parse element text, as `element_to_text` writes it, into a
     `GAElement` of `alg`."""
@@ -463,7 +485,7 @@ def parse_element(text: str, alg: Algebra):
         if len(parts) != 2:
             raise ParseError(f"term {term!r} needs a scalar and a monomial")
         try:
-            coeff = field.parse(parts[0])
+            coeff = parse_scalar(field, parts[0])
         except ValueError as exc:
             raise ParseError(str(exc)) from exc
         mono = parts[1].strip()

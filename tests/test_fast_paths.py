@@ -452,7 +452,7 @@ def straighten_by_recursion(alg, real, ghost, coeff):
         if e == ghost.edges[-1]:
             g = alg.graph
             v = g.src[e]
-            if special.edge_at(v) == e:
+            if dict(special.pairs).get(v) == e:
                 lam, mu = _chop(g, real), _chop(g, ghost)
                 out = straighten_by_recursion(alg, lam, mu, coeff)
                 minus = alg.field.neg(coeff)
@@ -499,14 +499,15 @@ def _redexes(alg, word):
     """(rule, i) for each rule that applies to the parsed word at position i:
     absorb a vertex beside another symbol, CK1 on e*·f and, for Leavitt,
     CK2 on e·e* with e special."""
-    g, special = alg.graph, alg.special  # special is None unless Leavitt
+    g = alg.graph
+    special = dict(alg.special.pairs) if alg.special else {}  # empty unless Leavitt
     out = [("absorb", i) for i, (tag, _) in enumerate(word)
            if tag == _V and len(word) > 1]
     for i, ((ta, a), (tb, b)) in enumerate(zip(word, word[1:])):
         if ta == _G and tb == _E:
             out.append(("ck1", i))
         elif (ta == _E and tb == _G and a == b
-              and special is not None and special.edge_at(g.src[a]) == a):
+              and special.get(g.src[a]) == a):
             out.append(("ck2", i))
     return out
 
@@ -639,7 +640,7 @@ def special_suffix_pairs(draw, alg):
         if not g.is_regular(v):
             break
         special = draw(st.integers(0, 3)) > 0
-        e = alg.special.edge_at(v) if special else draw(st.sampled_from(g.out_edges(v)))
+        e = dict(alg.special.pairs)[v] if special else draw(st.sampled_from(g.out_edges(v)))
         walk.append(e)
         v = g.rng[e]
     into_x = [p for p in all_paths_up_to(g, 3) if p.target == x]
@@ -717,9 +718,14 @@ def test_worklist_closure_matches_fixed_point(data, g):
 @settings(max_examples=200, deadline=None)
 @given(data=st.data(), g=graphs())
 def test_iterative_paths_into_matches_short_paths(data, g):
-    targets = frozenset(data.draw(st.sets(st.sampled_from(g.vertices),
-                                          min_size=1)))
+    """Into the forward closure of a drawn set, which is closed under
+    out-edges as `paths_into` requires; a set that is not is refused."""
+    seed = frozenset(data.draw(st.sets(st.sampled_from(g.vertices), min_size=1)))
+    targets = frozenset().union(*(reachable_from(g, v) for v in seed))
     assert paths_into(g, targets) == paths_into_by_length(g, targets)
+    if seed != targets:
+        with pytest.raises(GraphError):
+            paths_into(g, seed)
 
 
 @settings(max_examples=200, deadline=None)

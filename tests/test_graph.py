@@ -266,6 +266,16 @@ def test_count_paths_requires_exit_free():
         count_paths_into(tg, find_cycles(tg)[0].vertex_set(tg))
 
 
+def test_paths_into_refuses_targets_not_closed_under_out_edges():
+    tg = toeplitz_graph()
+    with pytest.raises(GraphError):
+        paths_into(tg, find_cycles(tg)[0].vertex_set(tg))
+    # no targets: no paths, so no length either
+    fl = feeder_loop()
+    assert count_paths_into(fl, frozenset()) == (0, 0, frozenset())
+    assert paths_into(fl, frozenset()) == []
+
+
 def test_count_on_multivertex_cycle():
     g = cycle_graph(2)
     c = find_cycles(g)[0]

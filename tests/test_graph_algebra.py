@@ -386,8 +386,7 @@ def test_special_edge_choice_validation():
         special_edges_from_mapping(g, {})
     with pytest.raises(GraphError):
         special_edges_from_mapping(g, {"u": "nope"})
-    assert SpecialEdgeChoice.lex_default(g).edge_at("u") == "e"
-    assert SpecialEdgeChoice.lex_default(g).edge_at("v") is None
+    assert dict(SpecialEdgeChoice.lex_default(g).pairs) == {"u": "e"}
 
 
 def test_normal_monomial_recognition():

@@ -6,14 +6,16 @@ from hypothesis import given, settings, strategies as st
 from pathcenters.linalg import LinearSpan, sparse_nullspace
 from pathcenters.scalars import QQ, PrimeField, field_from_characteristic
 
+from conftest import parse_scalar
+
 
 def test_rational_field_basics():
-    assert QQ.parse("3/2") == Fraction(3, 2)
-    assert QQ.parse("-1") == Fraction(-1)
+    assert parse_scalar(QQ, "3/2") == Fraction(3, 2)
+    assert parse_scalar(QQ, "-1") == Fraction(-1)
     assert QQ.text(Fraction(-7, 3)) == "-7/3"
     assert QQ.coerce(2) == Fraction(2)
     with pytest.raises(ValueError):
-        QQ.parse("1.5")  # decimals are never accepted
+        parse_scalar(QQ, "1.5")  # decimals are never accepted
 
 
 def test_prime_field_arithmetic():
@@ -21,7 +23,8 @@ def test_prime_field_arithmetic():
     assert f7.add(5, 4) == 2
     assert f7.inv(3) == 5
     assert f7.div(1, 2) == 4
-    assert f7.parse("3/2") == f7.div(3, 2)
+    assert parse_scalar(f7, "3/2") == f7.div(3, 2)
+    assert parse_scalar(f7, "-3") == 4
     assert f7.coerce(Fraction(1, 2)) == 4
     with pytest.raises(ValueError):
         PrimeField(6)
