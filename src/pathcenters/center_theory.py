@@ -41,7 +41,6 @@ from .graph_algebra import (
     PATH,
     Algebra,
     GAElement,
-    GMonomial,
     check_central,
     check_window_cap,
     element_vector,
@@ -126,9 +125,7 @@ def cycle_rotation_sum(alg: Algebra, cyc: Cycle) -> GAElement:
     generator of Z(KE) for a cycle graph."""
     _require_kind(alg, PATH, "the rotation sum")
     g = alg.graph
-    return GAElement(alg, {
-        GMonomial(cyc.rotation_based_at(g, v), Path.vertex(g, v)): alg.field.one
-        for v in sorted(cyc.vertex_set(g))})
+    return _corner_sum(alg, [Path.vertex(g, v) for v in sorted(cyc.vertex_set(g))], cyc)
 
 
 def center_structure_KE(alg: Algebra) -> CenterStructure:
@@ -257,21 +254,14 @@ PieceContribution = namedtuple("PieceContribution", "kind detail generator",
 
 
 class LowerSummand(namedtuple("LowerSummand",
-                              "record_index ideal_vertices improper pieces")):
-    """Z(W_P) for W_P the intersection of the other graded primes."""
+                              "record_index ideal_vertices improper piece")):
+    """Z(W_P) for W_P the intersection of the other graded primes, one
+    PieceContribution."""
 
     __slots__ = ()
 
     def describe(self) -> str:
-        kinds = [p.kind for p in self.pieces]
-        if not kinds or all(k == ZERO for k in kinds):
-            return "0"
-        parts = []
-        for p in self.pieces:
-            if p.kind == ZERO:
-                continue
-            parts.append(_KIND_NAMES.get(p.kind, "oracle-bounded"))
-        return " (+) ".join(parts)
+        return _KIND_NAMES.get(self.piece.kind, "oracle-bounded")
 
 
 class CenterBounds(namedtuple("CenterBounds",
@@ -285,7 +275,7 @@ class CenterBounds(namedtuple("CenterBounds",
         return " x ".join(self.upper) if self.upper else "(no graded primes)"
 
     def describe_lower(self) -> str:
-        parts = [s.describe() for s in self.lower if s.describe() != "0"]
+        parts = [d for d in (s.describe() for s in self.lower) if d != "0"]
         return " (+) ".join(parts) if parts else "0"
 
 
@@ -323,81 +313,66 @@ def _corner_generator(alg, targets, c: Cycle = None):
     return z
 
 
-def _lower_pieces(alg, record, hw):
+def _lower_piece(alg, record, hw):
     """Z(W_P) for the graded prime `record`, W_P on the vertices `hw`.
 
     A vertex of hw reaches no other record's component, so hw is empty
     unless P's component C is terminal, and then it is the hereditary
     saturated closure of C.  Decidable: the zero ideal; hw the whole
     connected component E^0 - H, whose prime Leavitt algebra `record.cls`
-    classifies; the closure of an exit-free cycle (a matrix algebra over
-    Laurent polynomials: K[x,x^-1] when finitely many paths end at the
-    cycle, zero center when the matrix size is infinite); the closure of a
-    sink (a matrix algebra over K).  A terminal C with Condition (L) is
-    `unknown`."""
+    classifies (the whole center when hw = E^0, which only the improper
+    summand of a lone graded prime, H = 0, has); the closure of an
+    exit-free cycle (a matrix algebra over Laurent polynomials: K[x,x^-1]
+    when finitely many paths end at the cycle, zero center when the matrix
+    size is infinite); the closure of a sink (a matrix algebra over K).  A
+    terminal C with Condition (L) is `unknown`."""
     if not hw:
-        return [PieceContribution(ZERO, "zero ideal")]
+        return PieceContribution(ZERO, "zero ideal")
     g, cls = alg.graph, record.cls
-    if hw | record.H == frozenset(g.vertices):
+    everything = frozenset(g.vertices)
+    if hw | record.H == everything:
+        whole = hw == everything
         if cls.scalar:
-            return [PieceContribution(SCALAR, f"component identity ({cls.reason})",
-                                      alg.vertex_sum(hw))]
-        return [PieceContribution(
-            LAURENT, f"prime component, exit-free cycle fed by {cls.base_count} paths",
-            laurent_generator(alg, cls.cycle))]
+            name = "whole center" if whole else "component identity"
+            return PieceContribution(SCALAR, f"{name} ({cls.reason})",
+                                     alg.vertex_sum(hw))
+        return PieceContribution(
+            LAURENT, "whole center" if whole else
+            f"prime component, exit-free cycle fed by {cls.base_count} paths",
+            laurent_generator(alg, cls.cycle))
     if cls.cycle is not None:
         if cls.reason == "infinite_feeding":
-            return [PieceContribution(
-                ZERO, "matrix size infinite: a cycle feeds the corner")]
-        return [PieceContribution(
+            return PieceContribution(
+                ZERO, "matrix size infinite: a cycle feeds the corner")
+        return PieceContribution(
             LAURENT, f"matrix corner over {cls.base_count} paths",
-            laurent_generator(alg, cls.cycle))]
+            laurent_generator(alg, cls.cycle))
     sinks = frozenset(v for v in hw if g.is_sink(v))
     if not sinks:
-        return [PieceContribution(
-            "unknown", "no decidable pattern; oracle-bounded evidence only")]
+        return PieceContribution(
+            "unknown", "no decidable pattern; oracle-bounded evidence only")
     counted = count_paths_into(g, sinks)
     if counted is None:
-        return [PieceContribution(
-            ZERO, "matrix size infinite: a cycle feeds the sink")]
-    return [PieceContribution(
-        SCALAR, f"matrix corner over K on {counted[0]} paths",
-        _corner_generator(alg, sinks))]
-
-
-def _whole_center_pieces(alg, cls):
-    """The whole center, given the classification of the only graded prime:
-    one maximal tail means one terminal component, which every vertex
-    reaches, so that prime is 0 and `cls` is the prime graph's own."""
-    whole = center_prime_leavitt(alg, cls)
-    detail = f"whole center ({cls.reason})" if cls.scalar else "whole center"
-    return [PieceContribution(whole.kind, detail, whole.generators[-1])]
+        return PieceContribution(ZERO, "matrix size infinite: a cycle feeds the sink")
+    return PieceContribution(SCALAR, f"matrix corner over K on {counted[0]} paths",
+                             _corner_generator(alg, sinks))
 
 
 def center_bounds(alg: Algebra) -> CenterBounds:
     """Theorem-level bounds: the upper bound is one K per I-record and one
     K[x,x^-1] per J-record; the lower bound collects Z(W_P) for W_P the
-    intersection of the other graded primes, read off P's record by
-    `_lower_pieces`.  A singleton family makes W_P improper, so its lower
-    entry degenerates to the whole center and is flagged as such."""
+    intersection of the other graded primes, E^0 when there are none, read
+    off P's record by `_lower_piece`.  A lone graded prime makes W_P
+    improper: its lower entry is the whole center and is flagged as such."""
     _require_kind(alg, LEAVITT, "bounding the center")
-    g = alg.graph
-    records = tuple(graded_prime_ideals(g))
+    everything = frozenset(alg.graph.vertices)
+    records = tuple(graded_prime_ideals(alg.graph))
     upper = tuple("K" if r.flavor == "I" else "K[x,x^-1]" for r in records)
     lower = []
-    everything = frozenset(g.vertices)
-    for i in range(len(records)):
-        others = [r.H for j, r in enumerate(records) if j != i]
-        if not others:
-            lower.append(LowerSummand(
-                i, everything, True,
-                tuple(_whole_center_pieces(alg, records[i].cls))))
-            continue
-        hw = frozenset.intersection(*others)
-        lower.append(LowerSummand(
-            i, hw, False, tuple(_lower_pieces(alg, records[i], hw))))
-    radical = (frozenset.intersection(*(r.H for r in records))
-               if records else everything)
+    for i, r in enumerate(records):
+        hw = everything.intersection(*(q.H for q in records if q is not r))
+        lower.append(LowerSummand(i, hw, len(records) == 1, _lower_piece(alg, r, hw)))
+    radical = everything.intersection(*(r.H for r in records))
     return CenterBounds(records, upper, tuple(lower), radical)
 
 
@@ -444,20 +419,19 @@ def verify_bounds(subspace) -> BoundsVerification:
         oracle_span.add(element_vector(z))
     lower_ok = True
     for summand in bounds.lower:
-        for piece in summand.pieces:
-            if piece.generator is None:
-                continue
-            if piece.kind == LAURENT:
-                unit = piece.generator * piece.generator.involution()
-                claim = CenterStructure(LAURENT, (unit, piece.generator))
-            else:
-                claim = CenterStructure(SCALAR, (piece.generator,))
-            for el in claim.truncation(window):
-                if not oracle_span.contains(element_vector(el)):
-                    lower_ok = False
-                    notes.append(
-                        f"lower-bound generator power missing from the oracle "
-                        f"span (record {summand.record_index})")
+        z = summand.piece.generator
+        if z is None:
+            continue
+        if summand.piece.kind == LAURENT:
+            claim = CenterStructure(LAURENT, (z * z.involution(), z))
+        else:
+            claim = CenterStructure(SCALAR, (z,))
+        for el in claim.truncation(window):
+            if not oracle_span.contains(element_vector(el)):
+                lower_ok = False
+                notes.append(
+                    f"lower-bound generator power missing from the oracle "
+                    f"span (record {summand.record_index})")
 
     radical_empty = not bounds.radical_vertices
     return BoundsVerification(

@@ -10,7 +10,7 @@ maps, components and exit-free cycles) or a validating constructor is `Frozen`.
 
 from __future__ import annotations
 
-from collections import deque, namedtuple
+from collections import namedtuple
 from functools import cached_property
 from itertools import chain
 
@@ -224,34 +224,20 @@ def classify_vertex(g: Graph, v) -> VertexClassification:
     return VertexClassification(g.is_sink(v), g.is_source(v), g.is_regular(v))
 
 
-def _undirected_adjacency(g: Graph):
-    adj = {v: set() for v in g.vertices}
-    for e in g.edges:
-        adj[g.src[e]].add(g.rng[e])
-        adj[g.rng[e]].add(g.src[e])
-    return adj
-
-
 def connected_components(g: Graph):
-    """Partition of the vertices under undirected reachability."""
-    adj = _undirected_adjacency(g)
-    seen = set()
-    blocks = []
-    for v in g.vertices:
-        if v in seen:
-            continue
-        block = {v}
-        queue = deque([v])
-        seen.add(v)
-        while queue:
-            x = queue.popleft()
-            for y in adj[x]:
-                if y not in seen:
-                    seen.add(y)
-                    block.add(y)
-                    queue.append(y)
-        blocks.append(frozenset(block))
-    return sorted(blocks, key=lambda b: sorted(b))
+    """Partition of the vertices under undirected reachability: each edge
+    merges the blocks of its two endpoints, the smaller into the larger."""
+    block = {v: {v} for v in g.vertices}
+    for e in g.edges:
+        a, b = block[g.src[e]], block[g.rng[e]]
+        if a is not b:
+            if len(a) < len(b):
+                a, b = b, a
+            a |= b
+            for v in b:
+                block[v] = a
+    blocks = {id(b): b for b in block.values()}.values()
+    return sorted((frozenset(b) for b in blocks), key=sorted)
 
 
 def find_cycles(g: Graph):

@@ -2,10 +2,23 @@
 
 Rows are dicts mapping a column key to a nonzero scalar.  Pivoting always
 selects the minimal remaining key, so echelon forms, nullspace bases and
-span membership are deterministic and canonical.
+span membership are deterministic and canonical.  One subtraction step and
+one insert serve both `LinearSpan` and `sparse_nullspace`; an insert only
+reduces the new row, and the solver back-substitutes once at the end.
 """
 
 from __future__ import annotations
+
+
+def _subtract(row, k, pivot_row, j, field):
+    """row -= k·pivot_row on every column but the pivot j (already popped)."""
+    for c, v in pivot_row.items():
+        if c != j:
+            nv = field.sub(row.get(c, field.zero), field.mul(k, v))
+            if nv:
+                row[c] = nv
+            else:
+                row.pop(c, None)
 
 
 def _reduce_against(row, pivots, field):
@@ -15,25 +28,23 @@ def _reduce_against(row, pivots, field):
         pivot_row = pivots.get(j)
         if pivot_row is None:
             return row, j
-        k = row.pop(j)
-        for c, v in pivot_row.items():
-            if c == j:
-                continue
-            nv = field.sub(row.get(c, field.zero), field.mul(k, v))
-            if not nv:
-                row.pop(c, None)
-            else:
-                row[c] = nv
+        _subtract(row, row.pop(j), pivot_row, j, field)
     return row, None
 
 
-def _normalize(row, j, field):
+def _insert(pivots, vec, field):
+    """Reduce `vec` against `pivots` and store it, normalized, under its
+    leading column; returns True when it was independent of them."""
+    row, j = _reduce_against(dict(vec), pivots, field)
+    if not row:
+        return False
     lead = row[j]
     if lead != field.one:
         inv = field.inv(lead)
-        for c in list(row):
+        for c in row:
             row[c] = field.mul(row[c], inv)
-    return row
+    pivots[j] = row
+    return True
 
 
 class LinearSpan:
@@ -56,11 +67,7 @@ class LinearSpan:
 
     def add(self, vec):
         """Insert a vector; returns True when it enlarged the span."""
-        row, j = _reduce_against(dict(vec), self._pivots, self.field)
-        if not row:
-            return False
-        self._pivots[j] = _normalize(row, j, self.field)
-        return True
+        return _insert(self._pivots, vec, self.field)
 
 
 def sparse_nullspace(rows, ncols, field):
@@ -72,38 +79,19 @@ def sparse_nullspace(rows, ncols, field):
     """
     pivots = {}
     for raw in rows:
-        row, j = _reduce_against(dict(raw), pivots, field)
-        if row:
-            pivots[j] = _normalize(row, j, field)
+        _insert(pivots, raw, field)
 
-    # Back-substitute in descending pivot order; afterwards every pivot row
-    # is supported on its pivot and free columns only.
+    # Back-substitute in descending pivot order.  A later pivot row is then
+    # supported on its pivot and free columns only, so clearing one pivot
+    # column from a row never brings back another.
     for j in sorted(pivots, reverse=True):
         row = pivots[j]
         for c in sorted(k for k in row if k != j and k in pivots):
-            k = row.pop(c, None)
-            if k is None:
-                continue
-            for cc, vv in pivots[c].items():
-                if cc == c:
-                    continue
-                nv = field.sub(row.get(cc, field.zero), field.mul(k, vv))
-                if not nv:
-                    row.pop(cc, None)
-                else:
-                    row[cc] = nv
+            _subtract(row, row.pop(c), pivots[c], c, field)
 
-    free_cols = [c for c in range(ncols) if c not in pivots]
-    entries_at = {c: [] for c in free_cols}
+    basis = {c: {c: field.one} for c in range(ncols) if c not in pivots}
     for j, row in pivots.items():
         for c, v in row.items():
             if c != j:
-                entries_at[c].append((j, v))
-
-    basis = []
-    for f in free_cols:
-        vec = {f: field.one}
-        for j, v in entries_at[f]:
-            vec[j] = field.neg(v)
-        basis.append(vec)
-    return basis
+                basis[c][j] = field.neg(v)
+    return list(basis.values())

@@ -123,15 +123,12 @@ def bounds_section(bounds: CenterBounds):
             "ideal_vertices": sorted(s.ideal_vertices),
             "improper": s.improper,
             "description": s.describe(),
-            "pieces": [
-                {
-                    "kind": p.kind,
-                    "detail": p.detail,
-                    "generator": element_to_text(p.generator)
-                    if p.generator is not None else None,
-                }
-                for p in s.pieces
-            ],
+            "pieces": [{
+                "kind": s.piece.kind,
+                "detail": s.piece.detail,
+                "generator": element_to_text(s.piece.generator)
+                if s.piece.generator is not None else None,
+            }],
         })
     return {
         "upper": list(bounds.upper),

@@ -1,6 +1,6 @@
 import pathlib
 import re
-from collections import namedtuple
+from collections import deque, namedtuple
 from fractions import Fraction
 from functools import cached_property
 from itertools import permutations
@@ -227,6 +227,33 @@ def disjoint_union(g1: Graph, g2: Graph) -> Graph:
         list(g1.vertices) + list(g2.vertices),
         g1.edge_triples() + g2.edge_triples(),
     )
+
+
+def connected_components_by_bfs(g: Graph):
+    """Partition of the vertices under undirected reachability, by one
+    breadth-first search per block over an undirected adjacency: the test
+    oracle for `connected_components`."""
+    adj = {v: set() for v in g.vertices}
+    for e in g.edges:
+        adj[g.src[e]].add(g.rng[e])
+        adj[g.rng[e]].add(g.src[e])
+    seen = set()
+    blocks = []
+    for v in g.vertices:
+        if v in seen:
+            continue
+        block = {v}
+        queue = deque([v])
+        seen.add(v)
+        while queue:
+            x = queue.popleft()
+            for y in adj[x]:
+                if y not in seen:
+                    seen.add(y)
+                    block.add(y)
+                    queue.append(y)
+        blocks.append(frozenset(block))
+    return sorted(blocks, key=lambda b: sorted(b))
 
 
 def opposite_graph(g: Graph) -> Graph:

@@ -86,8 +86,8 @@ def test_the_theory_builds_its_elements_in_the_callers_algebra(field):
         cs = theorem(alg)
         built += [(alg, gen) for piece in cs.components or (cs,)
                   for gen in piece.generators]
-    built += [(bounded, p.generator) for s in center_bounds(bounded).lower
-              for p in s.pieces if p.generator is not None]
+    built += [(bounded, s.piece.generator) for s in center_bounds(bounded).lower
+              if s.piece.generator is not None]
     assert {alg.kind for alg, _ in built} == set(ALGEBRA_KINDS)
     assert all(el and el.algebra is alg for alg, el in built)
     rep = uniqueness_check_exit_free(Algebra(LEAVITT, two_loops(), field=field))
@@ -301,18 +301,17 @@ def test_bounds_toeplitz():
     # W for the condition-L record is I({v}): infinitely many paths end at
     # the sink, the infinite-matrix pattern, so its center contributes 0
     assert by_index[0].ideal_vertices == frozenset({"v"})
-    assert [p.kind for p in by_index[0].pieces] == ["zero"]
+    assert by_index[0].piece.kind == "zero"
     assert by_index[1].ideal_vertices == frozenset()
-    assert [p.kind for p in by_index[1].pieces] == ["zero"]
+    assert by_index[1].piece.kind == "zero"
     assert b.radical_vertices == frozenset()
 
 
 def test_bounds_two_loops_lower_equals_upper():
     b = center_bounds(Algebra(LEAVITT, two_loops()))
     assert list(b.upper) == ["K[x,x^-1]", "K[x,x^-1]"]
-    kinds = [[p.kind for p in s.pieces] for s in b.lower]
-    assert kinds == [["laurent"], ["laurent"]]
-    gens = {repr(p.generator) for s in b.lower for p in s.pieces}
+    assert [s.piece.kind for s in b.lower] == ["laurent", "laurent"]
+    gens = {repr(s.piece.generator) for s in b.lower}
     assert gens == {"1 c", "1 d"}
     assert b.describe_lower() == "K[x,x^-1] (+) K[x,x^-1]"
 
@@ -321,8 +320,38 @@ def test_bounds_r1_improper_convention():
     b = center_bounds(Algebra(LEAVITT, rose_graph(1)))
     assert list(b.upper) == ["K[x,x^-1]"]
     assert len(b.lower) == 1 and b.lower[0].improper
-    assert [p.kind for p in b.lower[0].pieces] == ["laurent"]
+    assert b.lower[0].piece.kind == "laurent"
     assert b.describe_lower() == "K[x,x^-1]"
+
+
+def test_bounds_improper_piece_is_the_whole_center():
+    # a lone graded prime is 0, so its summand is the whole algebra: a
+    # Laurent center on R_1, the identity under Condition (L) on R_2
+    r1 = center_bounds(Algebra(LEAVITT, rose_graph(1))).lower[0]
+    assert r1.improper and r1.ideal_vertices == frozenset({"v"})
+    assert (r1.piece.kind, r1.piece.detail) == ("laurent", "whole center")
+    alg = Algebra(LEAVITT, rose_graph(2))
+    r2 = center_bounds(alg).lower[0]
+    assert r2.improper
+    assert r2.piece == ("scalar", "whole center (condition_L)", alg.one())
+
+
+def test_bounds_proper_whole_component_pieces():
+    # two components, R_2 on a and a loop on b: each W_P is the other
+    # component, a proper summand whose piece is that component's center
+    g = Graph.build(["a", "b"], [("f1", "a", "a"), ("f2", "a", "a"),
+                                 ("c", "b", "b")])
+    alg = Algebra(LEAVITT, g)
+    b = center_bounds(alg)
+    by_hw = {s.ideal_vertices: s for s in b.lower}
+    assert not any(s.improper for s in b.lower)
+    a = by_hw[frozenset({"a"})].piece
+    assert a == ("scalar", "component identity (condition_L)", alg.vertex_sum({"a"}))
+    loop = by_hw[frozenset({"b"})].piece
+    assert (loop.kind, loop.detail) == (
+        "laurent", "prime component, exit-free cycle fed by 1 paths")
+    assert repr(loop.generator) == "1 c"
+    assert b.describe_lower() == "K[x,x^-1] (+) K"
 
 
 def test_bounds_fork_mixed_patterns():
@@ -333,16 +362,14 @@ def test_bounds_fork_mixed_patterns():
         ("v",): "K",
         ("w",): "K[x,x^-1]",
     }
-    pieces = {s.record_index: [p.kind for p in s.pieces] for s in b.lower}
-    by_h = {tuple(sorted(b.records[i].H)): k for i, k in pieces.items()}
+    kinds = {s.record_index: s.piece.kind for s in b.lower}
+    by_h = {tuple(sorted(b.records[i].H)): k for i, k in kinds.items()}
     # W for the {v}-record is I({w}): a finite matrix corner over K;
     # W for the {w}-record is I({v}): a finite matrix corner over Laurents
-    assert by_h[("v",)] == ["scalar"]
-    assert by_h[("w",)] == ["laurent"]
+    assert by_h[("v",)] == "scalar"
+    assert by_h[("w",)] == "laurent"
     for s in b.lower:
-        for p in s.pieces:
-            if p.generator is not None:
-                assert check_central(p.generator)
+        assert check_central(s.piece.generator)
 
 
 def test_verify_bounds_on_fixtures():
@@ -394,13 +421,13 @@ def test_verify_bounds_catches_a_theory_wrong_on_the_lower_bound_alone(monkeypat
     from pathcenters import center_theory
 
     sub = central_subspace(fork_sink_loop(), OracleWindow(LEAVITT, 3))
-    lower_pieces = center_theory._lower_pieces
+    lower_piece = center_theory._lower_piece
 
     def bare_cycle(alg, record, hw):
-        return [p._replace(generator=word_element(alg, ["c"]))
-                if p.kind == LAURENT else p for p in lower_pieces(alg, record, hw)]
+        p = lower_piece(alg, record, hw)
+        return p._replace(generator=word_element(alg, ["c"])) if p.kind == LAURENT else p
 
-    monkeypatch.setattr(center_theory, "_lower_pieces", bare_cycle)
+    monkeypatch.setattr(center_theory, "_lower_piece", bare_cycle)
     res = verify_bounds(sub)
     assert not res.ok and res.upper_ok and not res.lower_ok and res.radical_empty
     assert set(res.notes) == {"lower-bound generator power missing from the "
@@ -463,11 +490,11 @@ def test_undecidable_ideal_pattern_is_tagged_for_the_oracle():
     by_h = {r.H: s for r, s in zip(bounds.records, bounds.lower)}
     loops = by_h[frozenset({"s"})]
     assert not loops.improper and loops.ideal_vertices == frozenset({"w"})
-    assert [p.kind for p in loops.pieces] == ["unknown"]
-    assert "oracle-bounded" in loops.pieces[0].detail
+    assert loops.piece.kind == "unknown"
+    assert "oracle-bounded" in loops.piece.detail
     sink = by_h[frozenset({"w"})]
     assert sink.ideal_vertices == frozenset({"s"})
-    assert [p.detail for p in sink.pieces] == ["matrix corner over K on 2 paths"]
+    assert sink.piece.detail == "matrix corner over K on 2 paths"
 
 
 def relative_imports(module):

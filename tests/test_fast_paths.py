@@ -18,7 +18,7 @@ from pathcenters.center_theory import (
     PieceContribution,
     _corner_generator,
     _corner_sum,
-    _lower_pieces,
+    _lower_piece,
     center_bounds,
     center_structure_KE,
     classify_prime_leavitt,
@@ -345,7 +345,7 @@ def component_pieces_by_pattern(alg, comp):
 def lower_pieces_by_pattern(alg, h):
     """Structural center of I(H) in the decidable patterns, else `unknown`,
     for any hereditary saturated H: the search over components, exit-free
-    cycles and sinks that `_lower_pieces` replaced.
+    cycles and sinks that `_lower_piece` replaced.
 
     Decidable: the zero ideal; whole components carrying a prime Leavitt
     algebra; the closure of a single exit-free cycle (a matrix algebra over
@@ -1069,19 +1069,19 @@ def piece_texts(pieces):
 def check_lower_pieces_against_pattern(g, field):
     """Every non-improper lower summand of `center_bounds` equals the
     pattern search on its vertices.  A refused corner stops `center_bounds`,
-    so then each W_P is read through `_lower_pieces` on its own.  Returns
+    so then each W_P is read through `_lower_piece` on its own.  Returns
     the piece kinds compared, "cap" standing for a refused W_P."""
     alg = Algebra(LEAVITT, g, field=field)
     pairs = []
     try:
         for s in center_bounds(Algebra(LEAVITT, g, field=field)).lower:
             if not s.improper:
-                pairs.append((piece_texts(lambda: s.pieces), s.ideal_vertices))
+                pairs.append((piece_texts(lambda: [s.piece]), s.ideal_vertices))
     except ResourceCapExceeded:
         records = graded_prime_ideals(g)
         for r in records if len(records) > 1 else ():
             hw = frozenset.intersection(*(q.H for q in records if q is not r))
-            pairs.append((piece_texts(lambda: _lower_pieces(alg, r, hw)), hw))
+            pairs.append((piece_texts(lambda: [_lower_piece(alg, r, hw)]), hw))
     kinds = set()
     for fast, hw in pairs:
         assert fast == piece_texts(lambda: lower_pieces_by_pattern(alg, hw)), sorted(hw)

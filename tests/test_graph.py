@@ -25,6 +25,7 @@ from pathcenters import (
 from pathcenters.graph import all_paths_up_to, count_paths_into, paths_into
 
 from conftest import (
+    connected_components_by_bfs,
     cycle_feeds_loop,
     cycle_graph,
     disjoint_union,
@@ -105,6 +106,12 @@ def test_connected_components_examples():
         frozenset({"u2"}),
     ]
     assert connected_components(feeder_loop()) == [frozenset({"u", "v"})]
+
+
+@settings(max_examples=100, deadline=None)
+@given(g=graphs(max_vertices=8, max_edges=10))
+def test_connected_components_match_the_breadth_first_search(g):
+    assert connected_components(g) == connected_components_by_bfs(g)
 
 
 def test_classify_vertex_examples():
